@@ -16,15 +16,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import experiments
 from .errors import LineSpecError, NumericalDivergence
-from .fft_init import InitConfig
-from .optimizer import TrainConfig
-from .order_control import OrderConfig
 from .pipeline import EstimatorConfig, RunReport, estimate_spectrum
 from .signal_model import TWO_PI, NoiseSpec, Sinusoid, noise_var_for_snr, synthesize
 
@@ -105,22 +102,19 @@ def _read_signal_csv(path: str):
     if not body:
         raise ValueError("signal file holds no samples")
     y = np.zeros(len(body), dtype=np.complex128)
+    seen: set[int] = set()
     for row in body:
         if len(row) != 3:
             raise ValueError(f"malformed row: {row!r}")
         idx = int(row[0])
         if not 0 <= idx < y.size:
             raise ValueError(f"sample index {idx} out of range")
+        # N rows with in-range indices and no repeat cover every index once.
+        if idx in seen:
+            raise ValueError(f"sample index {idx} repeated")
+        seen.add(idx)
         y[idx] = complex(float(row[1]), float(row[2]))
     return y, meta
-
-
-def _flatten_config(cfg: EstimatorConfig) -> dict:
-    flat = asdict(cfg)
-    flat["init"] = asdict(cfg.init)
-    flat["train"] = asdict(cfg.train)
-    flat["order"] = asdict(cfg.order)
-    return flat
 
 
 def _report_dict(report: RunReport, cfg: EstimatorConfig, seed) -> dict:
@@ -161,7 +155,7 @@ def _report_dict(report: RunReport, cfg: EstimatorConfig, seed) -> dict:
         "outer_iterations": report.outer_iterations,
         "cost_trace": [float(c) for c in report.cost_trace],
         "events": events,
-        "config": _flatten_config(cfg),
+        "config": asdict(cfg),
         "seed": seed,
     }
 
@@ -177,20 +171,20 @@ def cmd_estimate(args) -> int:
         y, meta = _read_signal_csv(args.infile)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read signal: {exc}", 2)
+    base = EstimatorConfig()
     try:
-        cfg = EstimatorConfig(
-            init=InitConfig(l_factor=args.l_factor),
-            train=TrainConfig(
+        cfg = replace(
+            base,
+            init=replace(base.init, l_factor=args.l_factor),
+            train=replace(
+                base.train,
                 gamma_alpha=args.gamma_alpha,
                 gamma_omega=args.gamma_omega,
                 momentum=args.momentum,
-                eps_tol=args.eps,
                 max_iter=args.max_iter,
-                min_iter=30,
-                consec_hits=3,
             ),
-            order=OrderConfig(epsilon_f=args.epsf, epsilon_a=args.epsa),
-            eps_floor=min(EstimatorConfig().eps_floor, args.eps),
+            order=replace(base.order, epsilon_f=args.epsf, epsilon_a=args.epsa),
+            eps_floor=args.eps,
         )
     except LineSpecError as exc:
         return _fail(str(exc), 2)
@@ -203,6 +197,8 @@ def cmd_estimate(args) -> int:
             payload["diverged"] = True
             _write_report(args.report, payload)
         return _fail(f"optimization diverged: {exc}", 3)
+    except LineSpecError as exc:
+        return _fail(str(exc), 2)
     print(f"k_hat = {report.k_hat}")
     print(f"sigma2_hat = {report.sigma2_hat!r}")
     print(f"outer_iterations = {report.outer_iterations}")
@@ -228,7 +224,7 @@ def cmd_gradcheck(args) -> int:
         omegas = rng.uniform(0.0, TWO_PI, m_t)
         alphas = rng.standard_normal(m_t) + 1j * rng.standard_normal(m_t)
         y = rng.standard_normal(n_t) + 1j * rng.standard_normal(n_t)
-        state = NetworkState.from_parameters(omegas, alphas)
+        state = NetworkState(omegas, alphas)
         ga = grad_alpha(state, y)
         gw = grad_omega(state, y)
         if args.perturb:
@@ -351,7 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="input CSV (index,re,im)")
     p.add_argument("--report", default=None, help="write a JSON report here")
     p.add_argument("--l-factor", type=int, default=4, help="FFT zero-padding factor")
-    p.add_argument("--eps", type=float, default=1e-5, help="inner convergence tolerance")
+    p.add_argument(
+        "--eps",
+        type=float,
+        default=1e-9,
+        help="floor of the annealed inner tolerance: passes tighten it from 1e-2"
+        " down to this value, and the run ends at the first floor pass that"
+        " changes nothing",
+    )
     p.add_argument("--epsf", type=float, default=1e-6, help="merge test level")
     p.add_argument("--epsa", type=float, default=1e-6, help="prune false-alarm level")
     p.add_argument("--gamma-alpha", type=float, default=None, help="amplitude learning rate")

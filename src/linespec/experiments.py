@@ -12,23 +12,22 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateResidual, SingularInformation
-from .fft_init import InitConfig
-from .optimizer import NetworkState, TrainConfig, cost, train_inner
-from .order_control import OrderConfig, detection_prob, prune_statistic, prune_threshold, rho
+from .fft_init import CandidateSet, InitConfig, find_peaks, initialize, ls_amplitudes
+from .optimizer import NetworkState, TrainConfig, cost, sum_n_squared, train_inner
+from .order_control import OrderConfig, detection_prob, prune_statistic, prune_threshold
 from .pipeline import (
     EstimatorConfig,
     RunReport,
     estimate_spectrum,
     estimate_with_fixed_order,
 )
-from .signal_model import TWO_PI, Sinusoid, as_samples, atom, design_matrix
-from .fft_init import initialize
+from .signal_model import TWO_PI, Sinusoid, as_samples, design_matrix
 
 _DESK_TRIALS = 200
 
@@ -306,19 +305,7 @@ def mc_roc_merge(spec: TrialSpec, epsilon_f_grid) -> SweepResult:
     bin_off = TWO_PI / (InitConfig().l_factor * n)
     rows = []
     for eps_f in epsilon_f_grid:
-        cfg = EstimatorConfig(
-            init=spec.estimator.init,
-            train=spec.estimator.train,
-            order=OrderConfig(
-                delta_omega_min=spec.estimator.order.delta_omega_min,
-                epsilon_f=float(eps_f),
-                epsilon_a=spec.estimator.order.epsilon_a,
-            ),
-            max_outer=spec.estimator.max_outer,
-            eps_start=spec.estimator.eps_start,
-            eps_decay=spec.estimator.eps_decay,
-            eps_floor=spec.estimator.eps_floor,
-        )
+        cfg = replace(spec.estimator, order=replace(spec.estimator.order, epsilon_f=float(eps_f)))
         kept_pair = 0
         for t in range(spec.trials):
             rng = np.random.default_rng(spec.base_seed + t)
@@ -359,16 +346,12 @@ def mc_roc_merge(spec: TrialSpec, epsilon_f_grid) -> SweepResult:
 
 def _prune_keep(y: np.ndarray, node_omegas: np.ndarray, watch: int, eps_a: float) -> bool:
     """Prune decision for one node of a least-squares fit at fixed frequencies."""
-    n = y.size
-    A = design_matrix(node_omegas, n)
-    q, r = np.linalg.qr(A)
-    alphas = np.linalg.solve(r, q.conj().T @ y)
-    state = NetworkState.from_parameters(node_omegas, alphas)
+    state = NetworkState(node_omegas, ls_amplitudes(CandidateSet(node_omegas), y))
     try:
         xi = prune_statistic(watch, state, y)
     except DegenerateResidual:
         return True
-    threshold = prune_threshold(n, node_omegas.size, OrderConfig(epsilon_a=eps_a))
+    threshold = prune_threshold(y.size, node_omegas.size, OrderConfig(epsilon_a=eps_a))
     return xi >= threshold
 
 
@@ -511,10 +494,9 @@ def convergence_trace(spec: TrialSpec, gamma_grid, lambda_grid) -> SweepResult:
                 rng = np.random.default_rng(spec.base_seed + t)
                 y, _, _ = _draw_signal(freqs, mags, spec.n_samples, spec.snr_db, rng)
                 state = initialize(y, spec.estimator.init, spec.estimator.order)
-                rho1 = rho(0.0, 0.0, spec.n_samples)[0]
                 cfg = TrainConfig(
                     gamma_alpha=float(gs) * 0.5 / spec.n_samples,
-                    gamma_omega=float(gs) * 0.5 / rho1,
+                    gamma_omega=float(gs) * 0.5 / sum_n_squared(spec.n_samples),
                     momentum=float(lam),
                     eps_tol=spec.estimator.train.eps_tol,
                     max_iter=spec.estimator.train.max_iter,
@@ -575,9 +557,7 @@ def _cluster_init(y: np.ndarray, l_factor: int = 4, span: int = 2) -> np.ndarray
     n = y.size
     L = l_factor * n
     mag = np.abs(np.fft.fft(y, L))
-    peaks = [
-        k for k in range(L) if mag[k] > mag[(k - 1) % L] and mag[k] >= mag[(k + 1) % L]
-    ]
+    peaks = find_peaks(mag, 0.0, InitConfig(l_factor=l_factor))
     peaks.sort(key=lambda k: -mag[k])
     excl = span * l_factor
     centers: list[int] = []
@@ -593,9 +573,10 @@ def _cluster_init(y: np.ndarray, l_factor: int = 4, span: int = 2) -> np.ndarray
 
 
 def _cluster_estimator() -> EstimatorConfig:
-    rho1 = rho(0.0, 0.0, _CLUSTER_N)[0]
     return EstimatorConfig(
-        train=TrainConfig(gamma_omega=1.0 / rho1, min_iter=3000, consec_hits=3),
+        train=TrainConfig(
+            gamma_omega=1.0 / sum_n_squared(_CLUSTER_N), min_iter=3000, consec_hits=3
+        ),
         order=OrderConfig(epsilon_f=1e-12),
     )
 

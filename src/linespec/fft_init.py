@@ -97,25 +97,6 @@ def find_peaks(spectrum_mag, noise_floor: float, cfg: InitConfig) -> list[int]:
     return [int(k) for k in np.nonzero(keep)[0]]
 
 
-def augment_adjacent(peaks, spectrum_mag, cfg: InitConfig) -> CandidateSet:
-    """Add the stronger neighbor of each peak bin, dedupe, convert to radians.
-
-    Ties between the two neighbors go to bin k+1 so the result is
-    deterministic for symmetric (on-grid) peaks.
-    """
-    mag = np.asarray(spectrum_mag, dtype=float)
-    big_l = mag.size
-    bins: set[int] = set()
-    for k in peaks:
-        if not 0 <= k < big_l:
-            raise InvalidDimension("peak bin outside the spectrum")
-        bins.add(k)
-        lo, hi = (k - 1) % big_l, (k + 1) % big_l
-        bins.add(hi if mag[hi] >= mag[lo] else lo)
-    omegas = np.array(sorted(TWO_PI * k / big_l for k in bins))
-    return CandidateSet(omegas)
-
-
 def ls_amplitudes(candidates: CandidateSet, observed) -> np.ndarray:
     """Least-squares amplitudes for the candidate frequencies.
 
@@ -175,7 +156,7 @@ def _peak_bins(y: np.ndarray, mag: np.ndarray, cfg: InitConfig, order: OrderConf
             if len(peaks) == 1:
                 return []
             peaks = _drop_weaker_of_closest_pair(peaks, mag, big_l)
-    xi = prune_statistics(NetworkState.from_parameters(omegas, alphas), y)
+    xi = prune_statistics(NetworkState(omegas, alphas), y)
     keep = xi >= prune_threshold(y.size, len(peaks), order)
     return [k for k, kept in zip(peaks, keep) if kept]
 
@@ -184,7 +165,8 @@ def initialize(observed, cfg: InitConfig | None = None, order: OrderConfig | Non
     """Seed a network state from the zero-padded spectrum.
 
     Each surviving peak bin (see _peak_bins) gets a companion node on the
-    side of its stronger neighbor bin, one padded bin away or, if closer,
+    side of its stronger neighbor bin (the upper one on a tie, so an
+    on-grid peak is deterministic), one padded bin away or, if closer,
     at merge_radius: the spacing up to which the merge test of ``order``
     fuses the peak's amplitude split in two equal halves. A companion the
     data do not need can then be merged away; at large N a full padded bin
@@ -222,7 +204,7 @@ def initialize(observed, cfg: InitConfig | None = None, order: OrderConfig | Non
         amps.extend(np.linalg.lstsq(design_matrix(pair, n), partial, rcond=None)[0])
     omegas = np.mod(np.array(omegas), TWO_PI)
     idx = np.argsort(omegas, kind="stable")
-    return NetworkState.from_parameters(omegas[idx], np.array(amps)[idx])
+    return NetworkState(omegas[idx], np.array(amps)[idx])
 
 
 def periodogram_estimate(observed, cfg: InitConfig | None = None) -> list[Sinusoid]:

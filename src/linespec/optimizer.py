@@ -22,7 +22,7 @@ from .signal_model import TWO_PI, as_samples
 _DEFAULT_RATE_NUMERATOR = 0.5
 
 
-def _sum_n_squared(n_samples: int) -> float:
+def sum_n_squared(n_samples: int) -> float:
     """Sum of n^2 for n = 0 .. N-1, the curvature scale of the frequency block."""
     n = n_samples
     return (n - 1) * n * (2 * n - 1) / 6.0
@@ -30,43 +30,26 @@ def _sum_n_squared(n_samples: int) -> float:
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Hidden-layer weights: frequencies, amplitudes, and momentum buffers."""
+    """Hidden-layer weights: one frequency and one complex amplitude per node."""
 
     omegas: np.ndarray
     alphas: np.ndarray
-    mom_omega: np.ndarray
-    mom_alpha: np.ndarray
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.omegas, dtype=float))
         a = np.atleast_1d(np.asarray(self.alphas, dtype=np.complex128))
-        dw = np.atleast_1d(np.asarray(self.mom_omega, dtype=float))
-        da = np.atleast_1d(np.asarray(self.mom_alpha, dtype=np.complex128))
-        if not (w.size == a.size == dw.size == da.size):
+        if w.size != a.size:
             raise InvalidDimension("state vectors must share one length")
-        for v in (w, dw):
-            if v.size and not np.all(np.isfinite(v)):
-                raise NumericalDivergence("state contains non-finite frequencies")
-        for v in (a, da):
-            if v.size and not np.all(np.isfinite(v.view(float))):
-                raise NumericalDivergence("state contains non-finite amplitudes")
+        if w.size and not np.all(np.isfinite(w)):
+            raise NumericalDivergence("state contains non-finite frequencies")
+        if a.size and not np.all(np.isfinite(a.view(float))):
+            raise NumericalDivergence("state contains non-finite amplitudes")
         object.__setattr__(self, "omegas", w)
         object.__setattr__(self, "alphas", a)
-        object.__setattr__(self, "mom_omega", dw)
-        object.__setattr__(self, "mom_alpha", da)
-
-    @classmethod
-    def from_parameters(cls, omegas, alphas) -> "NetworkState":
-        """Build a state with zeroed momentum buffers."""
-        w = np.atleast_1d(np.asarray(omegas, dtype=float))
-        a = np.atleast_1d(np.asarray(alphas, dtype=np.complex128))
-        return cls(w, a, np.zeros(w.size), np.zeros(a.size, dtype=np.complex128))
 
     @classmethod
     def empty(cls) -> "NetworkState":
-        return cls(
-            np.zeros(0), np.zeros(0, dtype=np.complex128), np.zeros(0), np.zeros(0, dtype=np.complex128)
-        )
+        return cls(np.zeros(0), np.zeros(0, dtype=np.complex128))
 
     @property
     def m_nodes(self) -> int:
@@ -117,7 +100,7 @@ class TrainConfig:
         if ga is None:
             ga = _DEFAULT_RATE_NUMERATOR / n_samples
         if gw is None:
-            gw = _DEFAULT_RATE_NUMERATOR / _sum_n_squared(max(n_samples, 2))
+            gw = _DEFAULT_RATE_NUMERATOR / sum_n_squared(max(n_samples, 2))
         return replace(self, gamma_alpha=ga, gamma_omega=gw)
 
 
@@ -130,15 +113,23 @@ class CostTrace:
     converged: bool
 
 
+def _residual(omegas: np.ndarray, alphas: np.ndarray, y, n: np.ndarray):
+    """Design matrix A = exp(j * outer(n, omegas)) and residual r = A alpha - y."""
+    A = np.exp(1j * np.outer(n, omegas))
+    return A, A @ alphas - y
+
+
+def _gradients(A: np.ndarray, r: np.ndarray, alphas: np.ndarray, n: np.ndarray):
+    """Amplitude and frequency gradients of ||r||^2 from the design matrix and residual."""
+    return A.conj().T @ r, 2.0 * np.imag(alphas * (A.T @ (n * np.conj(-r))))
+
+
 def forward(state: NetworkState, n_samples: int) -> np.ndarray:
     """Model signal x_hat(n) = sum_i alpha_i * exp(j * omega_i * n)."""
     if n_samples < 1:
         raise InvalidDimension("forward needs at least one sample")
-    if state.m_nodes == 0:
-        return np.zeros(n_samples, dtype=np.complex128)
-    n = np.arange(n_samples)
-    A = np.exp(1j * np.outer(n, state.omegas))
-    return A @ state.alphas
+    # The residual against y = 0 is the model itself.
+    return _residual(state.omegas, state.alphas, 0.0, np.arange(n_samples))[1]
 
 
 def cost(observed, model) -> float:
@@ -155,9 +146,8 @@ def grad_alpha(state: NetworkState, observed) -> np.ndarray:
     """Gradient of the cost with respect to the conjugate amplitudes, A^H (x_hat - y)."""
     y = as_samples(observed)
     n = np.arange(y.size)
-    A = np.exp(1j * np.outer(n, state.omegas))
-    r = A @ state.alphas - y
-    return A.conj().T @ r
+    A, r = _residual(state.omegas, state.alphas, y, n)
+    return _gradients(A, r, state.alphas, n)[0]
 
 
 def grad_omega(state: NetworkState, observed) -> np.ndarray:
@@ -167,43 +157,17 @@ def grad_omega(state: NetworkState, observed) -> np.ndarray:
     """
     y = as_samples(observed)
     n = np.arange(y.size)
-    A = np.exp(1j * np.outer(n, state.omegas))
-    r = A @ state.alphas - y
-    return 2.0 * np.imag(state.alphas * (A.T @ (n * np.conj(-r))))
-
-
-def momentum_step(
-    state: NetworkState, g_alpha: np.ndarray, g_omega: np.ndarray, cfg: TrainConfig
-) -> NetworkState:
-    """One momentum update: d <- lam*d + (1-lam)*g, then w -= gamma*d."""
-    if cfg.gamma_alpha is None or cfg.gamma_omega is None:
-        raise InvalidDimension("learning rates unresolved; call cfg.resolve(n_samples)")
-    ga = np.asarray(g_alpha, dtype=np.complex128)
-    gw = np.asarray(g_omega, dtype=float)
-    if ga.size != state.m_nodes or gw.size != state.m_nodes:
-        raise InvalidDimension("gradient lengths do not match the state")
-    if (ga.size and not np.all(np.isfinite(ga.view(float)))) or (
-        gw.size and not np.all(np.isfinite(gw))
-    ):
-        raise NumericalDivergence("non-finite gradient")
-    lam = cfg.momentum
-    da = lam * state.mom_alpha + (1.0 - lam) * ga
-    dw = lam * state.mom_omega + (1.0 - lam) * gw
-    return NetworkState(
-        state.omegas - cfg.gamma_omega * dw,
-        state.alphas - cfg.gamma_alpha * da,
-        dw,
-        da,
-    )
+    A, r = _residual(state.omegas, state.alphas, y, n)
+    return _gradients(A, r, state.alphas, n)[1]
 
 
 def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     """Gradient descent with momentum until the mean cost change is below tolerance.
 
-    Returns (final state, CostTrace). Momentum buffers start from zero
-    regardless of the buffers stored in the input state. If the cost rises
-    for ``safeguard_patience`` consecutive iterations, both learning rates
-    are halved, the buffers are zeroed, and the best state seen so far is
+    Returns (final state, CostTrace). The momentum buffers live only inside
+    one call and start from zero. If the cost rises for
+    ``safeguard_patience`` consecutive iterations, both learning rates are
+    halved, the buffers are zeroed, and the best state seen so far is
     restored before continuing.
     """
     y = as_samples(observed)
@@ -225,8 +189,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     rate_w = cfg.gamma_omega
     lam = cfg.momentum
 
-    A = np.exp(1j * np.outer(n, w))
-    r = A @ a - y
+    A, r = _residual(w, a, y, n)
     cbar = float(np.vdot(r, r).real) / n_samples
     trace = [cbar]
     best_c, best_w, best_a = cbar, w.copy(), a.copy()
@@ -237,14 +200,12 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
 
     for t in range(1, cfg.max_iter + 1):
         iterations = t
-        ga = A.conj().T @ r
-        gw = 2.0 * np.imag(a * (A.T @ (n * np.conj(-r))))
+        ga, gw = _gradients(A, r, a, n)
         da = lam * da + (1.0 - lam) * ga
         dw = lam * dw + (1.0 - lam) * gw
         a = a - rate_a * da
         w = w - rate_w * dw
-        A = np.exp(1j * np.outer(n, w))
-        r = A @ a - y
+        A, r = _residual(w, a, y, n)
         c = float(np.vdot(r, r).real) / n_samples
         trace.append(c)
         if not math.isfinite(c):
@@ -259,8 +220,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
                 da[:] = 0.0
                 dw[:] = 0.0
                 w, a = best_w.copy(), best_a.copy()
-                A = np.exp(1j * np.outer(n, w))
-                r = A @ a - y
+                A, r = _residual(w, a, y, n)
                 c = best_c
                 rising = 0
         else:
@@ -279,12 +239,9 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
             hits = 0
         cbar = c
 
-    out = NetworkState(w, a, dw, da)
-    return out, CostTrace(np.asarray(trace), iterations, converged)
+    return NetworkState(w, a), CostTrace(np.asarray(trace), iterations, converged)
 
 
 def wrap_frequencies(state: NetworkState) -> NetworkState:
-    """Wrap every frequency into [0, 2*pi); amplitudes and buffers unchanged."""
-    return NetworkState(
-        np.mod(state.omegas, TWO_PI), state.alphas, state.mom_omega, state.mom_alpha
-    )
+    """Wrap every frequency into [0, 2*pi); amplitudes unchanged."""
+    return NetworkState(np.mod(state.omegas, TWO_PI), state.alphas)

@@ -24,7 +24,7 @@ from .errors import (
     InvalidDimension,
     SingularInformation,
 )
-from .optimizer import NetworkState
+from .optimizer import NetworkState, cost, sum_n_squared
 from .signal_model import TWO_PI, as_samples, design_matrix
 from .stat_dist import FParams, f_inv_cdf, noncentral_f_cdf, std_normal_inv_cdf
 
@@ -79,11 +79,7 @@ class MergeEvent:
 def estimate_noise_var(observed, model) -> float:
     """Residual-power noise estimate ||x_hat - y||^2 / N."""
     y = as_samples(observed)
-    x = np.asarray(model, dtype=np.complex128)
-    if y.shape != x.shape:
-        raise InvalidDimension("observed and model lengths differ")
-    r = x - y
-    return float(np.vdot(r, r).real) / y.size
+    return cost(y, model) / y.size
 
 
 def rho(omega_i: float, omega_j: float, n_samples: int):
@@ -96,9 +92,8 @@ def rho(omega_i: float, omega_j: float, n_samples: int):
         raise InvalidDimension("rho needs at least two samples")
     n = np.arange(n_samples)
     n2 = n.astype(float) ** 2
-    rho1 = float(n2.sum())
     rho2 = complex(np.sum(n2 * np.exp(1j * (omega_j - omega_i) * n)))
-    return rho1, rho2
+    return sum_n_squared(n_samples), rho2
 
 
 def crb_pair(
@@ -184,8 +179,8 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     further merging with its next neighbor. The wrap-around pair (last,
     first + 2*pi) is tested once at the end. A singular pair bound means the
     nodes are already indistinguishable and forces the merge. Each merge
-    averages the frequencies, sums the amplitudes, and zeroes the momentum
-    buffers of the merged node. Returns (new state, list of MergeEvent).
+    averages the frequencies and sums the amplitudes. Returns (new state,
+    list of MergeEvent).
     """
     y = as_samples(observed)
     n_samples = y.size
@@ -196,12 +191,9 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     order = np.argsort(w, kind="stable")
     w = w[order]
     a = state.alphas[order]
-    dw = state.mom_omega[order]
-    da = state.mom_alpha[order]
     sigma2 = estimate_noise_var(y, design_matrix(w, n_samples) @ a)
 
     ws, am = list(w), list(a)
-    bw, ba = list(dw), list(da)
     events: list[MergeEvent] = []
     i = 0
     while i + 1 < len(ws):
@@ -212,9 +204,7 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
             events.append(MergeEvent(wi, wj, merged))
             ws[i] = merged
             am[i] = am[i] + am[i + 1]
-            bw[i] = 0.0
-            ba[i] = 0.0 + 0.0j
-            del ws[i + 1], am[i + 1], bw[i + 1], ba[i + 1]
+            del ws[i + 1], am[i + 1]
         else:
             i += 1
     if len(ws) >= 2:
@@ -225,28 +215,24 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
             events.append(MergeEvent(wi, wj, merged))
             am[0] = am[-1] + am[0]
             ws[0] = merged
-            bw[0] = 0.0
-            ba[0] = 0.0 + 0.0j
-            del ws[-1], am[-1], bw[-1], ba[-1]
+            del ws[-1], am[-1]
     if not events:
-        return NetworkState(w, a, dw, da), []
+        return NetworkState(w, a), []
     w = np.array(ws)
     a = np.array(am, dtype=np.complex128)
-    dw = np.array(bw, dtype=float)
-    da = np.array(ba, dtype=np.complex128)
     order = np.argsort(w, kind="stable")
-    return NetworkState(w[order], a[order], dw[order], da[order]), events
+    return NetworkState(w[order], a[order]), events
 
 
 def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
     """Least-squares amplitudes for the selected nodes, the others held fixed.
 
     ``nodes`` is a boolean mask. The selected amplitudes are fitted jointly
-    to the data minus the unselected nodes' contribution; frequencies and
-    momentum buffers are unchanged. apply_merges leaves a merged node at the
-    midpoint with the summed amplitudes, which no fit produced; refitting it
-    before apply_prunes keeps the residual, and so every node's statistic,
-    that of a fitted model.
+    to the data minus the unselected nodes' contribution; frequencies are
+    unchanged. apply_merges leaves a merged node at the midpoint with the
+    summed amplitudes, which no fit produced; refitting it before
+    apply_prunes keeps the residual, and so every node's statistic, that of
+    a fitted model.
     """
     y = as_samples(observed)
     sel = np.asarray(nodes, dtype=bool)
@@ -258,7 +244,7 @@ def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
     target = y - A[:, ~sel] @ state.alphas[~sel]
     alphas = state.alphas.copy()
     alphas[sel] = np.linalg.lstsq(A[:, sel], target, rcond=None)[0]
-    return NetworkState(state.omegas, alphas, state.mom_omega, state.mom_alpha)
+    return NetworkState(state.omegas, alphas)
 
 
 def prune_statistics(state: NetworkState, observed) -> np.ndarray:
@@ -327,10 +313,8 @@ def apply_prunes(state: NetworkState, observed, cfg: OrderConfig):
     threshold = prune_threshold(n_samples, m_eff, cfg)
     xi = prune_statistics(state, y)
     keep = xi >= threshold
-    new_state = NetworkState(
-        state.omegas[keep], state.alphas[keep], state.mom_omega[keep], state.mom_alpha[keep]
-    )
-    return new_state, PruneReport(xi, float(threshold), keep)
+    kept = NetworkState(state.omegas[keep], state.alphas[keep])
+    return kept, PruneReport(xi, float(threshold), keep)
 
 
 def detection_prob(snr_linear: float, n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericalDivergence
+from .errors import InvalidDimension, NumericalDivergence
 from .fft_init import CandidateSet, InitConfig, initialize, ls_amplitudes
 from .optimizer import (
     CostTrace,
@@ -52,18 +52,20 @@ class EstimatorConfig:
     inner-tolerance schedule: the first pass trains to ``eps_start``, each
     following pass multiplies the tolerance by ``eps_decay`` down to
     ``eps_floor``, and the loop exits once a floor-tolerance pass changes
-    nothing. Setting ``eps_start`` to None disables the schedule; every pass
-    then uses ``train.eps_tol`` and the loop exits at the first pass without
-    a structural change.
+    nothing. The schedule overrides ``train.eps_tol`` on every pass.
     """
 
     init: InitConfig = field(default_factory=InitConfig)
     train: TrainConfig = field(default_factory=_default_train)
     order: OrderConfig = field(default_factory=OrderConfig)
     max_outer: int = 20
-    eps_start: float | None = 1e-2
+    eps_start: float = 1e-2
     eps_decay: float = 0.1
     eps_floor: float = 1e-9
+
+    def __post_init__(self):
+        if not 0.0 < self.eps_floor <= self.eps_start:
+            raise InvalidDimension("eps_floor must lie in (0, eps_start]")
 
 
 @dataclass(frozen=True)
@@ -105,26 +107,22 @@ def _finalize_state(state: NetworkState) -> list[Sinusoid]:
 
 def _build_report(y, state, outer, traces, merge_events, prune_events) -> RunReport:
     estimates = _finalize_state(state)
-    final = NetworkState.from_parameters(
-        [s.omega for s in estimates], [s.amplitude for s in estimates]
-    ) if estimates else NetworkState.empty()
+    final = NetworkState([s.omega for s in estimates], [s.amplitude for s in estimates])
     sigma2 = estimate_noise_var(y, forward(final, y.size))
     trace = np.concatenate(traces) if traces else np.zeros(0)
     return RunReport(estimates, sigma2, outer, trace, merge_events, prune_events)
 
 
 def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunReport:
-    annealed = cfg.eps_start is not None
-    eps = cfg.eps_start if annealed else cfg.train.eps_tol
+    eps = cfg.eps_start
     outer = 0
     traces: list[np.ndarray] = []
     merge_events: list[tuple[int, MergeEvent]] = []
     prune_events: list[tuple[int, PruneReport]] = []
     while outer < cfg.max_outer and state.m_nodes > 0:
         outer += 1
-        train_cfg = replace(cfg.train, eps_tol=eps) if annealed else cfg.train
         try:
-            state, trace = train_inner(y, state, train_cfg)
+            state, trace = train_inner(y, state, replace(cfg.train, eps_tol=eps))
         except NumericalDivergence as exc:
             exc.report = _build_report(y, state, outer, traces, merge_events, prune_events)
             raise
@@ -138,13 +136,9 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
         pruned = not bool(np.all(prune_report.keep_mask))
         if pruned:
             prune_events.append((outer, prune_report))
-        changed = bool(merged) or pruned
-        if annealed:
-            if not changed and eps <= cfg.eps_floor * (1.0 + 1e-9):
-                break
-            eps = max(eps * cfg.eps_decay, cfg.eps_floor)
-        elif not changed:
+        if not (merged or pruned) and eps <= cfg.eps_floor * (1.0 + 1e-9):
             break
+        eps = max(eps * cfg.eps_decay, cfg.eps_floor)
     return _build_report(y, state, outer, traces, merge_events, prune_events)
 
 
@@ -180,5 +174,5 @@ def estimate_with_fixed_order(observed, omegas0, cfg: EstimatorConfig | None = N
     if w0.size == 0:
         return _build_report(y, NetworkState.empty(), 0, [], [], [])
     alphas = ls_amplitudes(CandidateSet(w0), y)
-    state = NetworkState.from_parameters(w0, alphas)
+    state = NetworkState(w0, alphas)
     return _run_outer(y, state, cfg)

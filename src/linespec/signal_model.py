@@ -95,12 +95,14 @@ class NoiseSpec:
 
 
 def as_samples(observed) -> np.ndarray:
-    """Coerce a Signal or array-like into a 1-d complex sample vector."""
+    """Coerce a Signal or array-like into a finite 1-d complex sample vector."""
     if isinstance(observed, Signal):
         return observed.samples
     s = np.asarray(observed, dtype=np.complex128)
     if s.ndim != 1 or s.size < 1:
         raise InvalidDimension("observed data must be a nonempty 1-d vector")
+    if not np.all(np.isfinite(s)):
+        raise DegenerateInput("observed samples must be finite")
     return s
 
 

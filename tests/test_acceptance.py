@@ -51,7 +51,7 @@ def _single_node_xi(y, omega):
     """Power statistic of one node with its least-squares amplitude."""
     n = y.size
     amp = np.vdot(atom(omega, n), y) / n
-    state = NetworkState.from_parameters([omega], [amp])
+    state = NetworkState([omega], [amp])
     return prune_statistic(0, state, y)
 
 
@@ -63,7 +63,7 @@ def test_01_analytic_gradients_match_finite_differences():
         rng = np.random.default_rng(t)
         m = int(rng.integers(1, 5))
         n = int(rng.integers(max(2, m), 17))
-        state = NetworkState.from_parameters(
+        state = NetworkState(
             rng.uniform(0.0, TWO_PI, m),
             rng.standard_normal(m) + 1j * rng.standard_normal(m),
         )
@@ -328,7 +328,7 @@ def test_10_per_iteration_cost_scales_linearly_in_n():
         alphas = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         x = design_matrix(freqs, n) @ alphas
         y = x + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        state = NetworkState.from_parameters(freqs, alphas)
+        state = NetworkState(freqs, alphas)
         cfg = TrainConfig(min_iter=100, max_iter=100)
         train_inner(y, state, cfg)  # warm-up
         times = []

@@ -112,6 +112,51 @@ def test_estimate_malformed_row_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _write_csv(path, rows):
+    path.write_text("index,re,im\n" + "".join(f"{i},{re},{im}\n" for i, re, im in rows))
+    return str(path)
+
+
+def test_estimate_repeated_index_exits_2(tmp_path, capsys):
+    # Index 1 twice and index 2 never: the missing sample must not be zero-filled.
+    rows = [(0, 1.0, 0.0), (1, 0.5, 0.1), (1, 0.5, 0.1), (3, 0.2, 0.0)]
+    path = _write_csv(tmp_path / "dup.csv", rows)
+    assert main(["estimate", "--in", path]) == 2
+    assert "repeated" in capsys.readouterr().err
+
+
+def test_estimate_non_finite_sample_exits_2(tmp_path, capsys):
+    rows = [(i, 1.0, 0.0) for i in range(16)]
+    rows[5] = (5, "nan", 0.0)
+    path = _write_csv(tmp_path / "nan.csv", rows)
+    assert main(["estimate", "--in", path]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_estimate_eps_sets_the_tolerance_floor(tmp_path, capsys):
+    comp = _components_file(tmp_path)
+    sig = str(tmp_path / "signal.csv")
+    assert main(["simulate", "--n", "32", "--components", comp,
+                 "--snr-db", "20", "--seed", "0", "--out", sig]) == 0
+    reports = {}
+    for eps in ("1e-9", "1e-6"):
+        rep = tmp_path / f"report{eps}.json"
+        assert main(["estimate", "--in", sig, "--eps", eps, "--report", str(rep)]) == 0
+        reports[eps] = json.loads(rep.read_text())
+    default = tmp_path / "default.json"
+    assert main(["estimate", "--in", sig, "--report", str(default)]) == 0
+    capsys.readouterr()
+    assert json.loads(default.read_text()) == reports["1e-9"]
+    assert reports["1e-6"]["config"]["eps_floor"] == 1e-6
+    assert reports["1e-6"]["outer_iterations"] < reports["1e-9"]["outer_iterations"]
+
+
+def test_estimate_eps_above_the_schedule_start_exits_2(tmp_path, capsys):
+    path = _write_csv(tmp_path / "ones.csv", [(i, 1.0, 0.0) for i in range(16)])
+    assert main(["estimate", "--in", path, "--eps", "0.1"]) == 2
+    assert "eps_floor" in capsys.readouterr().err
+
+
 def test_estimate_without_metadata_has_null_seed(tmp_path, capsys):
     import numpy as np
 

@@ -97,7 +97,7 @@ def test_general_crb_singular_cases():
 def test_fd_gradients_agree_with_analytic():
     rng = np.random.default_rng(0)
     n, m = 24, 3
-    state = NetworkState.from_parameters(
+    state = NetworkState(
         np.sort(rng.uniform(0, TWO_PI, m)),
         rng.standard_normal(m) + 1j * rng.standard_normal(m),
     )

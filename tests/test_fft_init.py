@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from linespec.errors import DegenerateInput, IllConditioned, InvalidDimension, Overdetermined
+from linespec import fft_init
 from linespec.fft_init import (
     CandidateSet,
     InitConfig,
-    augment_adjacent,
     find_peaks,
     initialize,
     ls_amplitudes,
@@ -96,34 +96,40 @@ def test_find_peaks_wraps_circularly():
     assert 0 in find_peaks(mag, 1e-9, cfg)
 
 
-def _bins_of(cs: CandidateSet, big_l: int) -> list[int]:
-    return [round(w * big_l / TWO_PI) for w in cs.omegas]
+@pytest.mark.parametrize("offset, side", [(0.3, 1.0), (-0.3, -1.0)])
+def test_initialize_companion_takes_stronger_neighbor_side(offset, side):
+    # A tone 0.3 padded bin off bin k peaks at k; its companion goes toward
+    # the neighbor bin the tone is closer to, which is the stronger one.
+    n, k = 32, 20
+    big_l = 4 * n
+    rng = np.random.default_rng(1)
+    noise = 0.03 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    y = atom(TWO_PI * (k + offset) / big_l, n) + noise
+    state = initialize(y)
+    head = TWO_PI * k / big_l
+    assert state.m_nodes == 2
+    assert head in state.omegas
+    companion = state.omegas[state.omegas != head][0]
+    assert np.sign(companion - head) == side
+    assert abs(companion - head) <= TWO_PI / big_l
 
 
-def test_augment_adjacent_adds_larger_neighbor():
-    mag = np.zeros(32)
-    mag[10] = 10.0
-    mag[9] = 3.0
-    mag[11] = 4.0  # right neighbor wins
-    out = augment_adjacent([10], mag, InitConfig(l_factor=4))
-    assert _bins_of(out, 32) == [10, 11]
-
-
-def test_augment_adjacent_tie_prefers_upper_bin():
-    mag = np.zeros(32)
-    mag[10] = 10.0
-    mag[9] = mag[11] = 4.0
-    out = augment_adjacent([10], mag, InitConfig(l_factor=4))
-    assert _bins_of(out, 32) == [10, 11]
-
-
-def test_augment_adjacent_deduplicates_collisions():
-    mag = np.zeros(32)
-    mag[10] = 10.0
-    mag[12] = 10.0
-    mag[11] = 5.0  # both peaks pull in bin 11
-    out = augment_adjacent([10, 12], mag, InitConfig(l_factor=4))
-    assert _bins_of(out, 32) == [10, 11, 12]
+def test_initialize_companion_tie_goes_to_upper_bin(monkeypatch):
+    # The side rule reads only the padded spectrum, so this hands initialize
+    # a spectrum whose peak bin has two equal neighbors.
+    n, k = 32, 10
+    big_l = 4 * n
+    mag = np.zeros(big_l)
+    mag[k] = 10.0
+    mag[k - 1] = mag[k + 1] = 4.0
+    monkeypatch.setattr(fft_init, "zero_padded_fft", lambda y, cfg: mag)
+    rng = np.random.default_rng(2)
+    y = atom(TWO_PI * k / big_l, n) + 0.03 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    state = initialize(y)
+    head = TWO_PI * k / big_l
+    assert state.m_nodes == 2
+    assert state.omegas[0] == head
+    assert head < state.omegas[1] <= head + TWO_PI / big_l
 
 
 def test_candidate_set_orders_and_validates():
@@ -173,7 +179,6 @@ def test_initialize_two_clean_tones():
         assert np.min(np.abs(state.omegas - t.omega)) <= bin_width + 1e-12
     resid = y - design_matrix(state.omegas, n) @ state.alphas
     assert np.linalg.norm(resid) < 0.05 * np.linalg.norm(y)
-    assert np.all(state.mom_omega == 0) and np.all(state.mom_alpha == 0)
 
 
 def test_initialize_pure_noise_low_gate_is_empty_or_small():

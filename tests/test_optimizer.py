@@ -12,7 +12,6 @@ from linespec.optimizer import (
     forward,
     grad_alpha,
     grad_omega,
-    momentum_step,
     train_inner,
     wrap_frequencies,
 )
@@ -58,7 +57,7 @@ def test_gradients_match_finite_differences():
         omegas = rng.uniform(0, TWO_PI, m)
         alphas = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        state = NetworkState.from_parameters(omegas, alphas)
+        state = NetworkState(omegas, alphas)
         ga, gw = grad_alpha(state, y), grad_omega(state, y)
         fa, fw = _fd_oracle(y, omegas, alphas)
         scale_a = max(np.max(np.abs(fa)), 1e-12)
@@ -72,7 +71,7 @@ def test_gradient_closed_forms_on_single_node():
     rng = np.random.default_rng(3)
     y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     w, alpha = 1.3, 0.7 - 0.2j
-    state = NetworkState.from_parameters([w], [alpha])
+    state = NetworkState([w], [alpha])
     a = atom(w, 8)
     expected = np.vdot(a, alpha * a - y)
     assert grad_alpha(state, y)[0] == pytest.approx(expected, rel=1e-12)
@@ -82,13 +81,13 @@ def test_zero_residual_means_zero_gradients():
     w = TWO_PI * 0.2
     alpha = 2.0 + 1j
     y = alpha * atom(w, 12)
-    state = NetworkState.from_parameters([w], [alpha])
+    state = NetworkState([w], [alpha])
     assert np.allclose(grad_alpha(state, y), 0.0, atol=1e-12)
     assert np.allclose(grad_omega(state, y), 0.0, atol=1e-10)
 
 
 def test_forward_is_design_times_amplitudes():
-    state = NetworkState.from_parameters([0.5, 1.5], [1.0, 2.0j])
+    state = NetworkState([0.5, 1.5], [1.0, 2.0j])
     out = forward(state, 10)
     expected = design_matrix([0.5, 1.5], 10) @ np.array([1.0, 2.0j])
     np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -103,17 +102,11 @@ def test_cost_hand_value():
 
 def test_network_state_validation():
     with pytest.raises(InvalidDimension):
-        NetworkState(np.zeros(2), np.zeros(3, dtype=complex), np.zeros(2), np.zeros(2, dtype=complex))
+        NetworkState(np.zeros(2), np.zeros(3, dtype=complex))
     with pytest.raises(NumericalDivergence):
-        NetworkState.from_parameters([np.nan], [1.0])
+        NetworkState([np.nan], [1.0])
     with pytest.raises(NumericalDivergence):
-        NetworkState.from_parameters([1.0], [complex("inf")])
-
-
-def test_from_parameters_zeroes_momentum():
-    s = NetworkState.from_parameters([1.0, 2.0], [1.0, 1.0])
-    assert np.all(s.mom_omega == 0.0)
-    assert np.all(s.mom_alpha == 0.0)
+        NetworkState([1.0], [complex("inf")])
 
 
 def test_train_config_validation():
@@ -142,31 +135,28 @@ def test_resolve_keeps_explicit_rates():
     assert cfg.gamma_omega == 1e-5
 
 
-def test_momentum_step_requires_resolved_rates():
-    state = NetworkState.from_parameters([1.0], [1.0])
-    with pytest.raises(InvalidDimension):
-        momentum_step(state, np.zeros(1, dtype=complex), np.zeros(1), TrainConfig())
-
-
-def test_momentum_step_matches_hand_update():
-    state = NetworkState(
-        np.array([1.0]), np.array([2.0 + 0j]), np.array([0.5]), np.array([0.25 + 0j])
-    )
-    cfg = TrainConfig(gamma_alpha=0.1, gamma_omega=0.2, momentum=0.9)
-    out = momentum_step(state, np.array([1.0 + 0j]), np.array([2.0]), cfg)
-    # d_w = 0.9*0.5 + 0.1*2 = 0.65 ; w = 1 - 0.2*0.65
-    assert out.mom_omega[0] == pytest.approx(0.65)
-    assert out.omegas[0] == pytest.approx(1.0 - 0.2 * 0.65)
-    # d_a = 0.9*0.25 + 0.1*1 = 0.325 ; a = 2 - 0.1*0.325
-    assert out.mom_alpha[0] == pytest.approx(0.325 + 0j)
-    assert out.alphas[0] == pytest.approx(2.0 - 0.1 * 0.325)
-
-
-def test_momentum_step_rejects_non_finite_gradient():
-    state = NetworkState.from_parameters([1.0], [1.0])
-    cfg = TrainConfig(gamma_alpha=0.1, gamma_omega=0.1)
-    with pytest.raises(NumericalDivergence):
-        momentum_step(state, np.array([complex("inf")]), np.zeros(1), cfg)
+def test_train_inner_two_iterations_match_hand_steps():
+    # Two momentum steps from zeroed buffers, written out by hand:
+    # d <- lam*d + (1-lam)*g, then w -= gamma*d, with the gradients of
+    # each iterate taken from the closed forms a^H r and 2 Im{alpha a^T(n conj(-r))}.
+    n = np.arange(8)
+    y = (1.5 - 0.5j) * atom(0.8, 8)
+    w, alpha = 0.7, 1.0 + 0.2j
+    cfg = TrainConfig(gamma_alpha=0.05, gamma_omega=0.002, momentum=0.9, max_iter=2, eps_tol=1e-30)
+    dw, da = 0.0, 0.0j
+    for _ in range(2):
+        a = np.exp(1j * w * n)
+        r = alpha * a - y
+        ga = np.vdot(a, r)
+        gw = 2.0 * np.imag(alpha * np.sum(a * n * np.conj(-r)))
+        da = 0.9 * da + 0.1 * ga
+        dw = 0.9 * dw + 0.1 * gw
+        alpha, w = alpha - 0.05 * da, w - 0.002 * dw
+    out, trace = train_inner(y, NetworkState([0.7], [1.0 + 0.2j]), cfg)
+    assert trace.iterations_run == 2
+    assert out.omegas[0] == pytest.approx(w, rel=1e-12)
+    assert out.alphas[0] == pytest.approx(alpha, rel=1e-12)
+    assert trace.mean_costs[-1] == pytest.approx(cost(y, alpha * atom(w, 8)) / 8, rel=1e-12)
 
 
 def test_training_recovers_clean_offgrid_tone():
@@ -177,7 +167,7 @@ def test_training_recovers_clean_offgrid_tone():
     # start half a bin away with the on-grid LS amplitude
     w0 = TWO_PI * (3.0 / n)
     a0 = np.vdot(atom(w0, n), y) / n
-    state = NetworkState.from_parameters([w0], [a0])
+    state = NetworkState([w0], [a0])
     out, trace = train_inner(y, state, TrainConfig(eps_tol=1e-14, max_iter=20000))
     assert abs(out.omegas[0] - w_true) < 1e-6
     assert abs(out.alphas[0] - alpha_true) < 1e-4
@@ -187,7 +177,7 @@ def test_training_recovers_clean_offgrid_tone():
 def test_training_never_worsens_the_best_cost():
     rng = np.random.default_rng(7)
     y = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    state = NetworkState.from_parameters([1.0, 2.0], [0.1, 0.1])
+    state = NetworkState([1.0, 2.0], [0.1, 0.1])
     out, trace = train_inner(y, state, TrainConfig(max_iter=500, eps_tol=1e-12))
     final = cost(y, forward(out, 24)) / 24
     assert final <= trace.mean_costs[0] + 1e-12
@@ -197,7 +187,7 @@ def test_training_never_worsens_the_best_cost():
 def test_trace_starts_at_initial_cost_and_counts_iterations():
     rng = np.random.default_rng(11)
     y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    state = NetworkState.from_parameters([1.0], [0.0])
+    state = NetworkState([1.0], [0.0])
     _, trace = train_inner(y, state, TrainConfig(max_iter=50, eps_tol=1e-30))
     assert trace.mean_costs[0] == pytest.approx(cost(y, forward(state, 16)) / 16)
     assert trace.iterations_run == 50
@@ -208,7 +198,7 @@ def test_trace_starts_at_initial_cost_and_counts_iterations():
 def test_min_iter_defers_stopping():
     # a scenario that converges almost immediately under the bare rule
     y = atom(1.0, 16)
-    state = NetworkState.from_parameters([1.0], [np.vdot(atom(1.0, 16), y) / 16])
+    state = NetworkState([1.0], [np.vdot(atom(1.0, 16), y) / 16])
     _, bare = train_inner(y, state, TrainConfig(eps_tol=1e-3))
     _, patient = train_inner(y, state, TrainConfig(eps_tol=1e-3, min_iter=40))
     assert bare.iterations_run < 40
@@ -218,7 +208,7 @@ def test_min_iter_defers_stopping():
 def test_consecutive_hits_require_a_run_of_flat_iterations():
     rng = np.random.default_rng(13)
     y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    state = NetworkState.from_parameters([0.9], [0.0])
+    state = NetworkState([0.9], [0.0])
     _, single = train_inner(y, state, TrainConfig(eps_tol=1e-6))
     _, tripled = train_inner(y, state, TrainConfig(eps_tol=1e-6, consec_hits=3))
     assert tripled.iterations_run >= single.iterations_run
@@ -235,7 +225,7 @@ def test_empty_state_is_a_converged_noop():
 def test_perfect_fit_stops_immediately():
     w = TWO_PI * 0.25  # on-grid: LS amplitude is exact
     y = (2.0 + 1j) * atom(w, 16)
-    state = NetworkState.from_parameters([w], [2.0 + 1j])
+    state = NetworkState([w], [2.0 + 1j])
     _, trace = train_inner(y, state, TrainConfig())
     assert trace.converged
     assert trace.mean_costs[-1] == pytest.approx(0.0, abs=1e-28)
@@ -246,7 +236,7 @@ def test_divergence_raises_when_updates_overflow():
     # can halve them; moderate excess is tamed by the safeguard instead.
     rng = np.random.default_rng(5)
     y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    state = NetworkState.from_parameters([1.0, 1.1], [10.0, -10.0])
+    state = NetworkState([1.0, 1.1], [10.0, -10.0])
     cfg = TrainConfig(gamma_alpha=1e280, gamma_omega=1e280, max_iter=2000)
     with pytest.raises(NumericalDivergence):
         train_inner(y, state, cfg)
@@ -258,7 +248,7 @@ def test_safeguard_keeps_moderately_excessive_rates_finite():
     # completes instead of diverging.
     rng = np.random.default_rng(5)
     y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    state = NetworkState.from_parameters([1.0, 1.1], [10.0, -10.0])
+    state = NetworkState([1.0, 1.1], [10.0, -10.0])
     cfg = TrainConfig(gamma_alpha=1e3, gamma_omega=1e3, max_iter=2000)
     out, trace = train_inner(y, state, cfg)
     assert np.all(np.isfinite(out.omegas))
@@ -267,7 +257,7 @@ def test_safeguard_keeps_moderately_excessive_rates_finite():
 
 
 def test_wrap_frequencies_preserves_order_of_magnitude():
-    state = NetworkState.from_parameters([TWO_PI + 0.3, -0.2], [1.0, 2.0])
+    state = NetworkState([TWO_PI + 0.3, -0.2], [1.0, 2.0])
     wrapped = wrap_frequencies(state)
     assert wrapped.omegas[0] == pytest.approx(0.3, rel=1e-12)
     assert wrapped.omegas[1] == pytest.approx(TWO_PI - 0.2, rel=1e-12)

@@ -162,22 +162,12 @@ def test_order_config_validation():
 # apply_merges
 
 
-def _state(omegas, alphas, mom_omega=None, mom_alpha=None):
-    m = len(omegas)
-    return NetworkState(
-        np.asarray(omegas, dtype=float),
-        np.asarray(alphas, dtype=complex),
-        np.zeros(m) if mom_omega is None else np.asarray(mom_omega, dtype=float),
-        np.zeros(m, dtype=complex) if mom_alpha is None else np.asarray(mom_alpha, dtype=complex),
-    )
-
-
 def test_apply_merges_close_pair_merges_far_node_survives():
     n = 32
     w0 = TWO_PI * 0.25
     omegas = [w0, w0 + 1e-4, TWO_PI * 0.6]
     alphas = [1.0 + 0j, 1.0 + 0j, 2.0j]
-    st0 = _state(omegas, alphas, mom_omega=[0.1, 0.2, 0.3], mom_alpha=[0.1j, 0.2j, 0.3j])
+    st0 = NetworkState(omegas, alphas)
     model = design_matrix(st0.omegas, n) @ st0.alphas
     y = model + 0.01 * _unit_noise(n, 5)  # residual power 1e-4 per sample
 
@@ -190,16 +180,13 @@ def test_apply_merges_close_pair_merges_far_node_survives():
     assert ev.omega_merged == pytest.approx(w0 + 5e-5, rel=1e-12)
     assert merged.omegas[0] == pytest.approx(ev.omega_merged)
     assert merged.alphas[0] == pytest.approx(2.0 + 0j)
-    # the merged node restarts its momentum, the survivor keeps its own
-    assert merged.mom_omega[0] == 0.0 and merged.mom_alpha[0] == 0.0
-    assert merged.mom_omega[1] == pytest.approx(0.3)
     assert merged.alphas[1] == pytest.approx(2.0j)
 
 
 def test_apply_merges_wraparound_pair():
     n = 32
     omegas = [0.03, TWO_PI - 0.01]
-    st0 = _state(omegas, [1.0, 1.0])
+    st0 = NetworkState(omegas, [1.0, 1.0])
     model = design_matrix(st0.omegas, n) @ st0.alphas
     y = model + _unit_noise(n, 6)  # residual power 1 per sample
 
@@ -218,7 +205,7 @@ def test_apply_merges_chain_collapses_cluster():
     n = 32
     w0 = TWO_PI * 0.3
     omegas = [w0, w0 + 5e-5, w0 + 1e-4]
-    st0 = _state(omegas, [1.0, 1.0, 1.0])
+    st0 = NetworkState(omegas, [1.0, 1.0, 1.0])
     model = design_matrix(st0.omegas, n) @ st0.alphas
     y = model + 0.1 * _unit_noise(n, 7)
 
@@ -233,7 +220,7 @@ def test_apply_merges_coincident_pair_is_forced():
     # matrix; the nodes are indistinguishable by construction and merge.
     n = 32
     w0 = TWO_PI * 0.2
-    st0 = _state([w0, w0], [1.0, 1.0])
+    st0 = NetworkState([w0, w0], [1.0, 1.0])
     model = design_matrix(st0.omegas, n) @ st0.alphas
     y = model + 1e-6 * _unit_noise(n, 8)
     merged, events = apply_merges(st0, y, OrderConfig())
@@ -244,18 +231,17 @@ def test_apply_merges_coincident_pair_is_forced():
 def test_apply_merges_separated_nodes_untouched_but_sorted():
     n = 32
     omegas = [TWO_PI * 0.7, TWO_PI * 0.2]  # deliberately unsorted
-    st0 = _state(omegas, [1.0, 2.0], mom_omega=[0.5, 0.6])
+    st0 = NetworkState(omegas, [1.0, 2.0])
     model = design_matrix(st0.omegas, n) @ st0.alphas
     y = model + 1e-3 * _unit_noise(n, 9)
     out, events = apply_merges(st0, y, OrderConfig())
     assert events == []
     np.testing.assert_allclose(out.omegas, [TWO_PI * 0.2, TWO_PI * 0.7])
     np.testing.assert_allclose(out.alphas, [2.0, 1.0])
-    np.testing.assert_allclose(out.mom_omega, [0.6, 0.5])
 
 
 def test_apply_merges_single_node_noop():
-    st0 = _state([1.0], [1.0])
+    st0 = NetworkState([1.0], [1.0])
     y = np.ones(8, dtype=complex)
     out, events = apply_merges(st0, y, OrderConfig())
     assert out is st0
@@ -268,7 +254,7 @@ def test_apply_merges_single_node_noop():
 
 def test_prune_statistic_hand_formula():
     n = 32
-    st0 = _state([TWO_PI * 8 / n, TWO_PI * 20 / n], [2.0, 0.5j])
+    st0 = NetworkState([TWO_PI * 8 / n, TWO_PI * 20 / n], [2.0, 0.5j])
     rng = np.random.default_rng(10)
     y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.5
     residual = y - design_matrix(st0.omegas, n) @ st0.alphas
@@ -289,7 +275,7 @@ def test_prune_statistics_measure_power_beyond_the_other_nodes():
     # projects only what the other node leaves unexplained.
     n = 32
     strong, weak = TWO_PI * 8 / n, TWO_PI * (8 + 1 / 3) / n
-    st0 = _state([strong, weak], [2.0, 0.05])
+    st0 = NetworkState([strong, weak], [2.0, 0.05])
     y = 2.0 * atom(strong, n) + 0.1 * _unit_noise(n, 14)
     A = design_matrix(st0.omegas, n)
     r = y - A @ st0.alphas
@@ -305,7 +291,7 @@ def test_refit_amplitudes_fits_selected_nodes_only():
     n = 32
     w = [TWO_PI * 5 / n, TWO_PI * 13 / n, TWO_PI * 13.5 / n]
     y = design_matrix(w, n) @ np.array([1.0, 0.5j, -0.7]) + 0.05 * _unit_noise(n, 15)
-    st0 = _state(w, [0.9, 3.0, 3.0])
+    st0 = NetworkState(w, [0.9, 3.0, 3.0])
     out = refit_amplitudes(st0, y, [False, True, True])
     assert out.alphas[0] == st0.alphas[0]
     A = design_matrix(w, n)
@@ -335,7 +321,7 @@ def test_merge_radius_is_the_merge_test_boundary():
 
 def test_prune_statistic_perfect_fit_raises():
     n = 16
-    st0 = _state([1.0], [1.0])
+    st0 = NetworkState([1.0], [1.0])
     y = design_matrix(st0.omegas, n) @ st0.alphas
     with pytest.raises(DegenerateResidual):
         prune_statistic(0, st0, y)
@@ -360,7 +346,7 @@ def test_prune_threshold_frozen_and_oracle():
 def test_apply_prunes_drops_empty_node():
     n = 32
     strong, weak = TWO_PI * 8 / n, TWO_PI * 20 / n
-    st0 = _state([strong, weak], [2.0, 1e-6])
+    st0 = NetworkState([strong, weak], [2.0, 1e-6])
     y = 2.0 * atom(strong, n) + 0.1 * _unit_noise(n, 11)
     out, report = apply_prunes(st0, y, OrderConfig(epsilon_a=1e-6))
     assert out.m_nodes == 1
@@ -378,7 +364,7 @@ def test_apply_prunes_evaluates_all_nodes_at_original_m():
     # Two weak nodes vanish in one pass; the threshold on record is the one
     # for three nodes, not recomputed after the first removal.
     n = 32
-    st0 = _state(
+    st0 = NetworkState(
         [TWO_PI * 4 / n, TWO_PI * 12 / n, TWO_PI * 24 / n],
         [3.0, 1e-7, 1e-7],
     )
@@ -391,7 +377,7 @@ def test_apply_prunes_evaluates_all_nodes_at_original_m():
 
 def test_apply_prunes_perfect_fit_keeps_all():
     n = 16
-    st0 = _state([1.0, 2.0], [1.0, 0.5])
+    st0 = NetworkState([1.0, 2.0], [1.0, 0.5])
     y = design_matrix(st0.omegas, n) @ st0.alphas
     out, report = apply_prunes(st0, y, OrderConfig())
     assert out.m_nodes == 2
@@ -402,14 +388,14 @@ def test_apply_prunes_perfect_fit_keeps_all():
 def test_apply_prunes_overfull_model_warns_and_clamps():
     n = 8
     omegas = TWO_PI * np.arange(n) / n
-    st0 = _state(omegas, np.ones(n))
+    st0 = NetworkState(omegas, np.ones(n))
     y = np.ones(n, dtype=complex) + 0.1 * _unit_noise(n, 13)
     with pytest.warns(RuntimeWarning):
         out, report = apply_prunes(st0, y, OrderConfig())
     assert report.threshold == pytest.approx(prune_threshold(n, n - 1, OrderConfig()))
 
 
-def test_apply_prunes_empty_state():
+def test_apply_prunes_emptyNetworkState():
     st0 = NetworkState.empty()
     y = np.ones(8, dtype=complex)
     out, report = apply_prunes(st0, y, OrderConfig())

@@ -10,7 +10,7 @@ moderate SNR where the thresholds are calibrated to operate.
 import numpy as np
 import pytest
 
-from linespec.errors import NumericalDivergence
+from linespec.errors import DegenerateInput, InvalidDimension, NumericalDivergence
 from linespec.optimizer import TrainConfig
 from linespec.pipeline import (
     EstimatorConfig,
@@ -96,12 +96,22 @@ def test_outer_pass_budget_respected():
     assert rep.outer_iterations <= 2
 
 
-def test_schedule_disabled_still_converges():
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "run",
+    [estimate_spectrum, lambda y: estimate_with_fixed_order(y, [FREQS[0]])],
+    ids=["estimate_spectrum", "estimate_with_fixed_order"],
+)
+def test_non_finite_sample_is_rejected(run, bad):
     y, _ = _noisy_signal()
-    rep = estimate_spectrum(y, EstimatorConfig(eps_start=None))
-    assert rep.k_hat == 3
-    west = np.array([s.omega for s in rep.estimates])
-    assert np.abs(west - FREQS).max() < 0.01
+    y[7] = bad
+    with pytest.raises(DegenerateInput):
+        run(y)
+
+
+def test_tolerance_floor_above_start_is_rejected():
+    with pytest.raises(InvalidDimension):
+        EstimatorConfig(eps_floor=0.1)
 
 
 def test_fixed_order_straddling_pair_merges_to_one():
