@@ -115,8 +115,13 @@ class CostTrace:
 
 def _residual(omegas: np.ndarray, alphas: np.ndarray, y, n: np.ndarray):
     """Design matrix A = exp(j * outer(n, omegas)) and residual r = A alpha - y."""
-    A = np.exp(1j * np.outer(n, omegas))
-    return A, A @ alphas - y
+    # In place: one (N, M) allocation per call, not three, keeps the
+    # per-iteration cost linear in N once A outgrows the allocator's cache.
+    A = 1j * np.outer(n, omegas)
+    np.exp(A, out=A)
+    r = A @ alphas
+    r -= y
+    return A, r
 
 
 def _gradients(A: np.ndarray, r: np.ndarray, alphas: np.ndarray, n: np.ndarray):

@@ -395,7 +395,7 @@ def test_apply_prunes_overfull_model_warns_and_clamps():
     assert report.threshold == pytest.approx(prune_threshold(n, n - 1, OrderConfig()))
 
 
-def test_apply_prunes_emptyNetworkState():
+def test_apply_prunes_empty_state():
     st0 = NetworkState.empty()
     y = np.ones(8, dtype=complex)
     out, report = apply_prunes(st0, y, OrderConfig())
