@@ -113,12 +113,28 @@ class CostTrace:
     converged: bool
 
 
-def _residual(omegas: np.ndarray, alphas: np.ndarray, y, n: np.ndarray):
-    """Design matrix A = exp(j * outer(n, omegas)) and residual r = A alpha - y."""
-    # In place: one (N, M) allocation per call, not three, keeps the
-    # per-iteration cost linear in N once A outgrows the allocator's cache.
-    A = 1j * np.outer(n, omegas)
-    np.exp(A, out=A)
+def _phase_steps(n_samples: int):
+    """Step table of _residual for N samples: (k, B) with B = ceil(sqrt(N)).
+
+    Every n < N is q*B + s with s < B and q*B < N, so exp(j*n*w) is the
+    product exp(j*q*B*w) * exp(j*s*w); k lists the B offsets s and then
+    the multiples q*B.
+    """
+    b = math.isqrt(n_samples - 1) + 1
+    return np.concatenate((np.arange(b), np.arange(0, n_samples, b))), b
+
+
+def _residual(omegas: np.ndarray, alphas: np.ndarray, y: np.ndarray, steps):
+    """Design matrix A = exp(j * outer(n, omegas)) and residual r = A alpha - y.
+
+    A is built by angle addition from the step table (see _phase_steps):
+    one exp per step and node, B + ceil(N / B) of them instead of N, and
+    one complex multiply per entry of A. Each phase k*w is rounded as n*w
+    is, so A keeps the accuracy of the direct exp.
+    """
+    k, b = steps
+    t = np.exp(np.outer(k, 1j * omegas))
+    A = (t[b:, None, :] * t[None, :b, :]).reshape((k.size - b) * b, omegas.size)[: y.size]
     r = A @ alphas
     r -= y
     return A, r
@@ -134,7 +150,8 @@ def forward(state: NetworkState, n_samples: int) -> np.ndarray:
     if n_samples < 1:
         raise InvalidDimension("forward needs at least one sample")
     # The residual against y = 0 is the model itself.
-    return _residual(state.omegas, state.alphas, 0.0, np.arange(n_samples))[1]
+    zeros = np.zeros(n_samples)
+    return _residual(state.omegas, state.alphas, zeros, _phase_steps(n_samples))[1]
 
 
 def cost(observed, model) -> float:
@@ -151,7 +168,7 @@ def grad_alpha(state: NetworkState, observed) -> np.ndarray:
     """Gradient of the cost with respect to the conjugate amplitudes, A^H (x_hat - y)."""
     y = as_samples(observed)
     n = np.arange(y.size)
-    A, r = _residual(state.omegas, state.alphas, y, n)
+    A, r = _residual(state.omegas, state.alphas, y, _phase_steps(y.size))
     return _gradients(A, r, state.alphas, n)[0]
 
 
@@ -162,7 +179,7 @@ def grad_omega(state: NetworkState, observed) -> np.ndarray:
     """
     y = as_samples(observed)
     n = np.arange(y.size)
-    A, r = _residual(state.omegas, state.alphas, y, n)
+    A, r = _residual(state.omegas, state.alphas, y, _phase_steps(y.size))
     return _gradients(A, r, state.alphas, n)[1]
 
 
@@ -186,6 +203,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         return state, CostTrace(np.array([c0]), 0, True)
 
     n = np.arange(n_samples)
+    steps = _phase_steps(n_samples)
     w = state.omegas.copy()
     a = state.alphas.copy()
     dw = np.zeros(m)
@@ -194,7 +212,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     rate_w = cfg.gamma_omega
     lam = cfg.momentum
 
-    A, r = _residual(w, a, y, n)
+    A, r = _residual(w, a, y, steps)
     cbar = float(np.vdot(r, r).real) / n_samples
     trace = [cbar]
     best_c, best_w, best_a = cbar, w.copy(), a.copy()
@@ -210,7 +228,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         dw = lam * dw + (1.0 - lam) * gw
         a = a - rate_a * da
         w = w - rate_w * dw
-        A, r = _residual(w, a, y, n)
+        A, r = _residual(w, a, y, steps)
         c = float(np.vdot(r, r).real) / n_samples
         trace.append(c)
         if not math.isfinite(c):
@@ -225,7 +243,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
                 da[:] = 0.0
                 dw[:] = 0.0
                 w, a = best_w.copy(), best_a.copy()
-                A, r = _residual(w, a, y, n)
+                A, r = _residual(w, a, y, steps)
                 c = best_c
                 rising = 0
         else:

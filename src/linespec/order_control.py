@@ -26,7 +26,7 @@ from .errors import (
 )
 from .optimizer import NetworkState, cost, sum_n_squared
 from .signal_model import TWO_PI, as_samples, design_matrix
-from .stat_dist import FParams, f_inv_cdf, noncentral_f_cdf, std_normal_inv_cdf
+from .stat_dist import FParams, noncentral_f_cdf, std_normal_inv_cdf
 
 
 @dataclass(frozen=True)
@@ -278,12 +278,21 @@ def prune_statistic(node_index: int, state: NetworkState, observed) -> float:
     return xi
 
 
+def _f2_upper_quantile(n_samples: int, m_nodes: int, cfg: OrderConfig):
+    """(q, d2): the F(2, d2) quantile at 1 - epsilon_a, d2 = 2(N - M), in closed form.
+
+    For d1 = 2 the F upper tail is (1 + 2x/d2)^(-d2/2), so the quantile is
+    (d2/2) * (epsilon_a^(-2/d2) - 1); expm1 keeps it accurate for large d2.
+    """
+    if m_nodes < 1 or n_samples <= m_nodes:
+        raise InvalidDimension("the F test needs n_samples > m_nodes >= 1")
+    d2 = 2 * (n_samples - m_nodes)
+    return d2 / 2.0 * math.expm1(-2.0 / d2 * math.log(cfg.epsilon_a)), d2
+
+
 def prune_threshold(n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:
     """CFAR keep threshold (N / (N - M)) * F^{-1}_{2, 2(N-M)}(1 - epsilon_a)."""
-    if m_nodes < 1 or n_samples <= m_nodes:
-        raise InvalidDimension("threshold needs n_samples > m_nodes >= 1")
-    d2 = 2 * (n_samples - m_nodes)
-    q = f_inv_cdf(1.0 - cfg.epsilon_a, FParams(2.0, float(d2)))
+    q, _ = _f2_upper_quantile(n_samples, m_nodes, cfg)
     return n_samples / (n_samples - m_nodes) * q
 
 
@@ -327,9 +336,6 @@ def detection_prob(snr_linear: float, n_samples: int, m_nodes: int, cfg: OrderCo
     """
     if snr_linear < 0:
         raise InvalidDimension("snr_linear must be nonnegative")
-    if m_nodes < 1 or n_samples <= m_nodes:
-        raise InvalidDimension("detection_prob needs n_samples > m_nodes >= 1")
-    d2 = 2 * (n_samples - m_nodes)
-    scaled_threshold = f_inv_cdf(1.0 - cfg.epsilon_a, FParams(2.0, float(d2)))
+    scaled_threshold, d2 = _f2_upper_quantile(n_samples, m_nodes, cfg)
     lam = 2.0 * n_samples * snr_linear
     return 1.0 - noncentral_f_cdf(scaled_threshold, FParams(2.0, float(d2), lam))

@@ -6,11 +6,14 @@ installed console script responds.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import linespec
 from linespec.cli import main
 
 COMPONENTS = [
@@ -213,10 +216,15 @@ def test_experiment_outputs_are_reproducible(tmp_path, capsys):
 
 
 def test_console_script_installed():
+    # The child must import the linespec under test, installed or not.
+    root = str(Path(linespec.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "linespec.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "experiment" in proc.stdout

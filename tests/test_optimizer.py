@@ -8,6 +8,8 @@ from linespec.optimizer import (
     CostTrace,
     NetworkState,
     TrainConfig,
+    _phase_steps,
+    _residual,
     cost,
     forward,
     grad_alpha,
@@ -91,6 +93,23 @@ def test_forward_is_design_times_amplitudes():
     out = forward(state, 10)
     expected = design_matrix([0.5, 1.5], 10) @ np.array([1.0, 2.0j])
     np.testing.assert_allclose(out, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 31, 32, 33, 512, 4096])
+def test_training_kernel_matches_direct_design_matrix(n):
+    # The kernel builds A by angle addition; it must agree with the direct
+    # exp of design_matrix, including frequencies below 0 and above 2*pi.
+    rng = np.random.default_rng(n)
+    omegas = np.array([-2.5, -0.1, 0.0, 1.3, TWO_PI - 1e-3, TWO_PI + 0.7, 3.0 * TWO_PI + 2.2])
+    alphas = rng.standard_normal(omegas.size) + 1j * rng.standard_normal(omegas.size)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    A, r = _residual(omegas, alphas, y, _phase_steps(n))
+    D = design_matrix(omegas, n)
+    tol = 1e-12 * max(n, 1)
+    assert A.shape == (n, omegas.size)
+    assert A.flags.c_contiguous
+    np.testing.assert_allclose(A, D, rtol=0, atol=tol)
+    np.testing.assert_allclose(r, D @ alphas - y, rtol=0, atol=tol)
 
 
 def test_cost_hand_value():

@@ -38,6 +38,7 @@ from linespec.order_control import (
     rho,
 )
 from linespec.signal_model import TWO_PI, atom, design_matrix
+from linespec.stat_dist import FParams, f_inv_cdf
 
 
 def _unit_noise(n, seed):
@@ -325,6 +326,21 @@ def test_prune_statistic_perfect_fit_raises():
     y = design_matrix(st0.omegas, n) @ st0.alphas
     with pytest.raises(DegenerateResidual):
         prune_statistic(0, st0, y)
+
+
+def test_prune_threshold_equals_the_bisection_quantile():
+    # The closed form must agree with the general-d1 bisection quantile.
+    for n in (4, 17, 32, 128, 512, 4096):
+        for m in sorted({1, 2, n // 3, n - 1}):
+            for eps_a in (1e-6, 1e-4, 1e-2, 0.05, 0.5):
+                d2 = 2.0 * (n - m)
+                want = n / (n - m) * f_inv_cdf(1.0 - eps_a, FParams(2.0, d2))
+                got = prune_threshold(n, m, OrderConfig(epsilon_a=eps_a))
+                assert got == pytest.approx(want, rel=1e-10), (n, m, eps_a)
+    # Deeper in the tail the bisection, which reads the CDF next to 1, loses
+    # digits (4e-9 relative here); the closed form stays exact:
+    # d2 = 60 and epsilon_a = 2**-30 give (32/30) * 30 * (2 - 1).
+    assert prune_threshold(32, 2, OrderConfig(epsilon_a=2.0**-30)) == pytest.approx(32.0, rel=1e-14)
 
 
 def test_prune_threshold_frozen_and_oracle():
