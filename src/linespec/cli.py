@@ -33,6 +33,13 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_components(path: str) -> list[Sinusoid]:
     with open(path) as fh:
         raw = json.load(fh)
@@ -54,13 +61,11 @@ def cmd_simulate(args) -> int:
         comps = _load_components(args.components)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read components: {exc}", 2)
-    clean = synthesize(comps, args.n, NoiseSpec())
-    sigma2 = 0.0
-    if args.snr_db is not None:
-        try:
-            sigma2 = noise_var_for_snr(clean, args.snr_db)
-        except LineSpecError as exc:
-            return _fail(str(exc), 2)
+    try:
+        clean = synthesize(comps, args.n, NoiseSpec())
+        sigma2 = 0.0 if args.snr_db is None else noise_var_for_snr(clean, args.snr_db)
+    except LineSpecError as exc:
+        return _fail(str(exc), 2)
     signal = synthesize(comps, args.n, NoiseSpec(sigma2=sigma2, seed=args.seed))
     meta = {
         "n": args.n,
@@ -216,6 +221,8 @@ def cmd_estimate(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .optimizer import NetworkState, grad_alpha, grad_omega
 
+    if args.n < max(2, args.m):
+        return _fail("gradcheck needs --n of at least 2 and at least --m", 2)
     worst = 0.0
     for t in range(args.trials):
         rng = np.random.default_rng(args.seed + t)
@@ -332,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize a noisy multi-sinusoid signal")
-    p.add_argument("--n", type=int, required=True, help="number of samples")
+    p.add_argument("--n", type=_count, required=True, help="number of samples")
     p.add_argument(
         "--components",
         required=True,
@@ -364,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("gradcheck", help="compare analytic and finite-difference gradients")
-    p.add_argument("--n", type=int, default=16, help="maximum signal length")
-    p.add_argument("--m", type=int, default=4, help="maximum node count")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--n", type=_count, default=16, help="maximum signal length")
+    p.add_argument("--m", type=_count, default=4, help="maximum node count")
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6, help="relative error tolerance")
     p.add_argument(
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         "name",
         choices=["mse", "roc-merge", "roc-prune", "roc-prune-weak", "order", "converge", "cluster"],
     )
-    p.add_argument("--trials", type=int, default=None, help="override the trial count")
+    p.add_argument("--trials", type=_count, default=None, help="override the trial count")
     p.add_argument("--seed", type=int, default=None, help="override the base seed")
     p.add_argument("--out-dir", default=".", help="directory for JSON/CSV results")
     p.add_argument("--full", action="store_true", help="publication-scale trial counts")

@@ -17,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateResidual, SingularInformation
+from .errors import SingularInformation
 from .fft_init import CandidateSet, InitConfig, find_peaks, initialize, ls_amplitudes
 from .optimizer import NetworkState, TrainConfig, cost, sum_n_squared, train_inner
-from .order_control import OrderConfig, detection_prob, prune_statistic, prune_threshold
+from .order_control import OrderConfig, apply_prunes, detection_prob
 from .pipeline import (
     EstimatorConfig,
     RunReport,
@@ -347,12 +347,7 @@ def mc_roc_merge(spec: TrialSpec, epsilon_f_grid) -> SweepResult:
 def _prune_keep(y: np.ndarray, node_omegas: np.ndarray, watch: int, eps_a: float) -> bool:
     """Prune decision for one node of a least-squares fit at fixed frequencies."""
     state = NetworkState(node_omegas, ls_amplitudes(CandidateSet(node_omegas), y))
-    try:
-        xi = prune_statistic(watch, state, y)
-    except DegenerateResidual:
-        return True
-    threshold = prune_threshold(y.size, node_omegas.size, OrderConfig(epsilon_a=eps_a))
-    return xi >= threshold
+    return bool(apply_prunes(state, y, OrderConfig(epsilon_a=eps_a))[1].keep_mask[watch])
 
 
 def mc_roc_prune(spec: TrialSpec, epsilon_a_grid, scenario: str = "one-node") -> SweepResult:

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .optimizer import NetworkState, cost, sum_n_squared
 from .signal_model import TWO_PI, as_samples, design_matrix
-from .stat_dist import FParams, noncentral_f_cdf, std_normal_inv_cdf
+from .stat_dist import FParams, f2_upper_quantile, noncentral_f_sf, std_normal_inv_cdf
 
 
 @dataclass(frozen=True)
@@ -279,15 +279,11 @@ def prune_statistic(node_index: int, state: NetworkState, observed) -> float:
 
 
 def _f2_upper_quantile(n_samples: int, m_nodes: int, cfg: OrderConfig):
-    """(q, d2): the F(2, d2) quantile at 1 - epsilon_a, d2 = 2(N - M), in closed form.
-
-    For d1 = 2 the F upper tail is (1 + 2x/d2)^(-d2/2), so the quantile is
-    (d2/2) * (epsilon_a^(-2/d2) - 1); expm1 keeps it accurate for large d2.
-    """
+    """(q, d2): the F(2, d2) quantile at 1 - epsilon_a, d2 = 2(N - M)."""
     if m_nodes < 1 or n_samples <= m_nodes:
         raise InvalidDimension("the F test needs n_samples > m_nodes >= 1")
     d2 = 2 * (n_samples - m_nodes)
-    return d2 / 2.0 * math.expm1(-2.0 / d2 * math.log(cfg.epsilon_a)), d2
+    return f2_upper_quantile(math.log(cfg.epsilon_a), d2), d2
 
 
 def prune_threshold(n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:
@@ -334,8 +330,7 @@ def detection_prob(snr_linear: float, n_samples: int, m_nodes: int, cfg: OrderCo
     2 * N * snr_linear, so the detection probability is the upper tail at
     the scaled threshold.
     """
-    if snr_linear < 0:
-        raise InvalidDimension("snr_linear must be nonnegative")
-    scaled_threshold, d2 = _f2_upper_quantile(n_samples, m_nodes, cfg)
-    lam = 2.0 * n_samples * snr_linear
-    return 1.0 - noncentral_f_cdf(scaled_threshold, FParams(2.0, float(d2), lam))
+    if not 0 <= snr_linear < math.inf:
+        raise InvalidDimension("snr_linear must be nonnegative and finite")
+    q, d2 = _f2_upper_quantile(n_samples, m_nodes, cfg)
+    return noncentral_f_sf(q, FParams(2.0, float(d2), 2.0 * n_samples * snr_linear))

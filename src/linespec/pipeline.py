@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidDimension, NumericalDivergence
+from .errors import DegenerateInput, InvalidDimension, NumericalDivergence
 from .fft_init import CandidateSet, InitConfig, initialize, ls_amplitudes
 from .optimizer import (
     CostTrace,
@@ -169,8 +169,10 @@ def estimate_with_fixed_order(observed, omegas0, cfg: EstimatorConfig | None = N
     if cfg is None:
         cfg = EstimatorConfig()
     y = as_samples(observed)
-    w0 = np.mod(np.atleast_1d(np.asarray(omegas0, dtype=float)), TWO_PI)
-    w0 = np.sort(w0)
+    w0 = np.atleast_1d(np.asarray(omegas0, dtype=float))
+    if not np.all(np.isfinite(w0)):
+        raise DegenerateInput("initial frequencies must be finite")
+    w0 = np.sort(np.mod(w0, TWO_PI))
     if w0.size == 0:
         return _build_report(y, NetworkState.empty(), 0, [], [], [])
     alphas = ls_amplitudes(CandidateSet(w0), y)

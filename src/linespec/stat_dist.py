@@ -1,10 +1,10 @@
-"""Special-function kernel built from scalar primitives.
+"""Distribution functions for the model-order tests, built on ``math`` alone.
 
-Provides the standard normal quantile, the central F distribution CDF and
-quantile, and the noncentral F CDF, all resting on a continued-fraction
-evaluation of the regularized incomplete beta function. Nothing here depends
-on an external statistics package; only log-gamma, erfc, and elementary
-arithmetic are used, so thresholds are bit-stable across environments.
+The standard normal CDF and quantile, and the F distribution with d1 = 2,
+the law of the prune statistic (a complex amplitude carries two real degrees
+of freedom). Its central CDF and quantile are closed forms; its noncentral
+tail is a sum of positive terms. No statistics package is used, so
+thresholds are bit-stable across environments.
 """
 
 from __future__ import annotations
@@ -14,85 +14,24 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-_BETA_EPS = 1e-15
-_BETA_FPMIN = 1e-300
-_BETA_MAXIT = 500
 _NC_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
 class FParams:
-    """Degrees of freedom and noncentrality of an F distribution."""
+    """Degrees of freedom and noncentrality of an F distribution; d1 must be 2."""
 
     d1: float
     d2: float
     noncentrality: float = 0.0
 
     def __post_init__(self):
-        if not (self.d1 > 0 and self.d2 > 0):
-            raise DomainError("degrees of freedom must be positive")
-        if self.noncentrality < 0:
-            raise DomainError("noncentrality must be nonnegative")
-
-
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta function (modified Lentz)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_FPMIN:
-        d = _BETA_FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAXIT + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    return h
-
-
-def reg_inc_beta(u: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_u(a, b)."""
-    if not (a > 0 and b > 0):
-        raise DomainError("beta parameters must be positive")
-    if u < 0.0 or u > 1.0:
-        raise DomainError("incomplete beta argument must lie in [0, 1]")
-    if u == 0.0:
-        return 0.0
-    if u == 1.0:
-        return 1.0
-    ln_pre = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(u)
-        + b * math.log1p(-u)
-    )
-    pre = math.exp(ln_pre)
-    if u < (a + 1.0) / (a + b + 2.0):
-        return pre * _beta_cont_frac(a, b, u) / a
-    return 1.0 - pre * _beta_cont_frac(b, a, 1.0 - u) / b
+        if self.d1 != 2:
+            raise DomainError("only d1 = 2 numerator degrees of freedom are supported")
+        if not 0 < self.d2 < math.inf:
+            raise DomainError("d2 must be positive and finite")
+        if not 0 <= self.noncentrality < math.inf:
+            raise DomainError("noncentrality must be nonnegative and finite")
 
 
 # Rational approximation coefficients for the normal quantile (relative error
@@ -165,77 +104,78 @@ def std_normal_inv_cdf(p: float) -> float:
     return x - u / (1.0 + 0.5 * x * u)
 
 
-def _require_central(params: FParams, name: str) -> None:
-    if params.noncentrality != 0.0:
-        raise DomainError(f"{name} is defined for the central distribution only")
+def f2_upper_quantile(log_tail: float, d2: float) -> float:
+    """The x with ln P(F > x) = log_tail under F(2, d2): (d2/2) * expm1(-2 log_tail / d2).
+
+    Taking the log of the tail, not a CDF next to 1, and expm1 keep it
+    accurate in both tails and for large d2.
+    """
+    return d2 / 2.0 * math.expm1(-2.0 / d2 * log_tail)
 
 
 def f_cdf(x: float, params: FParams) -> float:
-    """CDF of the central F distribution with params.d1, params.d2 dof."""
-    _require_central(params, "f_cdf")
-    if x < 0:
+    """CDF of the central F(2, d2) distribution, 1 - (1 + 2x/d2)^(-d2/2)."""
+    if params.noncentrality != 0.0:
+        raise DomainError("f_cdf is defined for the central distribution only")
+    if not x >= 0:
         raise DomainError("F variate must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    u = params.d1 * x / (params.d1 * x + params.d2)
-    return reg_inc_beta(u, params.d1 / 2.0, params.d2 / 2.0)
+    return -math.expm1(-params.d2 / 2.0 * math.log1p(2.0 * x / params.d2))
 
 
 def f_inv_cdf(p: float, params: FParams) -> float:
-    """Quantile of the central F distribution via bracketed bisection."""
-    _require_central(params, "f_inv_cdf")
-    if p < 0.0 or p >= 1.0:
+    """Quantile of the central F(2, d2) distribution."""
+    if params.noncentrality != 0.0:
+        raise DomainError("f_inv_cdf is defined for the central distribution only")
+    if not 0.0 <= p < 1.0:
         raise DomainError("F quantile requires p in [0, 1)")
-    if p == 0.0:
-        return 0.0
-    hi = 1.0
-    for _ in range(4000):
-        if f_cdf(hi, params) >= p:
-            break
-        hi *= 2.0
-    else:
-        raise DomainError("F quantile bracket expansion failed")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f_cdf(mid, params) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(lo, 1e-300):
-            break
-    return 0.5 * (lo + hi)
+    return f2_upper_quantile(math.log1p(-p), params.d2)
 
 
-def noncentral_f_cdf(x: float, params: FParams) -> float:
-    """CDF of the noncentral F distribution as a Poisson-weighted beta series.
+def noncentral_f_sf(x: float, params: FParams) -> float:
+    """Upper tail P(F > x) of the noncentral F(2, d2) distribution.
 
-    The series over the Poisson mixing index is truncated once the remaining
-    Poisson mass falls below 1e-12, which bounds the truncation error by the
-    same amount.
+    With b = d2/2 and u = 2x / (2x + d2), P(F > x) = sum_k Pois(k; lambda/2)
+    * P(J <= k), J negative binomial with P(J = j) = C(b+j-1, j) u^j (1-u)^b.
+    The Poisson weights come from log-gamma term by term: a running log sum
+    drifts by 1e-12 over thousands of terms. The J terms follow by the ratio
+    (b+j-1) u / j, from log-gamma while below 1e-280 so that an underflowing
+    first term does not zero the series. The series stops once the remaining
+    Poisson mass is below 1e-12, or 60 standard deviations past its mean, and
+    is divided by the mass taken, which cancels most of the truncation error.
     """
-    if x < 0:
+    if not x >= 0:
         raise DomainError("F variate must be nonnegative")
     if x == 0.0:
-        return 0.0
-    lam = params.noncentrality
-    if lam == 0.0:
-        return f_cdf(x, FParams(params.d1, params.d2))
-    a = params.d1 / 2.0
+        return 1.0
     b = params.d2 / 2.0
-    u = params.d1 * x / (params.d1 * x + params.d2)
-    half = lam / 2.0
-    log_w = -half
+    log_1mu = -math.log1p(2.0 * x / params.d2)
+    half = params.noncentrality / 2.0
+    if half == 0.0:
+        return math.exp(b * log_1mu)
+    log_u = -math.log1p(params.d2 / (2.0 * x))
+    u = math.exp(log_u)
+    log_half = math.log(half)
+    nb = 0.0
+    cdf_j = 0.0
     total = 0.0
-    acc = 0.0
+    sf = 0.0
     k_cap = int(half + 60.0 * math.sqrt(half + 1.0) + 200.0)
     for k in range(k_cap + 1):
-        if k > 0:
-            log_w += math.log(half) - math.log(k)
-        w = math.exp(log_w)
-        if w > 0.0:
-            acc += w * reg_inc_beta(u, a + k, b)
+        log_k_fact = math.lgamma(k + 1.0)
+        if nb < 1e-280:
+            log_nb = math.lgamma(b + k) - math.lgamma(b) - log_k_fact + k * log_u
+            nb = math.exp(b * log_1mu + log_nb)
+        else:
+            nb *= (b + k - 1.0) * u / k
+        cdf_j += nb
+        w = math.exp(k * log_half - half - log_k_fact)
+        sf += w * cdf_j
         total += w
         if 1.0 - total < _NC_TAIL:
             break
-    return min(1.0, max(0.0, acc))
+    return min(1.0, sf / total)
+
+
+def noncentral_f_cdf(x: float, params: FParams) -> float:
+    """CDF of the noncentral F(2, d2) distribution, 1 - noncentral_f_sf."""
+    return 1.0 - noncentral_f_sf(x, params)

@@ -188,6 +188,28 @@ def test_gradcheck_passes_and_detects_bias(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "0", "--components", "c.json", "--out", "x.csv"],
+        ["experiment", "order", "--trials", "0"],
+        ["experiment", "mse", "--trials", "-1"],
+        ["gradcheck", "--n", "1"],
+    ],
+    ids=["simulate-n-0", "order-trials-0", "mse-trials-negative", "gradcheck-n-1"],
+)
+def test_out_of_range_count_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(COMPONENTS))
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_unknown_experiment_name_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["experiment", "bogus"])

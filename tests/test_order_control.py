@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, strategies as st
 
@@ -38,7 +39,6 @@ from linespec.order_control import (
     rho,
 )
 from linespec.signal_model import TWO_PI, atom, design_matrix
-from linespec.stat_dist import FParams, f_inv_cdf
 
 
 def _unit_noise(n, seed):
@@ -328,18 +328,19 @@ def test_prune_statistic_perfect_fit_raises():
         prune_statistic(0, st0, y)
 
 
-def test_prune_threshold_equals_the_bisection_quantile():
-    # The closed form must agree with the general-d1 bisection quantile.
+def test_prune_threshold_equals_the_scipy_quantile():
+    # For F ~ F(2, d2), v = d2 / (2F + d2) ~ Beta(d2/2, 1), so the upper
+    # quantile is (d2/2)(1 - v)/v with v = betaincinv(d2/2, 1, epsilon_a), and
+    # with d2 = 2(N - M) the threshold is N (1 - v)/v. scipy.stats.f.isf reads
+    # the tail less exactly: 2e-5 relative off at d2 = 2, epsilon_a = 1e-12.
     for n in (4, 17, 32, 128, 512, 4096):
         for m in sorted({1, 2, n // 3, n - 1}):
-            for eps_a in (1e-6, 1e-4, 1e-2, 0.05, 0.5):
-                d2 = 2.0 * (n - m)
-                want = n / (n - m) * f_inv_cdf(1.0 - eps_a, FParams(2.0, d2))
+            for eps_a in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 0.05, 0.5):
+                v = scipy.special.betaincinv(n - m, 1.0, eps_a)
+                want = n * (1.0 - v) / v
                 got = prune_threshold(n, m, OrderConfig(epsilon_a=eps_a))
-                assert got == pytest.approx(want, rel=1e-10), (n, m, eps_a)
-    # Deeper in the tail the bisection, which reads the CDF next to 1, loses
-    # digits (4e-9 relative here); the closed form stays exact:
-    # d2 = 60 and epsilon_a = 2**-30 give (32/30) * 30 * (2 - 1).
+                assert got == pytest.approx(want, rel=1e-12), (n, m, eps_a)
+    # d2 = 60 and epsilon_a = 2**-30 give (32/30) * 30 * (2 - 1) exactly.
     assert prune_threshold(32, 2, OrderConfig(epsilon_a=2.0**-30)) == pytest.approx(32.0, rel=1e-14)
 
 
@@ -445,6 +446,12 @@ def test_detection_prob_monotone_in_snr():
     grid = [detection_prob(s, 32, 1, cfg) for s in [0.0, 0.1, 0.5, 1.0, 2.0, 8.0]]
     assert all(b > a for a, b in zip(grid, grid[1:]))
     assert grid[-1] > 0.999
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf])
+def test_detection_prob_rejects_non_finite_snr(snr):
+    with pytest.raises(InvalidDimension):
+        detection_prob(snr, 32, 1, OrderConfig())
 
 
 def test_detection_prob_validation():

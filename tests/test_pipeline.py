@@ -109,6 +109,14 @@ def test_non_finite_sample_is_rejected(run, bad):
         run(y)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fixed_order_non_finite_start_is_rejected(bad):
+    y, _ = _noisy_signal()
+    with pytest.raises(DegenerateInput):
+        estimate_with_fixed_order(y, [FREQS[0], bad])
+
+
 def test_tolerance_floor_above_start_is_rejected():
     with pytest.raises(InvalidDimension):
         EstimatorConfig(eps_floor=0.1)

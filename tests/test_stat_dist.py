@@ -1,7 +1,8 @@
 """Distribution functions against independent references.
 
 scipy serves as the oracle here; the library itself builds everything from
-math-module primitives. Closed forms used below:
+math-module primitives. The F functions cover d1 = 2 only, the law of the
+prune statistic. Closed forms used below:
 
   - F(2, d2) quantile: p = 1 - (1 + 2 x / d2)^(-d2/2), inverted as
     x = (d2 / 2) * ((1 - p)^(-2/d2) - 1).
@@ -12,7 +13,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +23,7 @@ from linespec.stat_dist import (
     f_cdf,
     f_inv_cdf,
     noncentral_f_cdf,
-    reg_inc_beta,
+    noncentral_f_sf,
     std_normal_cdf,
     std_normal_inv_cdf,
 )
@@ -42,33 +42,24 @@ def test_fparams_validation():
         FParams(2, 2, noncentrality=-0.5)
 
 
-def test_reg_inc_beta_against_scipy():
-    # scipy itself carries ~1e-12 error in the far tails, so the tolerance
-    # here is looser than the mpmath spot-check below.
-    for a in (0.5, 1.0, 2.5, 30.0):
-        for b in (0.5, 1.0, 7.0, 31.0):
-            for u in (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-9):
-                mine = reg_inc_beta(u, a, b)
-                ref = scipy.special.betainc(a, b, u)
-                assert mine == pytest.approx(ref, rel=1e-10, abs=2e-12)
+@pytest.mark.parametrize("d1", [1, 3, 2.5, 10])
+def test_fparams_rejects_d1_other_than_two(d1):
+    with pytest.raises(DomainError):
+        FParams(d1, 30)
 
 
-def test_reg_inc_beta_against_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 40
-    for a, b, u in [
-        (0.5, 0.5, 1 - 1e-9),
-        (1.0, 30.0, 0.999999),
-        (2.0, 31.0, 1e-8),
-        (30.0, 31.0, 0.5),
-    ]:
-        ref = float(mpmath.betainc(a, b, 0, u, regularized=True))
-        assert reg_inc_beta(u, a, b) == pytest.approx(ref, rel=1e-12, abs=1e-15)
-
-
-def test_reg_inc_beta_bounds():
-    assert reg_inc_beta(0.0, 2.0, 3.0) == 0.0
-    assert reg_inc_beta(1.0, 2.0, 3.0) == 1.0
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"d2": math.inf},
+        {"d2": math.nan},
+        {"d2": 30, "noncentrality": math.inf},
+        {"d2": 30, "noncentrality": math.nan},
+    ],
+)
+def test_fparams_rejects_non_finite(kwargs):
+    with pytest.raises(DomainError):
+        FParams(2, **kwargs)
 
 
 def test_std_normal_cdf_against_scipy():
@@ -102,12 +93,11 @@ def test_std_normal_round_trip(p):
 
 
 def test_f_cdf_against_scipy():
-    for d1 in (1, 2, 3, 10):
-        for d2 in (1, 2, 30, 200):
-            for x in (0.0, 0.05, 0.5, 1.0, 4.0, 50.0):
-                mine = f_cdf(x, FParams(d1, d2))
-                ref = scipy.stats.f.cdf(x, d1, d2)
-                assert mine == pytest.approx(ref, rel=1e-11, abs=1e-14)
+    for d2 in (1, 2, 30, 200):
+        for x in (0.0, 0.05, 0.5, 1.0, 4.0, 50.0):
+            mine = f_cdf(x, FParams(2, d2))
+            ref = scipy.stats.f.cdf(x, 2, d2)
+            assert mine == pytest.approx(ref, rel=1e-11, abs=1e-14)
 
 
 def test_f_cdf_rejects_noncentral_params():
@@ -116,12 +106,20 @@ def test_f_cdf_rejects_noncentral_params():
 
 
 def test_f_inv_cdf_against_scipy():
-    for d1 in (1, 2, 5):
-        for d2 in (2, 30, 120):
-            for p in (0.01, 0.5, 0.95, 0.999999):
-                mine = f_inv_cdf(p, FParams(d1, d2))
-                ref = scipy.stats.f.ppf(p, d1, d2)
-                assert mine == pytest.approx(ref, rel=1e-8)
+    for d2 in (2, 30, 120):
+        for p in (0.01, 0.5, 0.95, 0.999999):
+            mine = f_inv_cdf(p, FParams(2, d2))
+            ref = scipy.stats.f.ppf(p, 2, d2)
+            assert mine == pytest.approx(ref, rel=1e-8)
+
+
+def test_f_inv_cdf_deep_tail():
+    # d2 = 60 at p = 1 - 2^-30: (60/2) * ((2^-30)^(-1/30) - 1) = 30 exactly.
+    assert f_inv_cdf(1.0 - 2.0**-30, FParams(2, 60)) == pytest.approx(30.0, rel=1e-14)
+    for d2 in (1, 2, 30, 200, 1e4):
+        for p in (1e-12, 1e-6, 0.5, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 2.0**-30):
+            ref = scipy.stats.f.ppf(p, 2, d2)
+            assert f_inv_cdf(p, FParams(2, d2)) == pytest.approx(ref, rel=1e-13), (d2, p)
 
 
 def test_f_inv_cdf_closed_form_two_numerator_dof():
@@ -138,30 +136,31 @@ def test_f_inv_cdf_printed_reference():
 
 
 def test_f_inv_cdf_edges():
-    assert f_inv_cdf(0.0, FParams(3, 7)) == 0.0
+    assert f_inv_cdf(0.0, FParams(2, 7)) == 0.0
     for p in (-0.01, 1.0, 1.5):
         with pytest.raises(DomainError):
-            f_inv_cdf(p, FParams(3, 7))
+            f_inv_cdf(p, FParams(2, 7))
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=20),
     st.integers(min_value=1, max_value=200),
     st.floats(min_value=1e-6, max_value=1 - 1e-6),
 )
-def test_f_quantile_round_trip(d1, d2, p):
-    params = FParams(d1, d2)
+def test_f_quantile_round_trip(d2, p):
+    params = FParams(2, d2)
     assert f_cdf(f_inv_cdf(p, params), params) == pytest.approx(p, rel=1e-8, abs=1e-10)
 
 
 def test_noncentral_f_cdf_against_scipy():
-    for d2 in (2, 30, 62):
-        for nc in (0.1, 1.0, 64.0, 640.0):
-            for x in (0.05, 0.5, 2.0, 10.0, 40.0):
-                mine = noncentral_f_cdf(x, FParams(2, d2, noncentrality=nc))
-                ref = scipy.stats.ncf.cdf(x, 2, d2, nc)
-                assert mine == pytest.approx(ref, rel=1e-8, abs=1e-12)
+    for d2 in (2, 30, 62, 1022, 8190):
+        for nc in (0.1, 1.0, 64.0, 640.0, 5000.0):
+            for x in (0.05, 0.5, 2.0, 10.0, 40.0, 300.0, 2500.0):
+                params = FParams(2, d2, noncentrality=nc)
+                cdf = scipy.stats.ncf.cdf(x, 2, d2, nc)
+                sf = scipy.stats.ncf.sf(x, 2, d2, nc)
+                assert noncentral_f_cdf(x, params) == pytest.approx(cdf, rel=1e-8, abs=1e-12)
+                assert noncentral_f_sf(x, params) == pytest.approx(sf, rel=1e-8, abs=1e-12)
 
 
 def test_noncentral_f_cdf_zero_noncentrality_reduces_to_central():
