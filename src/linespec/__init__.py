@@ -12,7 +12,6 @@ from .errors import (
     DegenerateInput,
     DegenerateResidual,
     DomainError,
-    IllConditioned,
     InvalidDimension,
     LineSpecError,
     NumericalDivergence,
@@ -20,7 +19,6 @@ from .errors import (
     SingularInformation,
 )
 from .fft_init import (
-    CandidateSet,
     InitConfig,
     initialize,
     periodogram_estimate,
@@ -61,6 +59,7 @@ from .signal_model import (
     Sinusoid,
     atom,
     design_matrix,
+    ls_amplitudes,
     noise_var_for_snr,
     synthesize,
 )
@@ -76,7 +75,6 @@ from .stat_dist import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSet",
     "CostTrace",
     "CrbPair",
     "DegenerateInput",
@@ -84,7 +82,6 @@ __all__ = [
     "DomainError",
     "EstimatorConfig",
     "FParams",
-    "IllConditioned",
     "InitConfig",
     "InvalidDimension",
     "LineSpecError",
@@ -115,6 +112,7 @@ __all__ = [
     "grad_alpha",
     "grad_omega",
     "initialize",
+    "ls_amplitudes",
     "merge_test",
     "noise_var_for_snr",
     "noncentral_f_cdf",

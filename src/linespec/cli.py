@@ -59,7 +59,7 @@ def _load_components(path: str) -> list[Sinusoid]:
 def cmd_simulate(args) -> int:
     try:
         comps = _load_components(args.components)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, LineSpecError) as exc:
         return _fail(f"cannot read components: {exc}", 2)
     try:
         clean = synthesize(comps, args.n, NoiseSpec())
@@ -77,12 +77,15 @@ def cmd_simulate(args) -> int:
             for c in comps
         ],
     }
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, v in enumerate(signal.samples):
-            writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
-        fh.write(_CONFIG_PREFIX + json.dumps(meta) + "\n")
+    try:
+        with open(args.out, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["index", "re", "im"])
+            for i, v in enumerate(signal.samples):
+                writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+            fh.write(_CONFIG_PREFIX + json.dumps(meta) + "\n")
+    except OSError as exc:
+        return _fail(f"cannot write signal: {exc}", 2)
     print(f"wrote {args.n} samples to {args.out} (sigma2 = {sigma2!r})")
     return 0
 
@@ -165,10 +168,16 @@ def _report_dict(report: RunReport, cfg: EstimatorConfig, seed) -> dict:
     }
 
 
-def _write_report(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _write_report(path: str, payload: dict) -> bool:
+    """Write the JSON report; on an unopenable path print an error and return False."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        _fail(f"cannot write report: {exc}", 2)
+        return False
+    return True
 
 
 def cmd_estimate(args) -> int:
@@ -213,7 +222,8 @@ def cmd_estimate(args) -> int:
             f"  amplitude = {s.amplitude.real:+.6f}{s.amplitude.imag:+.6f}j"
         )
     if args.report:
-        _write_report(args.report, _report_dict(report, cfg, seed))
+        if not _write_report(args.report, _report_dict(report, cfg, seed)):
+            return 2
         print(f"report written to {args.report}")
     return 0
 

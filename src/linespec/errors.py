@@ -33,10 +33,6 @@ class Overdetermined(LineSpecError):
     """More sinusoid candidates than samples; least squares is overdetermined."""
 
 
-class IllConditioned(LineSpecError):
-    """The least-squares design matrix is numerically rank deficient."""
-
-
 class SingularInformation(LineSpecError):
     """The Fisher information matrix is singular; the bound does not exist."""
 

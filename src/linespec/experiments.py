@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularInformation
-from .fft_init import CandidateSet, InitConfig, find_peaks, initialize, ls_amplitudes
+from .fft_init import InitConfig, find_peaks, initialize
 from .optimizer import NetworkState, TrainConfig, cost, sum_n_squared, train_inner
 from .order_control import OrderConfig, apply_prunes, detection_prob
 from .pipeline import (
@@ -27,7 +27,7 @@ from .pipeline import (
     estimate_spectrum,
     estimate_with_fixed_order,
 )
-from .signal_model import TWO_PI, Sinusoid, as_samples, design_matrix
+from .signal_model import TWO_PI, Sinusoid, as_samples, design_matrix, ls_amplitudes
 
 _DESK_TRIALS = 200
 
@@ -169,9 +169,7 @@ def fd_gradients(state: NetworkState, observed, step: float = 1e-6):
     y = as_samples(observed)
 
     def cost_at(omegas, alphas):
-        A = design_matrix(omegas, y.size) if len(omegas) else None
-        model = A @ alphas if A is not None else np.zeros(y.size, dtype=complex)
-        return cost(y, model)
+        return cost(y, design_matrix(omegas, y.size) @ alphas)
 
     m = state.m_nodes
     g_alpha = np.zeros(m, dtype=np.complex128)
@@ -198,9 +196,8 @@ def _draw_signal(freqs: np.ndarray, mags: np.ndarray, n_samples: int, snr_db: fl
     Returns (y, sigma2, amps). The phase draw precedes the noise draw on the
     same generator, which pins the exact realization for a given seed.
     """
-    k = freqs.size
-    amps = mags * np.exp(1j * TWO_PI * rng.uniform(size=k))
-    x = design_matrix(freqs, n_samples) @ amps if k else np.zeros(n_samples, dtype=complex)
+    amps = mags * np.exp(1j * TWO_PI * rng.uniform(size=freqs.size))
+    x = design_matrix(freqs, n_samples) @ amps
     power = float(np.vdot(x, x).real)
     sigma2 = power / (n_samples * 10.0 ** (snr_db / 10.0)) if power > 0 else 1.0
     e = rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples)
@@ -346,7 +343,7 @@ def mc_roc_merge(spec: TrialSpec, epsilon_f_grid) -> SweepResult:
 
 def _prune_keep(y: np.ndarray, node_omegas: np.ndarray, watch: int, eps_a: float) -> bool:
     """Prune decision for one node of a least-squares fit at fixed frequencies."""
-    state = NetworkState(node_omegas, ls_amplitudes(CandidateSet(node_omegas), y))
+    state = NetworkState(node_omegas, ls_amplitudes(node_omegas, y))
     return bool(apply_prunes(state, y, OrderConfig(epsilon_a=eps_a))[1].keep_mask[watch])
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditioned, InvalidDimension, Overdetermined
+from .errors import InvalidDimension
 from .optimizer import NetworkState
 from .order_control import OrderConfig, merge_radius, prune_statistics, prune_threshold
-from .signal_model import TWO_PI, Sinusoid, as_samples, design_matrix
+from .signal_model import TWO_PI, Sinusoid, as_samples, design_matrix, ls_amplitudes
 
 
 @dataclass(frozen=True)
@@ -41,24 +41,6 @@ class InitConfig:
             raise InvalidDimension("l_factor must be at least 1")
         if not 0.0 < self.peak_gate_epsilon < 1.0:
             raise InvalidDimension("peak_gate_epsilon must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Strictly increasing initial frequencies in [0, 2*pi)."""
-
-    omegas: np.ndarray
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.omegas, dtype=float))
-        if w.size and (np.any(w < 0.0) or np.any(w >= TWO_PI)):
-            raise InvalidDimension("candidate frequencies must lie in [0, 2*pi)")
-        if w.size > 1 and not np.all(np.diff(w) > 0):
-            raise InvalidDimension("candidate frequencies must be strictly increasing")
-        object.__setattr__(self, "omegas", w)
-
-    def __len__(self) -> int:
-        return self.omegas.size
 
 
 def zero_padded_fft(observed, cfg: InitConfig) -> np.ndarray:
@@ -97,28 +79,6 @@ def find_peaks(spectrum_mag, noise_floor: float, cfg: InitConfig) -> list[int]:
     return [int(k) for k in np.nonzero(keep)[0]]
 
 
-def ls_amplitudes(candidates: CandidateSet, observed) -> np.ndarray:
-    """Least-squares amplitudes for the candidate frequencies.
-
-    Solves min ||y - A alpha|| through a QR factorization. Raises
-    Overdetermined when there are more candidates than samples and
-    IllConditioned when the design matrix condition number exceeds 1e12
-    (near-duplicate candidates); the caller is expected to drop the weaker
-    duplicate and retry.
-    """
-    y = as_samples(observed)
-    m = len(candidates)
-    if m == 0:
-        return np.zeros(0, dtype=np.complex128)
-    if m > y.size:
-        raise Overdetermined(f"{m} candidates exceed {y.size} samples")
-    A = design_matrix(candidates.omegas, y.size)
-    if np.linalg.cond(A) > 1e12:
-        raise IllConditioned("candidate frequencies are numerically duplicated")
-    q, r = np.linalg.qr(A)
-    return np.linalg.solve(r, q.conj().T @ y)
-
-
 def _drop_weaker_of_closest_pair(bins: list[int], mag: np.ndarray, big_l: int) -> list[int]:
     """Remove the weaker-magnitude member of the closest candidate pair."""
     order = sorted(bins)
@@ -145,18 +105,10 @@ def _peak_bins(y: np.ndarray, mag: np.ndarray, cfg: InitConfig, order: OrderConf
     peaks = find_peaks(mag, noise_floor_estimate(mag, y.size), cfg)
     while 2 * len(peaks) > y.size:
         peaks = _drop_weaker_of_closest_pair(peaks, mag, big_l)
-    while True:
-        if not peaks:
-            return []
-        omegas = TWO_PI * np.array(peaks) / big_l
-        try:
-            alphas = ls_amplitudes(CandidateSet(omegas), y)
-            break
-        except IllConditioned:
-            if len(peaks) == 1:
-                return []
-            peaks = _drop_weaker_of_closest_pair(peaks, mag, big_l)
-    xi = prune_statistics(NetworkState(omegas, alphas), y)
+    if not peaks:
+        return []
+    omegas = TWO_PI * np.array(peaks) / big_l
+    xi = prune_statistics(NetworkState(omegas, ls_amplitudes(omegas, y)), y)
     keep = xi >= prune_threshold(y.size, len(peaks), order)
     return [k for k, kept in zip(peaks, keep) if kept]
 
@@ -191,7 +143,7 @@ def initialize(observed, cfg: InitConfig | None = None, order: OrderConfig | Non
         return NetworkState.empty()
     heads = TWO_PI * np.array(peaks) / big_l
     A = design_matrix(heads, n)
-    alphas = np.linalg.lstsq(A, y, rcond=None)[0]
+    alphas = ls_amplitudes(heads, y)
     residual = y - A @ alphas
     sigma2 = float(np.vdot(residual, residual).real) / n
     omegas, amps = [], []
@@ -201,7 +153,7 @@ def initialize(observed, cfg: InitConfig | None = None, order: OrderConfig | Non
         pair = np.array([heads[i], heads[i] + side * gap])
         partial = residual + A[:, i] * alphas[i]
         omegas.extend(pair)
-        amps.extend(np.linalg.lstsq(design_matrix(pair, n), partial, rcond=None)[0])
+        amps.extend(ls_amplitudes(pair, partial))
     omegas = np.mod(np.array(omegas), TWO_PI)
     idx = np.argsort(omegas, kind="stable")
     return NetworkState(omegas[idx], np.array(amps)[idx])

@@ -25,7 +25,7 @@ from .errors import (
     SingularInformation,
 )
 from .optimizer import NetworkState, cost, sum_n_squared
-from .signal_model import TWO_PI, as_samples, design_matrix
+from .signal_model import TWO_PI, as_samples, design_matrix, ls_amplitudes
 from .stat_dist import FParams, f2_upper_quantile, noncentral_f_sf, std_normal_inv_cdf
 
 
@@ -240,10 +240,9 @@ def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
         raise InvalidDimension("node mask must have one entry per node")
     if not sel.any():
         return state
-    A = design_matrix(state.omegas, y.size)
-    target = y - A[:, ~sel] @ state.alphas[~sel]
+    target = y - design_matrix(state.omegas, y.size)[:, ~sel] @ state.alphas[~sel]
     alphas = state.alphas.copy()
-    alphas[sel] = np.linalg.lstsq(A[:, sel], target, rcond=None)[0]
+    alphas[sel] = ls_amplitudes(state.omegas[sel], target)
     return NetworkState(state.omegas, alphas)
 
 

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateInput, InvalidDimension, NumericalDivergence
-from .fft_init import CandidateSet, InitConfig, initialize, ls_amplitudes
+from .errors import DegenerateInput, InvalidDimension, NumericalDivergence, Overdetermined
+from .fft_init import InitConfig, initialize
 from .optimizer import (
-    CostTrace,
     NetworkState,
     TrainConfig,
     forward,
@@ -35,7 +34,7 @@ from .order_control import (
     estimate_noise_var,
     refit_amplitudes,
 )
-from .signal_model import TWO_PI, Sinusoid, as_samples
+from .signal_model import TWO_PI, Sinusoid, as_samples, ls_amplitudes
 
 
 def _default_train() -> TrainConfig:
@@ -164,7 +163,8 @@ def estimate_with_fixed_order(observed, omegas0, cfg: EstimatorConfig | None = N
 
     The initial amplitudes come from a least-squares fit at the given
     frequencies; everything after that is identical to estimate_spectrum
-    (merging and pruning may still change the order).
+    (merging and pruning may still change the order; duplicate starts
+    fuse). More starts than samples raise Overdetermined.
     """
     if cfg is None:
         cfg = EstimatorConfig()
@@ -172,9 +172,7 @@ def estimate_with_fixed_order(observed, omegas0, cfg: EstimatorConfig | None = N
     w0 = np.atleast_1d(np.asarray(omegas0, dtype=float))
     if not np.all(np.isfinite(w0)):
         raise DegenerateInput("initial frequencies must be finite")
+    if w0.size > y.size:
+        raise Overdetermined(f"{w0.size} initial frequencies exceed {y.size} samples")
     w0 = np.sort(np.mod(w0, TWO_PI))
-    if w0.size == 0:
-        return _build_report(y, NetworkState.empty(), 0, [], [], [])
-    alphas = ls_amplitudes(CandidateSet(w0), y)
-    state = NetworkState(w0, alphas)
-    return _run_outer(y, state, cfg)
+    return _run_outer(y, NetworkState(w0, ls_amplitudes(w0, y)), cfg)

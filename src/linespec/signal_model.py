@@ -3,14 +3,14 @@
 A length-N observation is modeled as y = x + e where x is a sum of complex
 sinusoids, x(n) = sum_k alpha_k * exp(j * omega_k * n), and e is circularly
 symmetric complex Gaussian noise. This module provides the steering vectors
-(atoms), design matrices, synthetic signal generation at a controlled SNR,
-and the small value types shared across the library.
+(atoms), design matrices, the least-squares amplitude fit, synthetic signals
+at a controlled SNR, and the small value types shared across the library.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,14 +115,23 @@ def atom(omega: float, n_samples: int) -> np.ndarray:
 
 
 def design_matrix(omegas, n_samples: int) -> np.ndarray:
-    """N x M matrix whose column i is atom(omegas[i], n_samples)."""
+    """N x M matrix whose column i is atom(omegas[i], n_samples); N x 0 for M = 0."""
     w = np.atleast_1d(np.asarray(omegas, dtype=float))
-    if w.size == 0:
-        raise InvalidDimension("design matrix needs at least one frequency")
     if n_samples < 1:
         raise InvalidDimension("design matrix needs at least one sample")
     n = np.arange(n_samples)
     return np.exp(1j * np.outer(n, w))
+
+
+def ls_amplitudes(omegas, target: np.ndarray) -> np.ndarray:
+    """Least-squares amplitudes of the atoms at ``omegas`` fitted to ``target``.
+
+    Singular values below 1e-12 of the largest count as zero, so
+    numerically duplicated frequencies share their amplitude as the
+    minimum-norm solution (equal halves for an exact duplicate) instead of
+    cancelling at many times the data's size. No frequencies fit nothing.
+    """
+    return np.linalg.lstsq(design_matrix(omegas, target.size), target, rcond=1e-12)[0]
 
 
 def synthesize(components, n_samples: int, noise: NoiseSpec) -> Signal:
@@ -134,10 +143,8 @@ def synthesize(components, n_samples: int, noise: NoiseSpec) -> Signal:
     if n_samples < 1:
         raise InvalidDimension("cannot synthesize an empty signal")
     comps = [c if isinstance(c, Sinusoid) else Sinusoid(c[0], c[1]) for c in components]
-    x = np.zeros(n_samples, dtype=np.complex128)
-    if comps:
-        A = design_matrix([c.omega for c in comps], n_samples)
-        x = A @ np.array([c.amplitude for c in comps])
+    amps = np.array([c.amplitude for c in comps], dtype=np.complex128)
+    x = design_matrix([c.omega for c in comps], n_samples) @ amps
     if noise.sigma2 > 0:
         rng = np.random.default_rng(noise.seed)
         scale = math.sqrt(noise.sigma2 / 2.0)

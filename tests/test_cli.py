@@ -84,13 +84,45 @@ def test_noiseless_round_trip_finds_true_tones(tmp_path, capsys):
         assert abs(have - want) < 5e-3
 
 
-def test_simulate_rejects_bad_components(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "components",
+    [
+        {"re": 1.0},
+        [1, 2],
+        [{"re": 1.0, "im": 0.0, "normalized_freq": "nan"}],
+        [{"re": "inf", "im": 0.0, "normalized_freq": 0.1}],
+    ],
+    ids=["not-a-list", "entry-not-an-object", "nan-frequency", "inf-amplitude"],
+)
+def test_simulate_rejects_bad_components(components, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"re": 1.0}))
+    bad.write_text(json.dumps(components))
     rc = main(["simulate", "--n", "32", "--components", str(bad),
                "--out", str(tmp_path / "x.csv")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    rc = main(["simulate", "--n", "32", "--components", _components_file(tmp_path),
+               "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write signal" in captured.err
+    assert "wrote" not in captured.out
+
+
+def test_estimate_unwritable_report_exits_2(tmp_path, capsys):
+    sig = str(tmp_path / "signal.csv")
+    assert main(["simulate", "--n", "32", "--components", _components_file(tmp_path),
+                 "--snr-db", "20", "--out", sig]) == 0
+    rc = main(["estimate", "--in", sig, "--report", str(tmp_path / "missing" / "r.json")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write report" in captured.err
+    assert "report written" not in captured.out
 
 
 def test_estimate_missing_file_exits_2(tmp_path, capsys):

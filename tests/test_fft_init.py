@@ -1,18 +1,16 @@
-"""FFT initialization: spectrum, noise floor, peak gating, LS amplitudes."""
+"""FFT initialization: spectrum, noise floor, peak gating, starting amplitudes."""
 
 import math
 
 import numpy as np
 import pytest
 
-from linespec.errors import DegenerateInput, IllConditioned, InvalidDimension, Overdetermined
+from linespec.errors import InvalidDimension
 from linespec import fft_init
 from linespec.fft_init import (
-    CandidateSet,
     InitConfig,
     find_peaks,
     initialize,
-    ls_amplitudes,
     noise_floor_estimate,
     periodogram_estimate,
     zero_padded_fft,
@@ -130,39 +128,6 @@ def test_initialize_companion_tie_goes_to_upper_bin(monkeypatch):
     assert state.m_nodes == 2
     assert state.omegas[0] == head
     assert head < state.omegas[1] <= head + TWO_PI / big_l
-
-
-def test_candidate_set_orders_and_validates():
-    with pytest.raises(InvalidDimension):
-        CandidateSet(np.array([1.0, 0.5]))  # not increasing
-    with pytest.raises(InvalidDimension):
-        CandidateSet(np.array([-0.1]))
-    cs = CandidateSet(np.array([TWO_PI * 4 / 64, TWO_PI * 12 / 64]))
-    assert len(cs) == 2
-
-
-def test_ls_amplitudes_matches_lstsq_oracle():
-    rng = np.random.default_rng(2)
-    y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    cs = CandidateSet(TWO_PI * np.array([5, 17, 40]) / 128)
-    mine = ls_amplitudes(cs, y)
-    A = design_matrix(cs.omegas, 32)
-    ref, *_ = np.linalg.lstsq(A, y, rcond=None)
-    np.testing.assert_allclose(mine, ref, rtol=1e-10)
-
-
-def test_ls_amplitudes_overdetermined_guard():
-    cs = CandidateSet(TWO_PI * np.arange(0, 36, 2) / 64)  # 18 atoms
-    with pytest.raises(Overdetermined):
-        ls_amplitudes(cs, np.ones(16, dtype=complex))
-
-
-def test_ls_amplitudes_ill_conditioned_guard():
-    # two frequencies a hair apart make the design matrix near-singular
-    base = TWO_PI * 5 / 64
-    cs = CandidateSet(np.array([base, base + 1e-13]))
-    with pytest.raises(IllConditioned):
-        ls_amplitudes(cs, np.ones(16, dtype=complex))
 
 
 def test_initialize_two_clean_tones():

@@ -10,7 +10,7 @@ moderate SNR where the thresholds are calibrated to operate.
 import numpy as np
 import pytest
 
-from linespec.errors import DegenerateInput, InvalidDimension, NumericalDivergence
+from linespec.errors import DegenerateInput, InvalidDimension, NumericalDivergence, Overdetermined
 from linespec.optimizer import TrainConfig
 from linespec.pipeline import (
     EstimatorConfig,
@@ -117,6 +117,12 @@ def test_fixed_order_non_finite_start_is_rejected(bad):
         estimate_with_fixed_order(y, [FREQS[0], bad])
 
 
+def test_fixed_order_more_starts_than_samples_is_rejected():
+    y, _ = _noisy_signal()
+    with pytest.raises(Overdetermined):
+        estimate_with_fixed_order(y, TWO_PI * np.arange(40) / 40)
+
+
 def test_tolerance_floor_above_start_is_rejected():
     with pytest.raises(InvalidDimension):
         EstimatorConfig(eps_floor=0.1)
@@ -132,6 +138,21 @@ def test_fixed_order_straddling_pair_merges_to_one():
     e = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * np.sqrt(0.4 / 2)
     off = TWO_PI / (4 * N)
     rep = estimate_with_fixed_order(x + e, [w0 - off, w0 + off])
+    assert rep.k_hat == 1
+    assert len(rep.merge_events) == 1
+    assert abs(rep.estimates[0].omega - w0) < 0.02
+    assert abs(rep.estimates[0].amplitude - 2.0) < 0.2
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13], ids=["equal", "1e-13-apart"])
+def test_fixed_order_duplicate_starts_fuse_into_one(gap):
+    # Coincident starts share the tone's amplitude in the first fit, and
+    # the first merge pass fuses them into one node.
+    w0 = TWO_PI * 0.3
+    x = 2.0 * np.exp(1j * w0 * np.arange(N))
+    rng = np.random.default_rng(1)
+    e = (rng.standard_normal(N) + 1j * rng.standard_normal(N)) * np.sqrt(0.18 / 2)
+    rep = estimate_with_fixed_order(x + e, [w0, w0 + gap])
     assert rep.k_hat == 1
     assert len(rep.merge_events) == 1
     assert abs(rep.estimates[0].omega - w0) < 0.02

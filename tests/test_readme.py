@@ -1,6 +1,7 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written and its public names exist."""
 
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -37,3 +38,17 @@ def test_library_example_prints_the_documented_order():
     assert lines[0] == "4"
     assert "print(report.k_hat)                  # 4:" in block
     assert [line.split()[0] for line in lines[1:5]] == ["0.0995", "0.2201", "0.3621", "0.3711"]
+
+
+def test_public_stage_names_exist():
+    # Every backticked name in a bullet of the "Each stage is public" list
+    # must be an attribute of that bullet's module.
+    section = README.read_text().split("Each stage is public", 1)[1].split("\n\n")[1]
+    bullets = re.findall(r"^- `(linespec\.\w+)`:(.*?)(?=^- |\Z)", section, flags=re.M | re.S)
+    assert len(bullets) == 7
+    for module, text in bullets:
+        mod = importlib.import_module(module)
+        names = re.findall(r"`(\w+)`", text)
+        assert names, module
+        missing = [name for name in names if not hasattr(mod, name)]
+        assert not missing, f"{module} lacks {missing}"

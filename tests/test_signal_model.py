@@ -16,6 +16,7 @@ from linespec.signal_model import (
     as_samples,
     atom,
     design_matrix,
+    ls_amplitudes,
     noise_var_for_snr,
     synthesize,
     wrap_angle,
@@ -37,6 +38,30 @@ def test_design_matrix_columns_are_atoms():
     assert A.shape == (9, 3)
     for i, w in enumerate(omegas):
         np.testing.assert_array_equal(A[:, i], atom(w, 9))
+
+
+def test_no_frequencies_give_an_empty_model():
+    assert design_matrix([], 9).shape == (9, 0)
+    np.testing.assert_array_equal(synthesize([], 9, NoiseSpec()).samples, np.zeros(9))
+    assert ls_amplitudes([], np.ones(9, dtype=complex)).shape == (0,)
+
+
+def test_ls_amplitudes_matches_lstsq_oracle():
+    rng = np.random.default_rng(2)
+    y = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    omegas = TWO_PI * np.array([5, 17, 40]) / 128
+    ref, *_ = np.linalg.lstsq(design_matrix(omegas, 32), y, rcond=None)
+    np.testing.assert_allclose(ls_amplitudes(omegas, y), ref, rtol=1e-10)
+
+
+def test_ls_amplitudes_splits_equal_frequencies_in_halves():
+    # The duplicate column is rank deficient: the minimum-norm fit gives
+    # each copy half of the one-atom amplitude instead of raising.
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    w = TWO_PI * 5 / 64
+    (one,) = ls_amplitudes([w], y)
+    np.testing.assert_allclose(ls_amplitudes([w, w], y), [one / 2, one / 2], rtol=1e-12)
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
