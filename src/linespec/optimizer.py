@@ -106,43 +106,88 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class CostTrace:
-    """Per-iteration mean cost C/N, starting with the initial state's cost."""
+    """Per-iteration mean cost C/N, starting with the initial state's cost.
+
+    ``halvings`` counts the safeguard's learning-rate halvings.
+    ``exit_reason`` says why the loop stopped: ``"tol"`` (the mean cost
+    change stayed below tolerance; also an empty state, whose cost cannot
+    change), ``"exact_fit"`` (the cost reached exactly zero) or
+    ``"max_iter"`` (the iteration limit, the one unconverged exit).
+    """
 
     mean_costs: np.ndarray
     iterations_run: int
-    converged: bool
+    halvings: int
+    exit_reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.exit_reason != "max_iter"
 
 
-def _phase_steps(n_samples: int):
-    """Step table of _residual for N samples: (k, B) with B = ceil(sqrt(N)).
+class _Kernel:
+    """Model, residual and both gradients for one signal y and M nodes.
 
-    Every n < N is q*B + s with s < B and q*B < N, so exp(j*n*w) is the
-    product exp(j*q*B*w) * exp(j*s*w); k lists the B offsets s and then
-    the multiples q*B.
+    Every array is allocated once, here; ``residual`` and ``gradients`` only
+    write into them, so each call overwrites what the last one returned.
+    The design matrix A = exp(j * outer(n, omegas)) is built by angle
+    addition. With B = ceil(sqrt(N)) every n < N is q*B + s with s < B and
+    q*B < N, so exp(j*n*w) = exp(j*q*B*w) * exp(j*s*w): one exp per step k
+    (the B offsets s, then the multiples q*B) and node, B + ceil(N/B) of
+    them instead of N, and one complex multiply per entry of A. Each phase
+    k*w is rounded as n*w is, so A keeps the accuracy of the direct exp.
     """
-    b = math.isqrt(n_samples - 1) + 1
-    return np.concatenate((np.arange(b), np.arange(0, n_samples, b))), b
 
+    def __init__(self, y: np.ndarray, m_nodes: int):
+        n_samples = y.size
+        b = math.isqrt(n_samples - 1) + 1
+        k = np.concatenate((np.arange(b), np.arange(0, n_samples, b)))
+        self._y = y
+        self._k = k[:, None].astype(float)
+        # Only the imaginary part is ever written: exp(0 + j*k*w).
+        self._phase = np.zeros((k.size, m_nodes), dtype=np.complex128)
+        self._phase_imag = self._phase.imag
+        self._steps = np.empty_like(self._phase)
+        self._hi = self._steps[b:, None, :]
+        self._lo = self._steps[None, :b, :]
+        self._prod = np.empty((k.size - b, b, m_nodes), dtype=np.complex128)
+        self.A = self._prod.reshape((k.size - b) * b, m_nodes)[:n_samples]
+        self._At = self.A.T
+        self.r = np.empty(n_samples, dtype=np.complex128)
+        self._rc = np.empty(n_samples, dtype=np.complex128)
+        self._n = np.arange(n_samples, dtype=np.complex128)
+        self._s = np.empty(m_nodes, dtype=np.complex128)
+        self._s_imag = self._s.imag
+        # [alpha gradient (re, im interleaved), omega gradient]
+        self.grad = np.empty(3 * m_nodes)
+        self.grad_alpha = self.grad[: 2 * m_nodes].view(np.complex128)
+        self.grad_omega = self.grad[2 * m_nodes :]
 
-def _residual(omegas: np.ndarray, alphas: np.ndarray, y: np.ndarray, steps):
-    """Design matrix A = exp(j * outer(n, omegas)) and residual r = A alpha - y.
+    def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+        """Rebuild A at omegas and return r = A alpha - y."""
+        np.multiply(self._k, omegas, out=self._phase_imag)
+        np.exp(self._phase, out=self._steps)
+        np.multiply(self._hi, self._lo, out=self._prod)
+        np.matmul(self.A, alphas, out=self.r)
+        self.r -= self._y
+        return self.r
 
-    A is built by angle addition from the step table (see _phase_steps):
-    one exp per step and node, B + ceil(N / B) of them instead of N, and
-    one complex multiply per entry of A. Each phase k*w is rounded as n*w
-    is, so A keeps the accuracy of the direct exp.
-    """
-    k, b = steps
-    t = np.exp(np.outer(k, 1j * omegas))
-    A = (t[b:, None, :] * t[None, :b, :]).reshape((k.size - b) * b, omegas.size)[: y.size]
-    r = A @ alphas
-    r -= y
-    return A, r
+    def gradients(self, alphas: np.ndarray) -> np.ndarray:
+        """Gradients of ||r||^2 at the last residual, as one flat vector.
 
-
-def _gradients(A: np.ndarray, r: np.ndarray, alphas: np.ndarray, n: np.ndarray):
-    """Amplitude and frequency gradients of ||r||^2 from the design matrix and residual."""
-    return A.conj().T @ r, 2.0 * np.imag(alphas * (A.T @ (n * np.conj(-r))))
+        The amplitude block is A^H r = conj(A^T conj(r)) and the frequency
+        block 2 Im{alpha * A^T (n * conj(-r))} = -2 Im{alpha * A^T (n * conj(r))};
+        conjugation and sign flips are exact, so both keep the bits of the
+        direct forms.
+        """
+        rc = np.conjugate(self.r, out=self._rc)
+        np.matmul(self._At, rc, out=self._s)
+        np.conjugate(self._s, out=self.grad_alpha)
+        np.multiply(self._n, rc, out=rc)
+        np.matmul(self._At, rc, out=self._s)
+        np.multiply(alphas, self._s, out=self._s)
+        np.multiply(self._s_imag, -2.0, out=self.grad_omega)
+        return self.grad
 
 
 def forward(state: NetworkState, n_samples: int) -> np.ndarray:
@@ -150,8 +195,8 @@ def forward(state: NetworkState, n_samples: int) -> np.ndarray:
     if n_samples < 1:
         raise InvalidDimension("forward needs at least one sample")
     # The residual against y = 0 is the model itself.
-    zeros = np.zeros(n_samples)
-    return _residual(state.omegas, state.alphas, zeros, _phase_steps(n_samples))[1]
+    kernel = _Kernel(np.zeros(n_samples), state.m_nodes)
+    return kernel.residual(state.omegas, state.alphas)
 
 
 def cost(observed, model) -> float:
@@ -164,12 +209,16 @@ def cost(observed, model) -> float:
     return float(np.vdot(r, r).real)
 
 
+def _gradient_kernel(state: NetworkState, observed) -> _Kernel:
+    kernel = _Kernel(as_samples(observed), state.m_nodes)
+    kernel.residual(state.omegas, state.alphas)
+    kernel.gradients(state.alphas)
+    return kernel
+
+
 def grad_alpha(state: NetworkState, observed) -> np.ndarray:
     """Gradient of the cost with respect to the conjugate amplitudes, A^H (x_hat - y)."""
-    y = as_samples(observed)
-    n = np.arange(y.size)
-    A, r = _residual(state.omegas, state.alphas, y, _phase_steps(y.size))
-    return _gradients(A, r, state.alphas, n)[0]
+    return _gradient_kernel(state, observed).grad_alpha
 
 
 def grad_omega(state: NetworkState, observed) -> np.ndarray:
@@ -177,19 +226,16 @@ def grad_omega(state: NetworkState, observed) -> np.ndarray:
 
     Equals 2 * Im{ alpha * [A^T (n * conj(y - x_hat))] } elementwise over nodes.
     """
-    y = as_samples(observed)
-    n = np.arange(y.size)
-    A, r = _residual(state.omegas, state.alphas, y, _phase_steps(y.size))
-    return _gradients(A, r, state.alphas, n)[1]
+    return _gradient_kernel(state, observed).grad_omega
 
 
 def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     """Gradient descent with momentum until the mean cost change is below tolerance.
 
-    Returns (final state, CostTrace). The momentum buffers live only inside
-    one call and start from zero. If the cost rises for
+    Returns (final state, CostTrace). The momentum buffer lives only inside
+    one call and starts from zero. If the cost rises for
     ``safeguard_patience`` consecutive iterations, both learning rates are
-    halved, the buffers are zeroed, and the best state seen so far is
+    halved, the buffer is zeroed, and the best state seen so far is
     restored before continuing.
     """
     y = as_samples(observed)
@@ -200,69 +246,73 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     m = state.m_nodes
     if m == 0:
         c0 = float(np.vdot(y, y).real) / n_samples
-        return state, CostTrace(np.array([c0]), 0, True)
+        return state, CostTrace(np.array([c0]), 0, 0, "tol")
 
-    n = np.arange(n_samples)
-    steps = _phase_steps(n_samples)
-    w = state.omegas.copy()
-    a = state.alphas.copy()
-    dw = np.zeros(m)
-    da = np.zeros(m, dtype=np.complex128)
-    rate_a = cfg.gamma_alpha
-    rate_w = cfg.gamma_omega
+    kernel = _Kernel(y, m)
+    # Parameters, momentum, rates and steps share one flat layout:
+    # [alpha (re, im interleaved), omega].
+    p = np.empty(3 * m)
+    a = p[: 2 * m].view(np.complex128)
+    w = p[2 * m :]
+    a[:] = state.alphas
+    w[:] = state.omegas
+    rates = np.concatenate((np.full(2 * m, cfg.gamma_alpha), np.full(m, cfg.gamma_omega)))
+    d = np.zeros(3 * m)
+    step = np.empty(3 * m)
     lam = cfg.momentum
+    mix = 1.0 - lam
 
-    A, r = _residual(w, a, y, steps)
+    r = kernel.residual(w, a)
     cbar = float(np.vdot(r, r).real) / n_samples
     trace = [cbar]
-    best_c, best_w, best_a = cbar, w.copy(), a.copy()
+    best_c, best = cbar, p.copy()
     rising = 0
     hits = 0
+    halvings = 0
     iterations = 0
-    converged = False
+    exit_reason = "max_iter"
 
     for t in range(1, cfg.max_iter + 1):
         iterations = t
-        ga, gw = _gradients(A, r, a, n)
-        da = lam * da + (1.0 - lam) * ga
-        dw = lam * dw + (1.0 - lam) * gw
-        a = a - rate_a * da
-        w = w - rate_w * dw
-        A, r = _residual(w, a, y, steps)
+        np.multiply(kernel.gradients(a), mix, out=step)
+        d *= lam
+        d += step
+        np.multiply(rates, d, out=step)
+        p -= step
+        r = kernel.residual(w, a)
         c = float(np.vdot(r, r).real) / n_samples
         trace.append(c)
         if not math.isfinite(c):
             raise NumericalDivergence("training cost became non-finite")
         if c < best_c:
-            best_c, best_w, best_a = c, w.copy(), a.copy()
+            best_c = c
+            best[:] = p
         if c > cbar:
             rising += 1
             if rising >= cfg.safeguard_patience:
-                rate_a *= 0.5
-                rate_w *= 0.5
-                da[:] = 0.0
-                dw[:] = 0.0
-                w, a = best_w.copy(), best_a.copy()
-                A, r = _residual(w, a, y, steps)
+                rates *= 0.5
+                d[:] = 0.0
+                p[:] = best
+                kernel.residual(w, a)
                 c = best_c
                 rising = 0
+                halvings += 1
         else:
             rising = 0
         if c == 0.0:
-            cbar = c
-            converged = True
+            exit_reason = "exact_fit"
             break
         if t > cfg.min_iter and abs(c - cbar) < cfg.eps_tol:
             hits += 1
             if hits >= cfg.consec_hits:
-                cbar = c
-                converged = True
+                exit_reason = "tol"
                 break
         else:
             hits = 0
         cbar = c
 
-    return NetworkState(w, a), CostTrace(np.asarray(trace), iterations, converged)
+    out = NetworkState(w.copy(), a.copy())
+    return out, CostTrace(np.asarray(trace), iterations, halvings, exit_reason)
 
 
 def wrap_frequencies(state: NetworkState) -> NetworkState:

@@ -1,5 +1,8 @@
 """Optimizer: gradients against finite differences, training behavior."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,7 @@ from linespec.optimizer import (
     CostTrace,
     NetworkState,
     TrainConfig,
-    _phase_steps,
-    _residual,
+    _Kernel,
     cost,
     forward,
     grad_alpha,
@@ -103,13 +105,36 @@ def test_training_kernel_matches_direct_design_matrix(n):
     omegas = np.array([-2.5, -0.1, 0.0, 1.3, TWO_PI - 1e-3, TWO_PI + 0.7, 3.0 * TWO_PI + 2.2])
     alphas = rng.standard_normal(omegas.size) + 1j * rng.standard_normal(omegas.size)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    A, r = _residual(omegas, alphas, y, _phase_steps(n))
+    kernel = _Kernel(y, omegas.size)
+    r = kernel.residual(omegas, alphas)
+    A = kernel.A
     D = design_matrix(omegas, n)
     tol = 1e-12 * max(n, 1)
     assert A.shape == (n, omegas.size)
     assert A.flags.c_contiguous
     np.testing.assert_allclose(A, D, rtol=0, atol=tol)
     np.testing.assert_allclose(r, D @ alphas - y, rtol=0, atol=tol)
+
+
+def test_training_allocates_no_per_iteration_design_matrix():
+    # The kernel's buffers hold one N x M product; a temporary of that size
+    # made in each iteration (A.conj(), a fresh A beside the old one) would
+    # lift the traced peak above the bound.
+    n, m = 4096, 8
+    rng = np.random.default_rng(99)
+    freqs = np.sort(rng.uniform(0.0, TWO_PI, m))
+    alphas = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    state = NetworkState(freqs, alphas)
+    cfg = TrainConfig(min_iter=100, max_iter=100)
+    tracemalloc.start()
+    try:
+        _, trace = train_inner(y, state, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations_run == 100
+    assert peak < 2.5 * n * m * 16, f"peak {peak / (n * m * 16):.2f} x N*M*16 bytes"
 
 
 def test_cost_hand_value():
@@ -176,6 +201,183 @@ def test_train_inner_two_iterations_match_hand_steps():
     assert out.omegas[0] == pytest.approx(w, rel=1e-12)
     assert out.alphas[0] == pytest.approx(alpha, rel=1e-12)
     assert trace.mean_costs[-1] == pytest.approx(cost(y, alpha * atom(w, 8)) / 8, rel=1e-12)
+
+
+# Reference: the training loop as it stood before the buffered kernel,
+# verbatim apart from its return value (a tuple in place of CostTrace).
+# The kernel must reproduce its trajectories bit for bit.
+def _ref_phase_steps(n_samples: int):
+    b = math.isqrt(n_samples - 1) + 1
+    return np.concatenate((np.arange(b), np.arange(0, n_samples, b))), b
+
+
+def _ref_residual(omegas: np.ndarray, alphas: np.ndarray, y: np.ndarray, steps):
+    k, b = steps
+    t = np.exp(np.outer(k, 1j * omegas))
+    A = (t[b:, None, :] * t[None, :b, :]).reshape((k.size - b) * b, omegas.size)[: y.size]
+    r = A @ alphas
+    r -= y
+    return A, r
+
+
+def _ref_gradients(A: np.ndarray, r: np.ndarray, alphas: np.ndarray, n: np.ndarray):
+    return A.conj().T @ r, 2.0 * np.imag(alphas * (A.T @ (n * np.conj(-r))))
+
+
+def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
+    y = np.asarray(observed, dtype=np.complex128)
+    n_samples = y.size
+    if cfg is None:
+        cfg = TrainConfig()
+    cfg = cfg.resolve(n_samples)
+    m = state.m_nodes
+
+    n = np.arange(n_samples)
+    steps = _ref_phase_steps(n_samples)
+    w = state.omegas.copy()
+    a = state.alphas.copy()
+    dw = np.zeros(m)
+    da = np.zeros(m, dtype=np.complex128)
+    rate_a = cfg.gamma_alpha
+    rate_w = cfg.gamma_omega
+    lam = cfg.momentum
+
+    A, r = _ref_residual(w, a, y, steps)
+    cbar = float(np.vdot(r, r).real) / n_samples
+    trace = [cbar]
+    best_c, best_w, best_a = cbar, w.copy(), a.copy()
+    rising = 0
+    hits = 0
+    iterations = 0
+    converged = False
+
+    for t in range(1, cfg.max_iter + 1):
+        iterations = t
+        ga, gw = _ref_gradients(A, r, a, n)
+        da = lam * da + (1.0 - lam) * ga
+        dw = lam * dw + (1.0 - lam) * gw
+        a = a - rate_a * da
+        w = w - rate_w * dw
+        A, r = _ref_residual(w, a, y, steps)
+        c = float(np.vdot(r, r).real) / n_samples
+        trace.append(c)
+        if not math.isfinite(c):
+            raise NumericalDivergence("training cost became non-finite")
+        if c < best_c:
+            best_c, best_w, best_a = c, w.copy(), a.copy()
+        if c > cbar:
+            rising += 1
+            if rising >= cfg.safeguard_patience:
+                rate_a *= 0.5
+                rate_w *= 0.5
+                da[:] = 0.0
+                dw[:] = 0.0
+                w, a = best_w.copy(), best_a.copy()
+                A, r = _ref_residual(w, a, y, steps)
+                c = best_c
+                rising = 0
+        else:
+            rising = 0
+        if c == 0.0:
+            cbar = c
+            converged = True
+            break
+        if t > cfg.min_iter and abs(c - cbar) < cfg.eps_tol:
+            hits += 1
+            if hits >= cfg.consec_hits:
+                cbar = c
+                converged = True
+                break
+        else:
+            hits = 0
+        cbar = c
+
+    return w, a, np.asarray(trace), iterations, converged
+
+
+def _noisy_tones(n, omegas, seed):
+    rng = np.random.default_rng(seed)
+    x = design_matrix(omegas, n) @ np.exp(1j * rng.uniform(0, TWO_PI, len(omegas)))
+    return x + 0.3 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+_BIT_PIN_CASES = {
+    # N = 1: a one-row design matrix, and the frequency gradient is zero
+    "n1": (np.array([0.4 - 1.1j]), [0.7], [0.2 + 0.1j], TrainConfig(eps_tol=1e-14)),
+    "m1": (_noisy_tones(24, [1.1], 1), [1.0], [0.8 + 0.1j], TrainConfig(eps_tol=1e-12)),
+    # every step overshoots; the safeguard halves the rates and restores
+    "safeguard": (
+        _noisy_tones(16, [1.0, 2.5], 5),
+        [1.0, 1.1],
+        [10.0, -10.0],
+        TrainConfig(gamma_alpha=1e3, gamma_omega=1e3, max_iter=2000),
+    ),
+    # exp(0) = 1 exactly, so the residual is exactly zero
+    "exact_fit": (np.full(12, 1.5 - 0.25j), [0.0], [1.5 - 0.25j], TrainConfig()),
+    "min_iter_consec_hits": (
+        _noisy_tones(32, [0.9, 1.6, 4.0], 3),
+        [0.85, 1.65, 4.1],
+        [1.0, 1.0j, -1.0],
+        TrainConfig(eps_tol=1e-5, min_iter=30, consec_hits=3),
+    ),
+    "wide": (
+        _noisy_tones(512, np.linspace(0.3, 5.9, 8), 8),
+        np.linspace(0.31, 5.88, 8),
+        np.ones(8, dtype=complex),
+        TrainConfig(eps_tol=1e-9, min_iter=30, consec_hits=3),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BIT_PIN_CASES))
+def test_train_inner_reproduces_the_reference_bit_for_bit(case):
+    y, w0, a0, cfg = _BIT_PIN_CASES[case]
+    state = NetworkState(w0, a0)
+    w_in, a_in = state.omegas.copy(), state.alphas.copy()
+    out, trace = train_inner(y, state, cfg)
+    w_ref, a_ref, costs_ref, iters_ref, conv_ref = _ref_train_inner(y, state, cfg)
+    assert out.omegas.tobytes() == w_ref.tobytes()
+    assert out.alphas.tobytes() == a_ref.tobytes()
+    assert trace.mean_costs.tobytes() == costs_ref.tobytes()
+    assert (trace.iterations_run, trace.converged) == (iters_ref, conv_ref)
+    assert state.omegas.tobytes() == w_in.tobytes()
+    assert state.alphas.tobytes() == a_in.tobytes()
+    assert out.omegas.flags.owndata and out.alphas.flags.owndata
+    if case == "safeguard":
+        assert trace.halvings > 0
+    if case == "exact_fit":
+        assert trace.exit_reason == "exact_fit"
+
+
+_EXIT_CASES = {
+    "tol": (_noisy_tones(24, [1.1], 1), [1.0], [0.8 + 0.1j], TrainConfig(eps_tol=1e-8)),
+    "max_iter": (
+        _noisy_tones(24, [1.1], 1),
+        [1.0],
+        [0.8 + 0.1j],
+        TrainConfig(eps_tol=1e-30, max_iter=40),
+    ),
+    "exact_fit": _BIT_PIN_CASES["exact_fit"],
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_EXIT_CASES))
+def test_exit_reason_names_the_stopping_rule(reason):
+    y, w0, a0, cfg = _EXIT_CASES[reason]
+    _, trace = train_inner(y, NetworkState(w0, a0), cfg)
+    assert trace.exit_reason == reason
+    assert trace.converged == (reason != "max_iter")
+    assert trace.halvings == 0
+    if reason == "max_iter":
+        assert trace.iterations_run == cfg.max_iter
+
+
+def test_oversized_rates_force_a_halving():
+    y, w0, a0, _ = _BIT_PIN_CASES["m1"]
+    cfg = TrainConfig(gamma_alpha=40.0, gamma_omega=40.0, safeguard_patience=5, max_iter=300)
+    _, trace = train_inner(y, NetworkState(w0, a0), cfg)
+    assert trace.halvings >= 1
+    assert np.all(np.isfinite(trace.mean_costs))
 
 
 def test_training_recovers_clean_offgrid_tone():

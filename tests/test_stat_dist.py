@@ -10,6 +10,7 @@ prune statistic. Closed forms used below:
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -161,6 +162,62 @@ def test_noncentral_f_cdf_against_scipy():
                 sf = scipy.stats.ncf.sf(x, 2, d2, nc)
                 assert noncentral_f_cdf(x, params) == pytest.approx(cdf, rel=1e-8, abs=1e-12)
                 assert noncentral_f_sf(x, params) == pytest.approx(sf, rel=1e-8, abs=1e-12)
+
+
+def _series_from_zero_sf(x, d2, nc):
+    """The noncentral tail summed from k = 0, as the library once did: the
+    reference the mode-outward sum must stay within 1e-8 of on the grid."""
+    b = d2 / 2.0
+    log_1mu = -math.log1p(2.0 * x / d2)
+    half = nc / 2.0
+    log_u = -math.log1p(d2 / (2.0 * x))
+    u = math.exp(log_u)
+    log_half = math.log(half)
+    nb = cdf_j = total = sf = 0.0
+    for k in range(int(half + 60.0 * math.sqrt(half + 1.0) + 200.0) + 1):
+        log_k_fact = math.lgamma(k + 1.0)
+        if nb < 1e-280:
+            log_nb = math.lgamma(b + k) - math.lgamma(b) - log_k_fact + k * log_u
+            nb = math.exp(b * log_1mu + log_nb)
+        else:
+            nb *= (b + k - 1.0) * u / k
+        cdf_j += nb
+        w = math.exp(k * log_half - half - log_k_fact)
+        sf += w * cdf_j
+        total += w
+        if 1.0 - total < 1e-12:
+            break
+    return min(1.0, sf / total)
+
+
+def test_noncentral_f_sf_matches_the_series_from_zero():
+    for d2 in (2, 30, 62, 1022, 8190):
+        for nc in (0.1, 1.0, 64.0, 640.0, 5000.0):
+            for x in (0.05, 0.5, 2.0, 10.0, 40.0, 300.0, 2500.0):
+                ref = _series_from_zero_sf(x, d2, nc)
+                got = noncentral_f_sf(x, FParams(2, d2, noncentrality=nc))
+                assert got == pytest.approx(ref, rel=1e-8, abs=1e-12), (d2, nc, x)
+
+
+def test_noncentral_f_sf_at_large_noncentrality_is_fast_and_accurate():
+    # lambda = 1e6: the sum from k = 0 takes about 5e5 terms (0.3-0.6 s);
+    # from the mode it takes about 2e4, 10-20 ms on a 2-CPU host.
+    budget = 0.15
+    for d2, x in ((8176, 13.84), (8190, 4.9e5), (8190, 5.0e5), (62, 5.0e5), (2, 1.0)):
+        params = FParams(2, d2, noncentrality=1e6)
+        t0 = time.perf_counter()
+        got = noncentral_f_sf(x, params)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < budget, (d2, x, elapsed)
+        ref = scipy.stats.ncf.sf(x, 2, d2, 1e6)
+        assert got == pytest.approx(ref, rel=1e-8, abs=1e-12), (d2, x)
+
+
+def test_noncentral_f_sf_needs_even_d2():
+    with pytest.raises(DomainError):
+        noncentral_f_sf(1.0, FParams(2, 31, noncentrality=4.0))
+    # the central tail is a closed form for any d2
+    assert noncentral_f_sf(1.0, FParams(2, 31)) == pytest.approx(1 - f_cdf(1.0, FParams(2, 31)))
 
 
 def test_noncentral_f_cdf_zero_noncentrality_reduces_to_central():
