@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidDimension
 from .optimizer import NetworkState
 from .order_control import OrderConfig, merge_radius, prune_statistics, prune_threshold
-from .signal_model import TWO_PI, Sinusoid, as_samples, design_matrix, ls_amplitudes
+from .signal_model import TWO_PI, Sinusoid, as_samples, design_matrix, ls_amplitudes, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def initialize(observed, cfg: InitConfig | None = None, order: OrderConfig | Non
         partial = residual + A[:, i] * alphas[i]
         omegas.extend(pair)
         amps.extend(ls_amplitudes(pair, partial))
-    omegas = np.mod(np.array(omegas), TWO_PI)
+    omegas = wrap_angle(np.array(omegas))
     idx = np.argsort(omegas, kind="stable")
     return NetworkState(omegas[idx], np.array(amps)[idx])
 

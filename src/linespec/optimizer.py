@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidDimension, NumericalDivergence
-from .signal_model import TWO_PI, as_samples
+from .signal_model import as_samples
 
 _DEFAULT_RATE_NUMERATOR = 0.5
 
@@ -40,9 +40,9 @@ class NetworkState:
         a = np.atleast_1d(np.asarray(self.alphas, dtype=np.complex128))
         if w.size != a.size:
             raise InvalidDimension("state vectors must share one length")
-        if w.size and not np.all(np.isfinite(w)):
+        if not np.all(np.isfinite(w)):
             raise NumericalDivergence("state contains non-finite frequencies")
-        if a.size and not np.all(np.isfinite(a.view(float))):
+        if not np.all(np.isfinite(a)):
             raise NumericalDivergence("state contains non-finite amplitudes")
         object.__setattr__(self, "omegas", w)
         object.__setattr__(self, "alphas", a)
@@ -313,8 +313,3 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
 
     out = NetworkState(w.copy(), a.copy())
     return out, CostTrace(np.asarray(trace), iterations, halvings, exit_reason)
-
-
-def wrap_frequencies(state: NetworkState) -> NetworkState:
-    """Wrap every frequency into [0, 2*pi); amplitudes unchanged."""
-    return NetworkState(np.mod(state.omegas, TWO_PI), state.alphas)

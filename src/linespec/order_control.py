@@ -25,7 +25,7 @@ from .errors import (
     SingularInformation,
 )
 from .optimizer import NetworkState, cost, sum_n_squared
-from .signal_model import TWO_PI, as_samples, design_matrix, ls_amplitudes
+from .signal_model import TWO_PI, as_samples, design_matrix, ls_amplitudes, wrap_angle
 from .stat_dist import FParams, f2_upper_quantile, noncentral_f_sf, std_normal_inv_cdf
 
 
@@ -33,21 +33,19 @@ from .stat_dist import FParams, f2_upper_quantile, noncentral_f_sf, std_normal_i
 class OrderConfig:
     """Hypothesis-test parameters for merging and pruning.
 
-    ``delta_omega_min`` is the frequency difference below which two nodes
-    are considered one component (0 keeps the decision purely statistical).
     ``epsilon_f`` is the significance of the merge test and ``epsilon_a``
-    the false-alarm rate of the prune test.
+    the false-alarm rate of the prune test. ``epsilon_f`` must lie below
+    0.5: from there on the merge bound is not positive and no gap fuses.
     """
 
-    delta_omega_min: float = 0.0
     epsilon_f: float = 1e-6
     epsilon_a: float = 1e-6
 
     def __post_init__(self):
-        if self.delta_omega_min < 0:
-            raise InvalidDimension("delta_omega_min must be nonnegative")
-        if not (0.0 < self.epsilon_f < 1.0 and 0.0 < self.epsilon_a < 1.0):
-            raise InvalidDimension("test levels must lie in (0, 1)")
+        if not 0.0 < self.epsilon_f < 0.5:
+            raise InvalidDimension("epsilon_f must lie in (0, 0.5)")
+        if not 0.0 < self.epsilon_a < 1.0:
+            raise InvalidDimension("epsilon_a must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -131,32 +129,32 @@ def crb_pair(
 def merge_test(omega_lo: float, omega_hi: float, crb_delta: float, cfg: OrderConfig) -> bool:
     """True when the gap is too small to be a resolvable pair.
 
-    The pair merges when omega_hi - omega_lo < delta_omega_min
-    - sqrt(crb_delta) * Phi^{-1}(epsilon_f); the quantile is negative for
-    small epsilon_f, so the bound grows with the CRB.
+    The pair merges when omega_hi - omega_lo < -sqrt(crb_delta) *
+    Phi^{-1}(epsilon_f); the quantile is negative for epsilon_f < 0.5, so
+    the bound grows with the CRB.
     """
-    bound = cfg.delta_omega_min - math.sqrt(crb_delta) * std_normal_inv_cdf(cfg.epsilon_f)
+    bound = -math.sqrt(crb_delta) * std_normal_inv_cdf(cfg.epsilon_f)
     return (omega_hi - omega_lo) < bound
 
 
-def _crb_delta_or_none(alpha_i, alpha_j, omega_i, omega_j, sigma2, n_samples):
+def _fuses(alpha_i, alpha_j, omega_i, omega_j, sigma2, n_samples, cfg: OrderConfig) -> bool:
+    """merge_test on crb_pair's bound; a singular bound means one node and fuses."""
     try:
-        return crb_pair(alpha_i, alpha_j, omega_i, omega_j, sigma2, n_samples).crb_delta
+        crb_delta = crb_pair(alpha_i, alpha_j, omega_i, omega_j, sigma2, n_samples).crb_delta
     except SingularInformation:
-        return None
+        return True
+    return merge_test(omega_i, omega_j, crb_delta, cfg)
 
 
 def merge_radius(alpha: complex, sigma2: float, n_samples: int, cfg: OrderConfig, limit: float) -> float:
     """Largest spacing, up to ``limit``, at which merge_test fuses alpha split in two.
 
     The pair is two nodes with amplitude alpha / 2 each; the spacing is
-    found by bisection of merge_test over crb_pair. A singular bound (zero
-    amplitude or noise) counts as fused, as in apply_merges.
+    found by bisection of the merge decision apply_merges takes (_fuses).
     """
 
     def fuses(gap: float) -> bool:
-        cd = _crb_delta_or_none(alpha / 2, alpha / 2, 0.0, gap, sigma2, n_samples)
-        return cd is None or merge_test(0.0, gap, cd, cfg)
+        return _fuses(alpha / 2, alpha / 2, 0.0, gap, sigma2, n_samples, cfg)
 
     if fuses(limit):
         return limit
@@ -171,57 +169,48 @@ def merge_radius(alpha: complex, sigma2: float, n_samples: int, cfg: OrderConfig
 
 
 def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
-    """Merge statistically indistinguishable adjacent nodes.
+    """Merge statistically indistinguishable neighbor nodes, then refit them.
 
-    Nodes are sorted by frequency (wrapped into [0, 2*pi)) and adjacent
-    pairs are tested left to right with the current amplitude estimates and
-    the residual noise estimate; a merged node is immediately eligible for
-    further merging with its next neighbor. The wrap-around pair (last,
-    first + 2*pi) is tested once at the end. A singular pair bound means the
-    nodes are already indistinguishable and forces the merge. Each merge
-    averages the frequencies and sums the amplitudes. Returns (new state,
-    list of MergeEvent).
+    Nodes are wrapped into [0, 2*pi) and sorted. One circular walk tests
+    each node i against its next neighbor j = (i + 1) mod M, shifted by
+    2*pi for the wrap-around pair (last, first), with the current amplitudes
+    and the residual noise estimate (see _fuses; a singular pair bound
+    means the nodes are already indistinguishable and forces the merge). A
+    fused pair becomes one node at the midpoint with the summed amplitude,
+    which is tested again against its next neighbor; the wrap-around pair
+    ends the walk. Every fused node then gets least-squares amplitudes
+    (refit_amplitudes), so the result is a fitted model, wrapped and sorted;
+    a state of fewer than two nodes is returned as it is. Returns (new
+    state, list of MergeEvent).
     """
     y = as_samples(observed)
     n_samples = y.size
-    m = state.m_nodes
-    if m <= 1:
+    if state.m_nodes <= 1:
         return state, []
-    w = np.mod(state.omegas, TWO_PI)
+    w = wrap_angle(state.omegas)
     order = np.argsort(w, kind="stable")
-    w = w[order]
-    a = state.alphas[order]
+    w, a = w[order], state.alphas[order]
     sigma2 = estimate_noise_var(y, design_matrix(w, n_samples) @ a)
 
-    ws, am = list(w), list(a)
+    ws, am, fused = list(w), list(a), [False] * w.size
     events: list[MergeEvent] = []
     i = 0
-    while i + 1 < len(ws):
-        wi, wj = ws[i], ws[i + 1]
-        cd = _crb_delta_or_none(am[i], am[i + 1], wi, wj, sigma2, n_samples)
-        if cd is None or merge_test(wi, wj, cd, cfg):
-            merged = 0.5 * (wi + wj)
-            events.append(MergeEvent(wi, wj, merged))
-            ws[i] = merged
-            am[i] = am[i] + am[i + 1]
-            del ws[i + 1], am[i + 1]
-        else:
+    while len(ws) > 1 and i < len(ws):
+        j = (i + 1) % len(ws)
+        shift = TWO_PI if j == 0 else 0.0
+        if not _fuses(am[i], am[j], ws[i], ws[j] + shift, sigma2, n_samples, cfg):
             i += 1
-    if len(ws) >= 2:
-        wi, wj = ws[-1], ws[0]
-        cd = _crb_delta_or_none(am[-1], am[0], wi, wj + TWO_PI, sigma2, n_samples)
-        if cd is None or merge_test(wi, wj + TWO_PI, cd, cfg):
-            merged = float(np.mod(0.5 * (wi + wj + TWO_PI), TWO_PI))
-            events.append(MergeEvent(wi, wj, merged))
-            am[0] = am[-1] + am[0]
-            ws[0] = merged
-            del ws[-1], am[-1]
-    if not events:
-        return NetworkState(w, a), []
+            continue
+        merged = wrap_angle(0.5 * (ws[i] + ws[j] + shift))
+        events.append(MergeEvent(ws[i], ws[j], merged))
+        ws[i], am[i], fused[i] = merged, am[i] + am[j], True
+        del ws[j], am[j], fused[j]
+        if j == 0:
+            break
     w = np.array(ws)
-    a = np.array(am, dtype=np.complex128)
     order = np.argsort(w, kind="stable")
-    return NetworkState(w[order], a[order]), events
+    merged_state = NetworkState(w[order], np.array(am, dtype=np.complex128)[order])
+    return refit_amplitudes(merged_state, y, np.array(fused)[order]), events
 
 
 def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
@@ -229,10 +218,10 @@ def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
 
     ``nodes`` is a boolean mask. The selected amplitudes are fitted jointly
     to the data minus the unselected nodes' contribution; frequencies are
-    unchanged. apply_merges leaves a merged node at the midpoint with the
-    summed amplitudes, which no fit produced; refitting it before
-    apply_prunes keeps the residual, and so every node's statistic, that of
-    a fitted model.
+    unchanged. apply_merges calls it on the nodes it fused: a merged node
+    sits at the midpoint with the summed amplitudes, which no fit produced,
+    and refitting it before apply_prunes keeps the residual, and so every
+    node's statistic, that of a fitted model.
     """
     y = as_samples(observed)
     sel = np.asarray(nodes, dtype=bool)

@@ -1,9 +1,9 @@
 """End-to-end spectral estimation: init, train, merge, prune, repeat.
 
 The outer loop alternates inner gradient training with one merge pass and
-one prune pass until the structure stops changing. Merged nodes get
-least-squares amplitudes before the prune pass, so pruning always judges a
-fitted model. The inner tolerance is annealed across outer passes: early
+one prune pass until the structure stops changing. The merge pass refits
+the nodes it fuses by least squares, so pruning always judges a fitted
+model. The inner tolerance is annealed across outer passes: early
 passes stop training coarsely so that redundant nodes are merged or pruned
 while they are cheap to remove, and later passes tighten the tolerance
 down to a floor so the surviving nodes converge to full precision. The loop exits only when a floor-tolerance pass
@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidDimension, NumericalDivergence, Overdetermined
 from .fft_init import InitConfig, initialize
-from .optimizer import (
-    NetworkState,
-    TrainConfig,
-    forward,
-    train_inner,
-    wrap_frequencies,
-)
+from .optimizer import NetworkState, TrainConfig, forward, train_inner
 from .order_control import (
     MergeEvent,
     OrderConfig,
@@ -32,9 +26,8 @@ from .order_control import (
     apply_merges,
     apply_prunes,
     estimate_noise_var,
-    refit_amplitudes,
 )
-from .signal_model import TWO_PI, Sinusoid, as_samples, ls_amplitudes
+from .signal_model import Sinusoid, as_samples, ls_amplitudes, wrap_angle
 
 
 def _default_train() -> TrainConfig:
@@ -89,23 +82,10 @@ class RunReport:
         return len(self.estimates)
 
 
-def _finalize_state(state: NetworkState) -> list[Sinusoid]:
-    """Wrap, sort, and deduplicate the surviving nodes into estimates."""
-    state = wrap_frequencies(state)
-    order = np.argsort(state.omegas, kind="stable")
-    omegas = state.omegas[order]
-    alphas = state.alphas[order]
-    out: list[Sinusoid] = []
-    for w, a in zip(omegas, alphas):
-        if out and w == out[-1].omega:
-            out[-1] = Sinusoid(out[-1].amplitude + a, w)
-        else:
-            out.append(Sinusoid(a, float(w)))
-    return out
-
-
 def _build_report(y, state, outer, traces, merge_events, prune_events) -> RunReport:
-    estimates = _finalize_state(state)
+    # A pass leaves its state wrapped and sorted, but for a lone node, which
+    # apply_merges passes through as trained; Sinusoid wraps that one.
+    estimates = [Sinusoid(a, w) for w, a in zip(state.omegas, state.alphas)]
     final = NetworkState([s.omega for s in estimates], [s.amplitude for s in estimates])
     sigma2 = estimate_noise_var(y, forward(final, y.size))
     trace = np.concatenate(traces) if traces else np.zeros(0)
@@ -128,9 +108,6 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
         traces.append(trace.mean_costs)
         state, merged = apply_merges(state, y, cfg.order)
         merge_events.extend((outer, e) for e in merged)
-        if merged:
-            fused = np.isin(state.omegas, [e.omega_merged for e in merged])
-            state = refit_amplitudes(state, y, fused)
         state, prune_report = apply_prunes(state, y, cfg.order)
         pruned = not bool(np.all(prune_report.keep_mask))
         if pruned:
@@ -174,5 +151,5 @@ def estimate_with_fixed_order(observed, omegas0, cfg: EstimatorConfig | None = N
         raise DegenerateInput("initial frequencies must be finite")
     if w0.size > y.size:
         raise Overdetermined(f"{w0.size} initial frequencies exceed {y.size} samples")
-    w0 = np.sort(np.mod(w0, TWO_PI))
+    w0 = np.sort(wrap_angle(w0))
     return _run_outer(y, NetworkState(w0, ls_amplitudes(w0, y)), cfg)

@@ -19,14 +19,16 @@ from .errors import DegenerateInput, InvalidDimension
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(omega: float) -> float:
-    """Map an angular frequency to the canonical interval [0, 2*pi).
+def wrap_angle(omega):
+    """Map angular frequencies, elementwise, to the canonical interval [0, 2*pi).
 
-    Tiny negative inputs round up to exactly 2*pi under fmod; those fold
-    back to 0 so the half-open interval contract holds for every input.
+    Tiny negative inputs round up to exactly 2*pi under np.mod; those fold
+    back to 0 so the half-open interval contract holds for every input. A
+    scalar gives a float, an array an array.
     """
-    wrapped = float(np.mod(omega, TWO_PI))
-    return 0.0 if wrapped >= TWO_PI else wrapped
+    wrapped = np.mod(omega, TWO_PI)
+    wrapped = np.where(wrapped < TWO_PI, wrapped, 0.0)
+    return float(wrapped) if wrapped.ndim == 0 else wrapped
 
 
 @dataclass(frozen=True)

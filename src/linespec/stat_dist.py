@@ -1,10 +1,11 @@
-"""Distribution functions for the model-order tests, built on ``math`` alone.
+"""Distribution functions for the model-order tests, on the standard library.
 
 The standard normal CDF and quantile, and the F distribution with d1 = 2,
 the law of the prune statistic (a complex amplitude carries two real degrees
-of freedom). Its central CDF and quantile are closed forms; its noncentral
+of freedom). The normal quantile is ``statistics.NormalDist``'s. The F
+distribution's central CDF and quantile are closed forms; its noncentral
 tail is a Poisson mixture summed outward from the Poisson mode. No
-statistics package is used, so thresholds are bit-stable across
+third-party statistics package is used, so thresholds are bit-stable across
 environments.
 """
 
@@ -12,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 from .errors import DomainError
 
 _NC_TAIL = 1e-16
 _NB_FLOOR = 1e-280
+_STD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -36,74 +39,16 @@ class FParams:
             raise DomainError("noncentrality must be nonnegative and finite")
 
 
-# Rational approximation coefficients for the normal quantile (relative error
-# below 1.15e-9 everywhere), refined to near machine precision with one
-# Halley step against the erfc-based CDF.
-_NQ_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_NQ_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_NQ_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_NQ_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def std_normal_inv_cdf(p: float) -> float:
-    """Quantile of the standard normal distribution, |error| < 1e-10."""
+    """Quantile of the standard normal distribution (Wichura's AS241, via statistics)."""
     if not (0.0 < p < 1.0):
         raise DomainError("normal quantile requires p in (0, 1)")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q + _NQ_C[4]) * q
-            + _NQ_C[5]
-        ) / ((((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q + 1.0)
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((_NQ_A[0] * r + _NQ_A[1]) * r + _NQ_A[2]) * r + _NQ_A[3]) * r + _NQ_A[4]) * r + _NQ_A[5])
-            * q
-            / (((((_NQ_B[0] * r + _NQ_B[1]) * r + _NQ_B[2]) * r + _NQ_B[3]) * r + _NQ_B[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(
-            ((((_NQ_C[0] * q + _NQ_C[1]) * q + _NQ_C[2]) * q + _NQ_C[3]) * q + _NQ_C[4]) * q
-            + _NQ_C[5]
-        ) / ((((_NQ_D[0] * q + _NQ_D[1]) * q + _NQ_D[2]) * q + _NQ_D[3]) * q + 1.0)
-    # One Halley refinement against the exact CDF.
-    err = std_normal_cdf(x) - p
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def f2_upper_quantile(log_tail: float, d2: float) -> float:

@@ -192,6 +192,12 @@ def test_estimate_eps_above_the_schedule_start_exits_2(tmp_path, capsys):
     assert "eps_floor" in capsys.readouterr().err
 
 
+def test_estimate_epsf_at_which_nothing_merges_exits_2(tmp_path, capsys):
+    path = _write_csv(tmp_path / "ones.csv", [(i, 1.0, 0.0) for i in range(16)])
+    assert main(["estimate", "--in", path, "--epsf", "0.5"]) == 2
+    assert "epsilon_f" in capsys.readouterr().err
+
+
 def test_estimate_without_metadata_has_null_seed(tmp_path, capsys):
     import numpy as np
 

@@ -17,7 +17,6 @@ from linespec.optimizer import (
     grad_alpha,
     grad_omega,
     train_inner,
-    wrap_frequencies,
 )
 from linespec.signal_model import TWO_PI, atom, design_matrix
 
@@ -151,6 +150,14 @@ def test_network_state_validation():
         NetworkState([np.nan], [1.0])
     with pytest.raises(NumericalDivergence):
         NetworkState([1.0], [complex("inf")])
+    with pytest.raises(NumericalDivergence):
+        NetworkState([1.0, 2.0], np.array([1.0, 2.0, complex(3.0, np.nan), 4.0])[::2])
+
+
+def test_network_state_accepts_strided_amplitudes():
+    alphas = (np.arange(8) + 1j)[::2]
+    state = NetworkState(np.linspace(0.1, 1, 4), alphas)
+    np.testing.assert_array_equal(state.alphas, alphas)
 
 
 def test_train_config_validation():
@@ -475,11 +482,3 @@ def test_safeguard_keeps_moderately_excessive_rates_finite():
     assert np.all(np.isfinite(out.omegas))
     assert np.all(np.isfinite(out.alphas.view(float)))
     assert np.all(np.isfinite(trace.mean_costs))
-
-
-def test_wrap_frequencies_preserves_order_of_magnitude():
-    state = NetworkState([TWO_PI + 0.3, -0.2], [1.0, 2.0])
-    wrapped = wrap_frequencies(state)
-    assert wrapped.omegas[0] == pytest.approx(0.3, rel=1e-12)
-    assert wrapped.omegas[1] == pytest.approx(TWO_PI - 0.2, rel=1e-12)
-    np.testing.assert_array_equal(wrapped.alphas, state.alphas)

@@ -135,13 +135,6 @@ def test_merge_test_against_normal_quantile_oracle():
     assert not merge_test(1.0, 1.0 + 1.001 * bound, crb_delta, cfg)
 
 
-def test_merge_test_floor_spacing():
-    cfg = OrderConfig(delta_omega_min=0.1, epsilon_f=1e-6)
-    tiny_crb = 1e-20
-    assert merge_test(1.0, 1.05, tiny_crb, cfg)
-    assert not merge_test(1.0, 1.15, tiny_crb, cfg)
-
-
 def test_estimate_noise_var_hand_value():
     y = np.array([1.0 + 0j, 2.0j])
     model = np.zeros(2, dtype=complex)
@@ -152,15 +145,35 @@ def test_estimate_noise_var_hand_value():
 
 def test_order_config_validation():
     with pytest.raises(InvalidDimension):
-        OrderConfig(delta_omega_min=-0.1)
-    with pytest.raises(InvalidDimension):
         OrderConfig(epsilon_f=0.0)
     with pytest.raises(InvalidDimension):
         OrderConfig(epsilon_a=1.0)
+    # From 0.5 on, Phi^{-1}(epsilon_f) >= 0 and the merge bound is not
+    # positive: not even a zero gap would fuse.
+    for eps_f in (0.5, 0.7):
+        with pytest.raises(InvalidDimension):
+            OrderConfig(epsilon_f=eps_f)
+
+
+def test_merge_test_fuses_a_zero_gap_at_every_valid_level():
+    for eps_f in (1e-12, 1e-6, 0.1, 0.499):
+        assert merge_test(1.0, 1.0, 1e-4, OrderConfig(epsilon_f=eps_f))
 
 
 # ---------------------------------------------------------------------------
 # apply_merges
+
+
+def _assert_refit_on_fused(merged, y, fused):
+    """The fused nodes carry refit_amplitudes of the midpoint state; the rest are kept.
+
+    Zeroing the fused amplitudes first keeps the expectation independent
+    of what the stage returned for them.
+    """
+    midpoint = NetworkState(merged.omegas, np.where(fused, 0.0, merged.alphas))
+    want = refit_amplitudes(midpoint, y, np.array(fused))
+    np.testing.assert_array_equal(merged.omegas, want.omegas)
+    np.testing.assert_allclose(merged.alphas, want.alphas, rtol=1e-12)
 
 
 def test_apply_merges_close_pair_merges_far_node_survives():
@@ -180,8 +193,7 @@ def test_apply_merges_close_pair_merges_far_node_survives():
     assert ev.omega_high == pytest.approx(w0 + 1e-4, rel=1e-15)
     assert ev.omega_merged == pytest.approx(w0 + 5e-5, rel=1e-12)
     assert merged.omegas[0] == pytest.approx(ev.omega_merged)
-    assert merged.alphas[0] == pytest.approx(2.0 + 0j)
-    assert merged.alphas[1] == pytest.approx(2.0j)
+    _assert_refit_on_fused(merged, y, [True, False])
 
 
 def test_apply_merges_wraparound_pair():
@@ -199,7 +211,7 @@ def test_apply_merges_wraparound_pair():
     assert ev.omega_high == pytest.approx(0.03)
     assert ev.omega_merged == pytest.approx(0.01, abs=1e-12)
     assert merged.omegas[0] == pytest.approx(0.01, abs=1e-12)
-    assert merged.alphas[0] == pytest.approx(2.0 + 0j)
+    _assert_refit_on_fused(merged, y, [True])
 
 
 def test_apply_merges_chain_collapses_cluster():
@@ -213,7 +225,7 @@ def test_apply_merges_chain_collapses_cluster():
     merged, events = apply_merges(st0, y, OrderConfig())
     assert merged.m_nodes == 1
     assert len(events) == 2
-    assert merged.alphas[0] == pytest.approx(3.0 + 0j)
+    _assert_refit_on_fused(merged, y, [True])
 
 
 def test_apply_merges_coincident_pair_is_forced():
@@ -239,6 +251,17 @@ def test_apply_merges_separated_nodes_untouched_but_sorted():
     assert events == []
     np.testing.assert_allclose(out.omegas, [TWO_PI * 0.2, TWO_PI * 0.7])
     np.testing.assert_allclose(out.alphas, [2.0, 1.0])
+
+
+def test_apply_merges_returns_frequencies_inside_the_interval():
+    # np.mod(-1e-300, 2*pi) is exactly 2*pi; the stage must fold it to 0.
+    n = 32
+    st0 = NetworkState([-1e-300, 3.0], [1.0, 1.0])
+    y = design_matrix(st0.omegas, n) @ st0.alphas + 0.01 * _unit_noise(n, 11)
+    out, events = apply_merges(st0, y, OrderConfig())
+    assert events == []
+    assert np.all((out.omegas >= 0.0) & (out.omegas < TWO_PI))
+    np.testing.assert_array_equal(out.omegas, [0.0, 3.0])
 
 
 def test_apply_merges_single_node_noop():

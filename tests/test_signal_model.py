@@ -72,6 +72,18 @@ def test_wrap_angle_lands_in_fundamental_interval(w):
     assert math.isclose(math.sin(wrapped), math.sin(w), abs_tol=1e-6)
 
 
+def test_wrap_angle_wraps_arrays_elementwise_and_folds_two_pi():
+    # -1e-300 rounds up to exactly 2*pi under np.mod; it must fold to 0.
+    wrapped = wrap_angle(np.array([TWO_PI + 0.3, -0.2, -1e-300, 1.0]))
+    assert isinstance(wrapped, np.ndarray)
+    assert wrapped[0] == pytest.approx(0.3, rel=1e-12)
+    assert wrapped[1] == pytest.approx(TWO_PI - 0.2, rel=1e-12)
+    assert wrapped[2] == 0.0
+    assert wrapped[3] == 1.0
+    assert type(wrap_angle(-1e-300)) is float
+    assert wrap_angle(-1e-300) == 0.0
+
+
 def test_sinusoid_wraps_frequency_and_exposes_normalized():
     s = Sinusoid(1.0 + 2.0j, TWO_PI + 0.5)
     assert math.isclose(s.omega, 0.5, rel_tol=1e-12)
