@@ -26,6 +26,7 @@ from .pipeline import EstimatorConfig, RunReport, estimate_spectrum
 from .signal_model import TWO_PI, NoiseSpec, Sinusoid, noise_var_for_snr, synthesize
 
 _CONFIG_PREFIX = "# config "
+_DEFAULTS = EstimatorConfig()
 
 
 def _fail(message: str, code: int) -> int:
@@ -37,6 +38,13 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
 
 
@@ -126,25 +134,15 @@ def _read_signal_csv(path: str):
 
 
 def _report_dict(report: RunReport, cfg: EstimatorConfig, seed) -> dict:
-    events = []
-    for p, ev in report.merge_events:
-        events.append(
-            {
-                "pass": p,
-                "kind": "merge",
-                "omega_low": ev.omega_low,
-                "omega_high": ev.omega_high,
-                "omega_merged": ev.omega_merged,
-            }
-        )
+    events = [{"pass": p, "kind": "merge", **asdict(ev)} for p, ev in report.merge_events]
     for p, pr in report.prune_events:
         events.append(
             {
                 "pass": p,
                 "kind": "prune",
                 "threshold": pr.threshold,
-                "xi": [float(x) for x in pr.xi],
-                "keep_mask": [bool(k) for k in pr.keep_mask],
+                "xi": pr.xi,
+                "keep_mask": pr.keep_mask,
             }
         )
     events.sort(key=lambda e: (e["pass"], e["kind"] != "merge"))
@@ -161,9 +159,9 @@ def _report_dict(report: RunReport, cfg: EstimatorConfig, seed) -> dict:
         "sigma2_hat": report.sigma2_hat,
         "k_hat": report.k_hat,
         "outer_iterations": report.outer_iterations,
-        "cost_trace": [float(c) for c in report.cost_trace],
+        "cost_trace": report.cost_trace,
         "events": events,
-        "config": asdict(cfg),
+        "config": cfg,
         "seed": seed,
     }
 
@@ -171,9 +169,7 @@ def _report_dict(report: RunReport, cfg: EstimatorConfig, seed) -> dict:
 def _write_report(path: str, payload: dict) -> bool:
     """Write the JSON report; on an unopenable path print an error and return False."""
     try:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        experiments.write_json(path, payload)
     except OSError as exc:
         _fail(f"cannot write report: {exc}", 2)
         return False
@@ -185,19 +181,18 @@ def cmd_estimate(args) -> int:
         y, meta = _read_signal_csv(args.infile)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(f"cannot read signal: {exc}", 2)
-    base = EstimatorConfig()
     try:
         cfg = replace(
-            base,
-            init=replace(base.init, l_factor=args.l_factor),
+            _DEFAULTS,
+            init=replace(_DEFAULTS.init, l_factor=args.l_factor),
             train=replace(
-                base.train,
+                _DEFAULTS.train,
                 gamma_alpha=args.gamma_alpha,
                 gamma_omega=args.gamma_omega,
                 momentum=args.momentum,
                 max_iter=args.max_iter,
             ),
-            order=replace(base.order, epsilon_f=args.epsf, epsilon_a=args.epsa),
+            order=replace(_DEFAULTS.order, epsilon_f=args.epsf, epsilon_a=args.epsa),
             eps_floor=args.eps,
         )
     except LineSpecError as exc:
@@ -267,59 +262,35 @@ _MSE_TRUTH = [
 ]
 
 
+def _spec(truth: list[Sinusoid], snr_db: float, trials: int, seed: int):
+    return experiments.TrialSpec(truth, n_samples=32, snr_db=snr_db, trials=trials, base_seed=seed)
+
+
+_EPS_A_GRID = [1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.1]
+
+# name: (default trials, default base seed, runner(trials, base_seed)).
+# --full multiplies every default trial count by 5.
+_STUDIES = {
+    "mse": (200, 7000, lambda t, s: experiments.mc_mse(
+        _spec(_MSE_TRUTH, 20.0, t, s), snr_grid=[0.0, 10.0, 20.0, 30.0])),
+    "roc-merge": (50, 8200, lambda t, s: experiments.mc_roc_merge(
+        _spec([], 20.0, t, s), [1e-8, 1e-6, 1e-4, 1e-2, 1e-1])),
+    "roc-prune": (2000, 4600, lambda t, s: experiments.mc_roc_prune(
+        _spec([], 0.0, t, s), _EPS_A_GRID, scenario="one-node")),
+    "roc-prune-weak": (2000, 4600, lambda t, s: experiments.mc_roc_prune(
+        _spec([], 0.0, t, s), _EPS_A_GRID, scenario="two-node-weak")),
+    "order": (200, 5000, lambda t, s: experiments.mc_order(
+        n_samples=32, snr_db=10.0, trials=t, base_seed=s)),
+    "converge": (20, 3000, lambda t, s: experiments.convergence_trace(
+        _spec(_MSE_TRUTH, 10.0, t, s), [0.5, 1.0, 2.0], [0.0, 0.5, 0.9])),
+    "cluster": (20, 9000, lambda t, s: experiments.mc_cluster(trials=t, base_seed=s)),
+}
+
+
 def _run_experiment(name: str, trials: int | None, seed: int | None, full: bool):
-    scale = 5 if full else 1
-    if name == "mse":
-        spec = experiments.TrialSpec(
-            truth=_MSE_TRUTH,
-            n_samples=32,
-            snr_db=20.0,
-            trials=trials or 200 * scale,
-            base_seed=7000 if seed is None else seed,
-        )
-        return experiments.mc_mse(spec, snr_grid=[0.0, 10.0, 20.0, 30.0])
-    if name == "roc-merge":
-        spec = experiments.TrialSpec(
-            truth=[],
-            n_samples=32,
-            snr_db=20.0,
-            trials=trials or 50 * scale,
-            base_seed=8200 if seed is None else seed,
-        )
-        return experiments.mc_roc_merge(spec, [1e-8, 1e-6, 1e-4, 1e-2, 1e-1])
-    if name in ("roc-prune", "roc-prune-weak"):
-        scenario = "one-node" if name == "roc-prune" else "two-node-weak"
-        spec = experiments.TrialSpec(
-            truth=[],
-            n_samples=32,
-            snr_db=0.0,
-            trials=trials or 2000 * scale,
-            base_seed=4600 if seed is None else seed,
-        )
-        return experiments.mc_roc_prune(
-            spec, [1e-6, 1e-4, 1e-3, 1e-2, 0.05, 0.1], scenario=scenario
-        )
-    if name == "order":
-        return experiments.mc_order(
-            n_samples=32,
-            snr_db=10.0,
-            trials=trials or 200 * scale,
-            base_seed=5000 if seed is None else seed,
-        )
-    if name == "converge":
-        spec = experiments.TrialSpec(
-            truth=_MSE_TRUTH,
-            n_samples=32,
-            snr_db=10.0,
-            trials=trials or 20 * scale,
-            base_seed=3000 if seed is None else seed,
-        )
-        return experiments.convergence_trace(spec, [0.5, 1.0, 2.0], [0.0, 0.5, 0.9])
-    if name == "cluster":
-        return experiments.mc_cluster(
-            trials=trials or 20, base_seed=9000 if seed is None else seed
-        )
-    raise ValueError(f"unknown experiment {name!r}")
+    default_trials, default_seed, run = _STUDIES[name]
+    trials = trials or default_trials * (5 if full else 1)
+    return run(trials, default_seed if seed is None else seed)
 
 
 def cmd_experiment(args) -> int:
@@ -356,35 +327,42 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file: list of {re, im, normalized_freq}",
     )
     p.add_argument("--snr-db", type=float, default=None, help="SNR in dB (omit for noiseless)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate sinusoids from a signal CSV")
     p.add_argument("--in", dest="infile", required=True, help="input CSV (index,re,im)")
     p.add_argument("--report", default=None, help="write a JSON report here")
-    p.add_argument("--l-factor", type=int, default=4, help="FFT zero-padding factor")
+    p.add_argument("--l-factor", type=int, default=_DEFAULTS.init.l_factor,
+                   help="FFT zero-padding factor")
     p.add_argument(
         "--eps",
         type=float,
-        default=1e-9,
-        help="floor of the annealed inner tolerance: passes tighten it from 1e-2"
-        " down to this value, and the run ends at the first floor pass that"
-        " changes nothing",
+        default=_DEFAULTS.eps_floor,
+        help="floor of the annealed inner tolerance: passes tighten it from"
+        f" {_DEFAULTS.eps_start:g} down to this value, and the run ends at the first"
+        " floor pass that changes nothing",
     )
-    p.add_argument("--epsf", type=float, default=1e-6, help="merge test level")
-    p.add_argument("--epsa", type=float, default=1e-6, help="prune false-alarm level")
-    p.add_argument("--gamma-alpha", type=float, default=None, help="amplitude learning rate")
-    p.add_argument("--gamma-omega", type=float, default=None, help="frequency learning rate")
-    p.add_argument("--lambda", dest="momentum", type=float, default=0.9, help="momentum coefficient")
-    p.add_argument("--max-iter", type=int, default=20000, help="inner iteration cap")
+    p.add_argument("--epsf", type=float, default=_DEFAULTS.order.epsilon_f,
+                   help="merge test level")
+    p.add_argument("--epsa", type=float, default=_DEFAULTS.order.epsilon_a,
+                   help="prune false-alarm level")
+    p.add_argument("--gamma-alpha", type=float, default=_DEFAULTS.train.gamma_alpha,
+                   help="amplitude learning rate")
+    p.add_argument("--gamma-omega", type=float, default=_DEFAULTS.train.gamma_omega,
+                   help="frequency learning rate")
+    p.add_argument("--lambda", dest="momentum", type=float, default=_DEFAULTS.train.momentum,
+                   help="momentum coefficient")
+    p.add_argument("--max-iter", type=int, default=_DEFAULTS.train.max_iter,
+                   help="inner iteration cap")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("gradcheck", help="compare analytic and finite-difference gradients")
     p.add_argument("--n", type=_count, default=16, help="maximum signal length")
     p.add_argument("--m", type=_count, default=4, help="maximum node count")
     p.add_argument("--trials", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--tol", type=float, default=1e-6, help="relative error tolerance")
     p.add_argument(
         "--perturb",
@@ -394,14 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("experiment", help="run a packaged Monte Carlo study")
-    p.add_argument(
-        "name",
-        choices=["mse", "roc-merge", "roc-prune", "roc-prune-weak", "order", "converge", "cluster"],
-    )
+    p.add_argument("name", choices=_STUDIES)
     p.add_argument("--trials", type=_count, default=None, help="override the trial count")
-    p.add_argument("--seed", type=int, default=None, help="override the base seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the base seed")
     p.add_argument("--out-dir", default=".", help="directory for JSON/CSV results")
-    p.add_argument("--full", action="store_true", help="publication-scale trial counts")
+    p.add_argument("--full", action="store_true",
+                   help="publication-scale trial counts: five times every study's default")
     p.set_defaults(func=cmd_experiment)
     return parser
 

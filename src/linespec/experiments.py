@@ -54,26 +54,17 @@ class SweepResult:
     seeds: dict
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {"name": self.name, "rows": self.rows, "config": self.config, "seeds": self.seeds},
-                fh,
-                indent=2,
-                default=_jsonable,
-            )
-            fh.write("\n")
+        write_json(path, self)
 
     def to_csv(self, path) -> None:
-        if not self.rows:
-            with open(path, "w", newline="") as fh:
-                fh.write("")
-            return
         keys: list[str] = []
         for row in self.rows:
             for k in row:
                 if k not in keys:
                     keys.append(k)
         with open(path, "w", newline="") as fh:
+            if not self.rows:
+                return
             writer = csv.DictWriter(fh, fieldnames=keys)
             writer.writeheader()
             for row in self.rows:
@@ -87,7 +78,8 @@ class SweepResult:
 
 
 def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
+    """``json.dump`` hook for numpy scalars and arrays, complex numbers and dataclasses."""
+    if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
@@ -98,9 +90,11 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def config_dict(cfg: EstimatorConfig) -> dict:
-    """Effective estimator configuration as plain JSON-ready data."""
-    return asdict(cfg)
+def write_json(path, payload) -> None:
+    """Write ``payload`` as indented JSON through ``_jsonable``; the one JSON writer."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, default=_jsonable)
+        fh.write("\n")
 
 
 def circular_distance(omega_a: float, omega_b: float) -> float:
@@ -210,6 +204,18 @@ def _truth_arrays(truth: Sequence[Sinusoid]):
     return freqs, mags
 
 
+def _matched_errors(report: RunReport, freqs: np.ndarray):
+    """(estimates, squared circular frequency errors) matched to ``freqs``, in truth order.
+
+    None when the estimated order is not ``freqs.size``.
+    """
+    if report.k_hat != freqs.size:
+        return None
+    m = match_components([s.omega for s in report.estimates], freqs)
+    pairs = [m[i] for i in range(freqs.size)]
+    return [report.estimates[j] for j, _ in pairs], [d**2 for _, d in pairs]
+
+
 def mc_mse(spec: TrialSpec, snr_grid=None) -> SweepResult:
     """Frequency and amplitude MSE against the CRB over an SNR grid.
 
@@ -224,7 +230,7 @@ def mc_mse(spec: TrialSpec, snr_grid=None) -> SweepResult:
     k = freqs.size
     rows = []
     for snr_db in snr_grid:
-        per_trial = []
+        good = []
         crb_ref = None
         for t in range(spec.trials):
             rng = np.random.default_rng(spec.base_seed + t)
@@ -232,17 +238,10 @@ def mc_mse(spec: TrialSpec, snr_grid=None) -> SweepResult:
             if crb_ref is None:
                 truth_t = [Sinusoid(amps[i], freqs[i]) for i in range(k)]
                 crb_ref = general_crb(truth_t, spec.n_samples, sigma2)
-            report = estimate_spectrum(y, spec.estimator)
-            if report.k_hat != k:
-                per_trial.append(None)
-                continue
-            est_w = [s.omega for s in report.estimates]
-            est_a = [s.amplitude for s in report.estimates]
-            m = match_components(est_w, freqs)
-            fe = [m[i][1] ** 2 for i in range(k)]
-            ae = [abs(est_a[m[i][0]] - amps[i]) ** 2 for i in range(k)]
-            per_trial.append((fe, ae))
-        good = [p for p in per_trial if p is not None]
+            matched = _matched_errors(estimate_spectrum(y, spec.estimator), freqs)
+            if matched is not None:
+                est, fe = matched
+                good.append((fe, [abs(e.amplitude - a) ** 2 for e, a in zip(est, amps)]))
         excluded = spec.trials - len(good)
         if good:
             freq_mse = np.mean([g[0] for g in good], axis=0)
@@ -273,7 +272,7 @@ def mc_mse(spec: TrialSpec, snr_grid=None) -> SweepResult:
         name="mse_vs_crb",
         rows=rows,
         config={
-            "estimator": config_dict(spec.estimator),
+            "estimator": spec.estimator,
             "n_samples": spec.n_samples,
             "truth_freqs": list(freqs),
             "truth_mags": list(mags),
@@ -299,7 +298,7 @@ def mc_roc_merge(spec: TrialSpec, epsilon_f_grid) -> SweepResult:
     """
     n = spec.n_samples
     sep = TWO_PI / (16.0 * n)
-    bin_off = TWO_PI / (InitConfig().l_factor * n)
+    bin_off = TWO_PI / (spec.estimator.init.l_factor * n)
     rows = []
     for eps_f in epsilon_f_grid:
         cfg = replace(spec.estimator, order=replace(spec.estimator.order, epsilon_f=float(eps_f)))
@@ -332,7 +331,7 @@ def mc_roc_merge(spec: TrialSpec, epsilon_f_grid) -> SweepResult:
         name="roc_merge",
         rows=rows,
         config={
-            "estimator": config_dict(spec.estimator),
+            "estimator": spec.estimator,
             "n_samples": n,
             "snr_db": spec.snr_db,
             "pair_separation": sep,
@@ -458,7 +457,7 @@ def mc_order(
         name="order_accuracy",
         rows=rows,
         config={
-            "estimator": config_dict(estimator),
+            "estimator": estimator,
             "n_samples": n_samples,
             "snr_db": snr_db,
             "min_separation": 4 * TWO_PI / n_samples,
@@ -476,9 +475,18 @@ def convergence_trace(spec: TrialSpec, gamma_grid, lambda_grid) -> SweepResult:
     trace from the first seed.
     """
     freqs, mags = _truth_arrays(spec.truth)
+    base = TrainConfig(
+        eps_tol=spec.estimator.train.eps_tol, max_iter=spec.estimator.train.max_iter
+    ).resolve(spec.n_samples)
     rows = []
     for gs in gamma_grid:
         for lam in lambda_grid:
+            cfg = replace(
+                base,
+                gamma_alpha=float(gs) * base.gamma_alpha,
+                gamma_omega=float(gs) * base.gamma_omega,
+                momentum=float(lam),
+            )
             iters = []
             convs = []
             sample_trace = None
@@ -486,13 +494,6 @@ def convergence_trace(spec: TrialSpec, gamma_grid, lambda_grid) -> SweepResult:
                 rng = np.random.default_rng(spec.base_seed + t)
                 y, _, _ = _draw_signal(freqs, mags, spec.n_samples, spec.snr_db, rng)
                 state = initialize(y, spec.estimator.init, spec.estimator.order)
-                cfg = TrainConfig(
-                    gamma_alpha=float(gs) * 0.5 / spec.n_samples,
-                    gamma_omega=float(gs) * 0.5 / sum_n_squared(spec.n_samples),
-                    momentum=float(lam),
-                    eps_tol=spec.estimator.train.eps_tol,
-                    max_iter=spec.estimator.train.max_iter,
-                )
                 state, trace = train_inner(y, state, cfg)
                 iters.append(trace.iterations_run)
                 convs.append(trace.converged)
@@ -601,17 +602,13 @@ def cluster_case(seed: int = 0) -> ClusterCaseResult:
     report = estimate_with_fixed_order(y, start, _cluster_estimator())
     truth = [Sinusoid(amps[i], freqs[i]) for i in range(freqs.size)]
     crb = general_crb(truth, _CLUSTER_N, sigma2)[2::3]
-    freq_errors = None
-    if report.k_hat == freqs.size:
-        est_w = [s.omega for s in report.estimates]
-        m = match_components(est_w, freqs)
-        freq_errors = [m[i][1] ** 2 for i in range(freqs.size)]
+    matched = _matched_errors(report, freqs)
     return ClusterCaseResult(
         report=report,
         truth=truth,
         sigma2=sigma2,
         initial_m=start.size,
-        freq_errors=freq_errors,
+        freq_errors=None if matched is None else matched[1],
         freq_crb=list(crb),
     )
 
@@ -644,7 +641,7 @@ def mc_cluster(trials: int = 20, base_seed: int = 9000) -> SweepResult:
             "n_samples": _CLUSTER_N,
             "snr_db": _CLUSTER_SNR_DB,
             "truth_freqs": list(cluster_frequencies()),
-            "estimator": config_dict(_cluster_estimator()),
+            "estimator": _cluster_estimator(),
         },
         seeds={"base_seed": base_seed, "trials": trials},
     )

@@ -94,6 +94,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.sigma2 < 0:
             raise DegenerateInput("noise variance must be nonnegative")
+        if self.seed < 0:
+            raise DegenerateInput("noise seed must be nonnegative")
 
 
 def as_samples(observed) -> np.ndarray:

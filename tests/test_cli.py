@@ -9,12 +9,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import linespec
-from linespec.cli import main
+from linespec import experiments
+from linespec.cli import _STUDIES, _run_experiment, build_parser, main
+from linespec.pipeline import EstimatorConfig
 
 COMPONENTS = [
     {"re": 1.0, "im": 0.0, "normalized_freq": 0.1},
@@ -57,7 +60,7 @@ def test_simulate_estimate_round_trip(tmp_path, capsys):
         assert abs(have - want) < 5e-3
     assert data["sigma2_hat"] > 0
     assert len(data["cost_trace"]) > 0
-    assert data["config"]["train"]["momentum"] == 0.9
+    assert data["config"] == asdict(EstimatorConfig())
     for event in data["events"]:
         assert event["kind"] in ("merge", "prune")
         assert event["pass"] >= 1
@@ -186,6 +189,18 @@ def test_estimate_eps_sets_the_tolerance_floor(tmp_path, capsys):
     assert reports["1e-6"]["outer_iterations"] < reports["1e-9"]["outer_iterations"]
 
 
+def test_estimate_parser_defaults_are_the_estimator_config():
+    args = build_parser().parse_args(["estimate", "--in", "signal.csv"])
+    cfg = EstimatorConfig()
+    assert args.l_factor == cfg.init.l_factor
+    assert args.eps == cfg.eps_floor
+    assert (args.epsf, args.epsa) == (cfg.order.epsilon_f, cfg.order.epsilon_a)
+    train = (args.gamma_alpha, args.gamma_omega, args.momentum, args.max_iter)
+    assert train == (
+        cfg.train.gamma_alpha, cfg.train.gamma_omega, cfg.train.momentum, cfg.train.max_iter
+    )
+
+
 def test_estimate_eps_above_the_schedule_start_exits_2(tmp_path, capsys):
     path = _write_csv(tmp_path / "ones.csv", [(i, 1.0, 0.0) for i in range(16)])
     assert main(["estimate", "--in", path, "--eps", "0.1"]) == 2
@@ -233,8 +248,13 @@ def test_gradcheck_passes_and_detects_bias(capsys):
         ["experiment", "order", "--trials", "0"],
         ["experiment", "mse", "--trials", "-1"],
         ["gradcheck", "--n", "1"],
+        ["gradcheck", "--seed", "-1"],
+        ["experiment", "order", "--seed", "-1"],
+        ["simulate", "--n", "32", "--components", "c.json", "--snr-db", "10",
+         "--seed", "-1", "--out", "x.csv"],
     ],
-    ids=["simulate-n-0", "order-trials-0", "mse-trials-negative", "gradcheck-n-1"],
+    ids=["simulate-n-0", "order-trials-0", "mse-trials-negative", "gradcheck-n-1",
+         "gradcheck-seed-negative", "experiment-seed-negative", "simulate-seed-negative"],
 )
 def test_out_of_range_count_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -253,6 +273,21 @@ def test_unknown_experiment_name_rejected(capsys):
         main(["experiment", "bogus"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_full_multiplies_every_default_trial_count_by_five(monkeypatch):
+    trials = []
+
+    def fake(*args, **kwargs):
+        trials.append(kwargs["trials"] if "trials" in kwargs else args[0].trials)
+
+    for runner in ("mc_mse", "mc_roc_merge", "mc_roc_prune", "mc_order",
+                   "convergence_trace", "mc_cluster"):
+        monkeypatch.setattr(experiments, runner, fake)
+    for name, (default_trials, _, _) in _STUDIES.items():
+        _run_experiment(name, None, None, full=True)
+        assert trials[-1] == 5 * default_trials, name
+    assert len(trials) == 7
 
 
 def test_experiment_outputs_are_reproducible(tmp_path, capsys):

@@ -10,10 +10,12 @@ identities, calibration of the false-alarm rate, and bit-reproducibility.
 import csv
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from linespec import experiments
 from linespec.errors import SingularInformation
 from linespec.experiments import (
     SweepResult,
@@ -21,7 +23,6 @@ from linespec.experiments import (
     circular_distance,
     cluster_case,
     cluster_frequencies,
-    config_dict,
     convergence_trace,
     fd_gradients,
     general_crb,
@@ -31,7 +32,9 @@ from linespec.experiments import (
     mc_roc_merge,
     mc_roc_prune,
     sample_well_separated,
+    write_json,
 )
+from linespec.fft_init import InitConfig
 from linespec.optimizer import NetworkState, grad_alpha, grad_omega
 from linespec.pipeline import EstimatorConfig
 from linespec.signal_model import TWO_PI, Sinusoid
@@ -168,9 +171,9 @@ def _toy_result():
         name="toy",
         rows=[
             {"snr_db": 10.0, "values": [1.0, 2.0], "count": np.int64(3)},
-            {"snr_db": 20.0, "amp": 1.0 + 2.0j, "extra": {"a": 1}},
+            {"snr_db": 20.0, "amp": 1.0 + 2.0j, "extra": {"a": 1}, "ok": np.bool_(True)},
         ],
-        config={"n_samples": 32, "freqs": np.array([0.1, 0.2])},
+        config={"n_samples": 32, "freqs": np.array([0.1, 0.2]), "estimator": EstimatorConfig()},
         seeds={"base_seed": 7},
     )
 
@@ -182,7 +185,9 @@ def test_sweep_result_json_round_trip(tmp_path):
     assert data["name"] == "toy"
     assert data["rows"][0]["count"] == 3
     assert data["rows"][1]["amp"] == {"re": 1.0, "im": 2.0}
+    assert data["rows"][1]["ok"] is True
     assert data["config"]["freqs"] == [0.1, 0.2]
+    assert data["config"]["estimator"] == asdict(EstimatorConfig())
     assert data["seeds"]["base_seed"] == 7
 
 
@@ -193,7 +198,7 @@ def test_sweep_result_csv_round_trip(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     # header is the union of keys in first-seen order
-    assert list(rows[0].keys()) == ["snr_db", "values", "count", "amp", "extra"]
+    assert list(rows[0].keys()) == ["snr_db", "values", "count", "amp", "extra", "ok"]
     assert json.loads(rows[0]["values"]) == [1.0, 2.0]
     assert json.loads(rows[1]["extra"]) == {"a": 1}
     assert rows[1]["amp"] == '{"re": 1.0, "im": 2.0}'
@@ -205,11 +210,12 @@ def test_sweep_result_empty_rows_csv(tmp_path):
     assert path.read_text() == ""
 
 
-def test_config_dict_is_plain_data():
-    d = config_dict(EstimatorConfig())
+def test_write_json_round_trips_estimator_config(tmp_path):
+    path = tmp_path / "config.json"
+    write_json(path, EstimatorConfig())
+    d = json.loads(path.read_text())
     assert d["max_outer"] == 20
     assert d["train"]["momentum"] == 0.9
-    json.dumps(d)  # fully serializable without a default hook
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +274,22 @@ def test_mc_roc_merge_structure():
     assert row["pd"] == row["kept_pair"] / 4
     assert row["far"] == row["false_pair"] / 4
     assert res.config["pair_separation"] == pytest.approx(TWO_PI / (16 * 32))
+
+
+def test_mc_roc_merge_offsets_the_false_alarm_pair_by_the_spec_padding(monkeypatch):
+    # The false-alarm runs start two nodes one padded-FFT bin either side of the tone.
+    starts = []
+
+    def fake(y, omegas0, cfg):
+        starts.append(np.asarray(omegas0))
+        return experiments.RunReport([], 1.0, 0, np.zeros(0), [], [])
+
+    monkeypatch.setattr(experiments, "estimate_with_fixed_order", fake)
+    estimator = EstimatorConfig(init=InitConfig(l_factor=8))
+    spec = TrialSpec(truth=[], n_samples=32, snr_db=20.0, trials=1, estimator=estimator)
+    mc_roc_merge(spec, [1e-6])
+    false_alarm_pair = starts[1]
+    assert false_alarm_pair[1] - false_alarm_pair[0] == pytest.approx(2 * TWO_PI / (8 * 32))
 
 
 def test_mc_order_histogram_counts():

@@ -1,15 +1,20 @@
-"""The README's Python examples run as written and its public names exist."""
+"""The README's Python and shell examples run as written and its public names exist."""
 
 import contextlib
 import importlib
 import io
+import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+from linespec.cli import main
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+SHELL = re.findall(r"```\n(.*?)```", README.read_text(), flags=re.DOTALL)
 
 
 def _run(block: str) -> str:
@@ -38,6 +43,24 @@ def test_library_example_prints_the_documented_order():
     assert lines[0] == "4"
     assert "print(report.k_hat)                  # 4:" in block
     assert [line.split()[0] for line in lines[1:5]] == ["0.0995", "0.2201", "0.3621", "0.3711"]
+
+
+def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):
+    # Runs the heredoc and every `linespec` line but the two `linespec experiment`
+    # ones, which take minutes at their default trial counts.
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for block in SHELL:
+        for name, body in re.findall(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\n", block, flags=re.S):
+            json.loads(body)
+            (tmp_path / name).write_text(body)
+        for line in block.splitlines():
+            if line.startswith("linespec ") and not line.startswith("linespec experiment"):
+                assert main(shlex.split(line)[1:]) == 0, line
+                ran.append(line.split()[1])
+    capsys.readouterr()
+    assert ran == ["simulate", "estimate", "gradcheck"]
+    assert json.loads((tmp_path / "report.json").read_text())["k_hat"] >= 1
 
 
 def test_public_stage_names_exist():

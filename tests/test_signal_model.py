@@ -163,6 +163,12 @@ def test_noise_spec_rejects_negative_variance():
         NoiseSpec(sigma2=-1.0)
 
 
+def test_noise_spec_rejects_negative_seed():
+    # numpy's generator would reject it only at draw time, with a bare ValueError.
+    with pytest.raises(DegenerateInput):
+        NoiseSpec(sigma2=1.0, seed=-1)
+
+
 @settings(max_examples=25)
 @given(
     st.integers(min_value=1, max_value=32),
