@@ -72,9 +72,10 @@ def cmd_simulate(args) -> int:
     try:
         clean = synthesize(comps, args.n, NoiseSpec())
         sigma2 = 0.0 if args.snr_db is None else noise_var_for_snr(clean, args.snr_db)
+        noise = NoiseSpec(sigma2=sigma2, seed=args.seed)
     except LineSpecError as exc:
         return _fail(str(exc), 2)
-    signal = synthesize(comps, args.n, NoiseSpec(sigma2=sigma2, seed=args.seed))
+    signal = synthesize(comps, args.n, noise)
     meta = {
         "n": args.n,
         "snr_db": args.snr_db,

@@ -69,7 +69,7 @@ class SweepResult:
             writer.writeheader()
             for row in self.rows:
                 flat = {
-                    k: json.dumps(v, default=_jsonable)
+                    k: json.dumps(_plain(v), allow_nan=False)
                     if isinstance(v, (list, dict, complex, np.ndarray))
                     else v
                     for k, v in row.items()
@@ -77,23 +77,34 @@ class SweepResult:
                 writer.writerow(flat)
 
 
-def _jsonable(value):
-    """``json.dump`` hook for numpy scalars and arrays, complex numbers and dataclasses."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
+def _plain(value):
+    """``value`` as plain JSON data, for strict JSON.
+
+    numpy scalars and arrays, complex numbers and dataclasses become numbers,
+    lists and dicts; NaN and the infinities, which strict JSON cannot hold,
+    become None (``null``).
+    """
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if value is None or isinstance(value, (str, int)):
+        return value
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return {"re": _plain(value.real), "im": _plain(value.imag)}
     if is_dataclass(value):
-        return asdict(value)
+        return _plain(asdict(value))
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def write_json(path, payload) -> None:
-    """Write ``payload`` as indented JSON through ``_jsonable``; the one JSON writer."""
+    """Write ``payload`` as indented strict JSON through ``_plain``; the one JSON writer."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_jsonable)
+        json.dump(_plain(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -260,7 +271,7 @@ def mc_mse(spec: TrialSpec, snr_grid=None) -> SweepResult:
                 "freq_mse": list(freq_mse),
                 "freq_crb": list(crb_freq),
                 "freq_gap_db": [
-                    10.0 * math.log10(m / c) if m > 0 else -math.inf
+                    10.0 * math.log10(m / c) if m > 0 else (math.nan if math.isnan(m) else -math.inf)
                     for m, c in zip(freq_mse, crb_freq)
                 ],
                 "freq_mse_normalized": list(freq_mse / TWO_PI**2),

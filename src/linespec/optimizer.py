@@ -130,6 +130,8 @@ class _Kernel:
 
     Every array is allocated once, here; ``residual`` and ``gradients`` only
     write into them, so each call overwrites what the last one returned.
+    Every numpy call passes its output positionally and takes array
+    operands only, the cheapest way to call a ufunc on a few dozen numbers.
     The design matrix A = exp(j * outer(n, omegas)) is built by angle
     addition. With B = ceil(sqrt(N)) every n < N is q*B + s with s < B and
     q*B < N, so exp(j*n*w) = exp(j*q*B*w) * exp(j*s*w): one exp per step k
@@ -157,37 +159,41 @@ class _Kernel:
         self._rc = np.empty(n_samples, dtype=np.complex128)
         self._n = np.arange(n_samples, dtype=np.complex128)
         self._s = np.empty(m_nodes, dtype=np.complex128)
+        self._s_pairs = self._s.view(float)
         self._s_imag = self._s.imag
-        # [alpha gradient (re, im interleaved), omega gradient]
-        self.grad = np.empty(3 * m_nodes)
-        self.grad_alpha = self.grad[: 2 * m_nodes].view(np.complex128)
-        self.grad_omega = self.grad[2 * m_nodes :]
 
     def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
         """Rebuild A at omegas and return r = A alpha - y."""
-        np.multiply(self._k, omegas, out=self._phase_imag)
-        np.exp(self._phase, out=self._steps)
-        np.multiply(self._hi, self._lo, out=self._prod)
-        np.matmul(self.A, alphas, out=self.r)
-        self.r -= self._y
+        np.multiply(self._k, omegas, self._phase_imag)
+        np.exp(self._phase, self._steps)
+        np.multiply(self._hi, self._lo, self._prod)
+        np.matmul(self.A, alphas, self.r)
+        np.subtract(self.r, self._y, self.r)
         return self.r
 
-    def gradients(self, alphas: np.ndarray) -> np.ndarray:
-        """Gradients of ||r||^2 at the last residual, as one flat vector.
+    def gradients(
+        self, alphas: np.ndarray, scale_a: np.ndarray, scale_w: np.ndarray, out
+    ) -> None:
+        """Scaled gradients of ||r||^2 at the last residual, written into out.
 
-        The amplitude block is A^H r = conj(A^T conj(r)) and the frequency
-        block 2 Im{alpha * A^T (n * conj(-r))} = -2 Im{alpha * A^T (n * conj(r))};
-        conjugation and sign flips are exact, so both keep the bits of the
-        direct forms.
+        ``out`` is a pair: the amplitude block as interleaved (re, im)
+        floats, then the frequency block. With s = A^T conj(r), the first
+        gets ``scale_a`` times the (re, im) pairs of s, the second
+        ``scale_w`` times Im{alpha * A^T (n * conj(r))}. The unit scales
+        [1, -1, 1, -1, ...] and -2 give the gradients themselves:
+        A^H r = conj(s), and 2 Im{alpha * A^T (n * conj(-r))} is
+        -2 Im{alpha * A^T (n * conj(r))}. Negation and doubling are exact,
+        so a step scaled here by [c, -c] and -2c has the bits of the
+        gradient times c.
         """
-        rc = np.conjugate(self.r, out=self._rc)
-        np.matmul(self._At, rc, out=self._s)
-        np.conjugate(self._s, out=self.grad_alpha)
-        np.multiply(self._n, rc, out=rc)
-        np.matmul(self._At, rc, out=self._s)
-        np.multiply(alphas, self._s, out=self._s)
-        np.multiply(self._s_imag, -2.0, out=self.grad_omega)
-        return self.grad
+        out_a, out_w = out
+        rc = np.conjugate(self.r, self._rc)
+        np.matmul(self._At, rc, self._s)
+        np.multiply(self._s_pairs, scale_a, out_a)
+        np.multiply(self._n, rc, rc)
+        np.matmul(self._At, rc, self._s)
+        np.multiply(alphas, self._s, self._s)
+        np.multiply(self._s_imag, scale_w, out_w)
 
 
 def forward(state: NetworkState, n_samples: int) -> np.ndarray:
@@ -209,16 +215,21 @@ def cost(observed, model) -> float:
     return float(np.vdot(r, r).real)
 
 
-def _gradient_kernel(state: NetworkState, observed) -> _Kernel:
-    kernel = _Kernel(as_samples(observed), state.m_nodes)
+def _gradients(state: NetworkState, observed) -> tuple[np.ndarray, np.ndarray]:
+    """(A^H r, -2 Im{alpha * A^T (n * conj(r))}) at r = A alpha - y."""
+    m = state.m_nodes
+    kernel = _Kernel(as_samples(observed), m)
     kernel.residual(state.omegas, state.alphas)
-    kernel.gradients(state.alphas)
-    return kernel
+    grad_a = np.empty(m, dtype=np.complex128)
+    grad_w = np.empty(m)
+    unit_a, unit_w = np.tile([1.0, -1.0], m), np.full(m, -2.0)
+    kernel.gradients(state.alphas, unit_a, unit_w, (grad_a.view(float), grad_w))
+    return grad_a, grad_w
 
 
 def grad_alpha(state: NetworkState, observed) -> np.ndarray:
     """Gradient of the cost with respect to the conjugate amplitudes, A^H (x_hat - y)."""
-    return _gradient_kernel(state, observed).grad_alpha
+    return _gradients(state, observed)[0]
 
 
 def grad_omega(state: NetworkState, observed) -> np.ndarray:
@@ -226,7 +237,7 @@ def grad_omega(state: NetworkState, observed) -> np.ndarray:
 
     Equals 2 * Im{ alpha * [A^T (n * conj(y - x_hat))] } elementwise over nodes.
     """
-    return _gradient_kernel(state, observed).grad_omega
+    return _gradients(state, observed)[1]
 
 
 def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
@@ -250,50 +261,79 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
 
     kernel = _Kernel(y, m)
     # Parameters, momentum, rates and steps share one flat layout:
-    # [alpha (re, im interleaved), omega].
-    p = np.empty(3 * m)
-    a = p[: 2 * m].view(np.complex128)
-    w = p[2 * m :]
+    # [alpha (re, im interleaved), omega]. Three parameter buffers rotate:
+    # the current one, the best one (often the same) and a free one that
+    # takes the next iterate, so keeping the best state copies nothing.
+    bufs = []
+    for _ in range(3):
+        p = np.empty(3 * m)
+        bufs.append((p, p[: 2 * m].view(np.complex128), p[2 * m :]))
+    p, a, w = bufs[0]
     a[:] = state.alphas
     w[:] = state.omegas
     rates = np.concatenate((np.full(2 * m, cfg.gamma_alpha), np.full(m, cfg.gamma_omega)))
     d = np.zeros(3 * m)
     step = np.empty(3 * m)
-    lam = cfg.momentum
-    mix = 1.0 - lam
+    step_parts = (step[: 2 * m], step[2 * m :])
+    lam = np.full(3 * m, cfg.momentum)
+    # The gradient scaled by mix = 1 - lambda in one write: conj(s) * mix
+    # is (re, im) * [mix, -mix], and -2 Im{...} * mix is Im{...} * (-2 mix).
+    mix = 1.0 - cfg.momentum
+    scale_a = np.tile([mix, -mix], m)
+    scale_w = np.full(m, -2.0 * mix)
 
     r = kernel.residual(w, a)
     cbar = float(np.vdot(r, r).real) / n_samples
     trace = [cbar]
-    best_c, best = cbar, p.copy()
+    best_c = cbar
+    cur = best = 0
     rising = 0
     hits = 0
     halvings = 0
-    iterations = 0
     exit_reason = "max_iter"
 
+    # Loop invariants, looked up once.
+    gradients = kernel.gradients
+    residual = kernel.residual
+    multiply = np.multiply
+    add = np.add
+    subtract = np.subtract
+    vdot = np.vdot
+    isfinite = math.isfinite
+    append = trace.append
+    eps_tol = cfg.eps_tol
+    min_iter = cfg.min_iter
+    consec_hits = cfg.consec_hits
+    patience = cfg.safeguard_patience
+
     for t in range(1, cfg.max_iter + 1):
-        iterations = t
-        np.multiply(kernel.gradients(a), mix, out=step)
-        d *= lam
-        d += step
-        np.multiply(rates, d, out=step)
-        p -= step
-        r = kernel.residual(w, a)
-        c = float(np.vdot(r, r).real) / n_samples
-        trace.append(c)
-        if not math.isfinite(c):
+        gradients(a, scale_a, scale_w, step_parts)
+        multiply(d, lam, d)
+        add(d, step, d)
+        multiply(rates, d, step)
+        # The next buffer after cur that does not hold the best state.
+        nxt = (cur + 1) % 3
+        if nxt == best:
+            nxt = (nxt + 1) % 3
+        q, a, w = bufs[nxt]
+        subtract(p, step, q)
+        p, cur = q, nxt
+        r = residual(w, a)
+        c = float(vdot(r, r).real) / n_samples
+        append(c)
+        if not isfinite(c):
             raise NumericalDivergence("training cost became non-finite")
         if c < best_c:
             best_c = c
-            best[:] = p
+            best = cur
         if c > cbar:
             rising += 1
-            if rising >= cfg.safeguard_patience:
+            if rising >= patience:
                 rates *= 0.5
                 d[:] = 0.0
-                p[:] = best
-                kernel.residual(w, a)
+                cur = best
+                p, a, w = bufs[best]
+                residual(w, a)
                 c = best_c
                 rising = 0
                 halvings += 1
@@ -302,9 +342,9 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         if c == 0.0:
             exit_reason = "exact_fit"
             break
-        if t > cfg.min_iter and abs(c - cbar) < cfg.eps_tol:
+        if t > min_iter and abs(c - cbar) < eps_tol:
             hits += 1
-            if hits >= cfg.consec_hits:
+            if hits >= consec_hits:
                 exit_reason = "tol"
                 break
         else:
@@ -312,4 +352,4 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         cbar = c
 
     out = NetworkState(w.copy(), a.copy())
-    return out, CostTrace(np.asarray(trace), iterations, halvings, exit_reason)
+    return out, CostTrace(np.asarray(trace), t, halvings, exit_reason)

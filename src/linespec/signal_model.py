@@ -92,8 +92,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma2 < 0:
-            raise DegenerateInput("noise variance must be nonnegative")
+        if not 0 <= self.sigma2 < math.inf:
+            raise DegenerateInput("noise variance must be finite and nonnegative")
         if self.seed < 0:
             raise DegenerateInput("noise seed must be nonnegative")
 

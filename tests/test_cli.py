@@ -268,6 +268,16 @@ def test_out_of_range_count_exits_2(argv, tmp_path, monkeypatch, capsys):
     assert not any(tmp_path.glob("*.csv"))
 
 
+def test_simulate_with_nan_snr_exits_2(tmp_path, monkeypatch, capsys):
+    # A NaN SNR gives a NaN noise variance; it must not become a noiseless signal.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(COMPONENTS))
+    argv = ["simulate", "--n", "8", "--components", "c.json", "--snr-db", "nan", "--out", "x.csv"]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unknown_experiment_name_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["experiment", "bogus"])

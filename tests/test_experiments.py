@@ -218,6 +218,29 @@ def test_write_json_round_trips_estimator_config(tmp_path):
     assert d["train"]["momentum"] == 0.9
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_write_json_writes_non_finite_numbers_as_null(tmp_path):
+    path = tmp_path / "nonfinite.json"
+    payload = {
+        "nan": math.nan,
+        "list": [math.inf, -math.inf, 1.5],
+        "array": np.array([np.nan, 2.0]),
+        "scalar": np.float64(-np.inf),
+        "complex": complex(math.nan, 1.0),
+    }
+    write_json(path, payload)
+    assert json.loads(path.read_text(), parse_constant=_reject_constant) == {
+        "nan": None,
+        "list": [None, None, 1.5],
+        "array": [None, 2.0],
+        "scalar": None,
+        "complex": {"re": None, "im": 1.0},
+    }
+
+
 # ---------------------------------------------------------------------------
 # experiment runners (small deterministic configurations)
 
@@ -241,6 +264,24 @@ def test_mc_mse_structure_and_determinism():
         assert all(m >= 0 for m in row["freq_mse"])
     again = mc_mse(spec, [20.0])
     assert again.rows == res.rows
+
+
+def test_mc_mse_row_without_a_correct_order_has_no_gap(tmp_path):
+    # Two tones 0.05 rad apart at N = 16 and 0 dB: the estimator finds one,
+    # so the row has no frequency MSE, and its gap to the CRB is unknown,
+    # not infinitely far below it.
+    spec = TrialSpec(
+        truth=[Sinusoid(1.0, 1.0), Sinusoid(1.0, 1.05)], n_samples=16, snr_db=0.0, trials=1
+    )
+    res = mc_mse(spec)
+    row = res.rows[0]
+    assert row["correct_order"] == 0
+    assert all(math.isnan(g) for g in row["freq_gap_db"])
+    path = tmp_path / "mse.json"
+    res.to_json(path)
+    data = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert data["rows"][0]["freq_gap_db"] == [None, None]
+    assert data["rows"][0]["freq_mse"] == [None, None]
 
 
 def test_mc_roc_prune_false_alarm_matches_design_level():

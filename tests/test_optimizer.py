@@ -333,6 +333,23 @@ _BIT_PIN_CASES = {
         np.ones(8, dtype=complex),
         TrainConfig(eps_tol=1e-9, min_iter=30, consec_hits=3),
     ),
+    # the shape of the cluster10_n128 benchmark: eleven nodes 0.8 bin apart
+    "cluster_n128": (
+        _noisy_tones(128, 1.0 + TWO_PI * 0.8 * np.arange(11) / 128, 11),
+        1.004 + TWO_PI * 0.8 * np.arange(11) / 128,
+        np.ones(11, dtype=complex),
+        TrainConfig(eps_tol=1e-7, min_iter=30, consec_hits=3),
+    ),
+    # four halvings, each restoring a best state at least three iterations
+    # old, and new best states in between (see the rotation test below)
+    "rotation": (
+        _noisy_tones(24, [0.8, 2.0, 2.4], 2),
+        [0.75, 2.05, 2.3],
+        [1.0, 1.0, 1.0],
+        TrainConfig(
+            gamma_alpha=1.0, gamma_omega=0.02, safeguard_patience=3, max_iter=3000, eps_tol=1e-12
+        ),
+    ),
 }
 
 
@@ -354,6 +371,78 @@ def test_train_inner_reproduces_the_reference_bit_for_bit(case):
         assert trace.halvings > 0
     if case == "exact_fit":
         assert trace.exit_reason == "exact_fit"
+
+
+def _restores(costs: np.ndarray, patience: int) -> list[tuple[int, int]]:
+    """(iteration, iteration of the best state) of every safeguard restore.
+
+    Replays the loop's bookkeeping on its cost trace: the best cost is the
+    running minimum of the trace, and a restore replaces the rising cost
+    by the best one.
+    """
+    cbar = best_c = costs[0]
+    best_t = rising = 0
+    events = []
+    for t in range(1, costs.size):
+        c = costs[t]
+        if c < best_c:
+            best_c, best_t = c, t
+        if c > cbar:
+            rising += 1
+            if rising >= patience:
+                events.append((t, best_t))
+                c = best_c
+                rising = 0
+        else:
+            rising = 0
+        cbar = c
+    return events
+
+
+def test_rotation_case_restores_old_and_moving_best_states():
+    # The loop keeps three parameter buffers. A restore whose best state is
+    # at least two iterations old finds it in neither the current buffer
+    # nor the one written before it; a best state that moves between
+    # restores makes the rotation skip a different buffer each time.
+    y, w0, a0, cfg = _BIT_PIN_CASES["rotation"]
+    _, trace = train_inner(y, NetworkState(w0, a0), cfg)
+    events = _restores(trace.mean_costs, cfg.safeguard_patience)
+    assert len(events) == trace.halvings >= 2
+    assert all(best_t <= t - 2 for t, best_t in events)
+    assert len({best_t for _, best_t in events}) >= 2
+
+
+def _parent_gradients(A: np.ndarray, r: np.ndarray, alphas: np.ndarray):
+    """The buffered kernel's gradient formulas before the scaled write, verbatim."""
+    m = alphas.size
+    rc = np.empty_like(r)
+    s = np.empty(m, dtype=np.complex128)
+    grad = np.empty(3 * m)
+    grad_a = grad[: 2 * m].view(np.complex128)
+    grad_w = grad[2 * m :]
+    rc = np.conjugate(r, out=rc)
+    np.matmul(A.T, rc, out=s)
+    np.conjugate(s, out=grad_a)
+    np.multiply(np.arange(r.size, dtype=np.complex128), rc, out=rc)
+    np.matmul(A.T, rc, out=s)
+    np.multiply(alphas, s, out=s)
+    np.multiply(s.imag, -2.0, out=grad_w)
+    return grad_a, grad_w
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (2, 1), (24, 1), (32, 4), (128, 11), (512, 9)])
+def test_gradients_keep_the_bits_of_the_parent_formulas(n, m):
+    rng = np.random.default_rng(10 * n + m)
+    for _ in range(5):
+        state = NetworkState(
+            rng.uniform(-1.0, TWO_PI + 1.0, m), rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        )
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kernel = _Kernel(y, m)
+        r = kernel.residual(state.omegas, state.alphas).copy()
+        ref_a, ref_w = _parent_gradients(kernel.A, r, state.alphas)
+        assert grad_alpha(state, y).tobytes() == ref_a.tobytes()
+        assert grad_omega(state, y).tobytes() == ref_w.tobytes()
 
 
 _EXIT_CASES = {

@@ -163,6 +163,13 @@ def test_noise_spec_rejects_negative_variance():
         NoiseSpec(sigma2=-1.0)
 
 
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf])
+def test_noise_spec_rejects_non_finite_variance(sigma2):
+    # NaN compares false with 0, so a bare sign check would let it through.
+    with pytest.raises(DegenerateInput):
+        NoiseSpec(sigma2=sigma2)
+
+
 def test_noise_spec_rejects_negative_seed():
     # numpy's generator would reject it only at draw time, with a bare ValueError.
     with pytest.raises(DegenerateInput):
