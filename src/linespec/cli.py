@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
 import sys
 from dataclasses import asdict, replace
 
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import experiments
 from .errors import LineSpecError, NumericalDivergence
-from .pipeline import EstimatorConfig, RunReport, estimate_spectrum
+from .pipeline import EPS_START_DECADE, EstimatorConfig, RunReport, estimate_spectrum
 from .signal_model import TWO_PI, NoiseSpec, Sinusoid, noise_var_for_snr, synthesize
 
 _CONFIG_PREFIX = "# config "
@@ -229,6 +231,8 @@ def cmd_gradcheck(args) -> int:
 
     if args.n < max(2, args.m):
         return _fail("gradcheck needs --n of at least 2 and at least --m", 2)
+    if not 0.0 < args.tol < math.inf:
+        return _fail(f"--tol must be finite and positive, got {args.tol}", 2)
     worst = 0.0
     for t in range(args.trials):
         rng = np.random.default_rng(args.seed + t)
@@ -295,6 +299,8 @@ def _run_experiment(name: str, trials: int | None, seed: int | None, full: bool)
 
 
 def cmd_experiment(args) -> int:
+    if not (os.path.isdir(args.out_dir) and os.access(args.out_dir, os.W_OK)):
+        return _fail(f"--out-dir {args.out_dir} is not a writable directory", 2)
     try:
         result = _run_experiment(args.name, args.trials, args.seed, args.full)
     except LineSpecError as exc:
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=_DEFAULTS.eps_floor,
         help="floor of the annealed inner tolerance: passes tighten it from"
-        f" {_DEFAULTS.eps_start:g} down to this value, and the run ends at the first"
+        f" {10.0**-EPS_START_DECADE:g} down to this value, and the run ends at the first"
         " floor pass that changes nothing",
     )
     p.add_argument("--epsf", type=float, default=_DEFAULTS.order.epsilon_f,

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularInformation
-from .fft_init import InitConfig, find_peaks, initialize
+from .fft_init import InitConfig, find_peaks, initialize, zero_padded_fft
 from .optimizer import NetworkState, TrainConfig, cost, sum_n_squared, train_inner
 from .order_control import OrderConfig, apply_prunes, detection_prob
 from .pipeline import (
@@ -433,7 +433,6 @@ def mc_order(
     snr_db: float,
     trials: int,
     base_seed: int,
-    estimator: EstimatorConfig | None = None,
     k_values: Sequence[int] = (1, 2, 3, 4, 5),
 ) -> SweepResult:
     """Model-order accuracy over random well-separated scenes.
@@ -442,8 +441,6 @@ def mc_order(
     length-N grid, unit magnitudes, random phases. Reports the histogram of
     estimated orders and the fraction correct for each K.
     """
-    if estimator is None:
-        estimator = EstimatorConfig()
     rows = []
     for k in k_values:
         hist: dict[int, int] = {}
@@ -452,7 +449,7 @@ def mc_order(
             rng = np.random.default_rng(base_seed + t)
             freqs = np.sort(sample_well_separated(rng, k, 4 * TWO_PI / n_samples))
             y, _, _ = _draw_signal(freqs, np.ones(k), n_samples, snr_db, rng)
-            report = estimate_spectrum(y, estimator)
+            report = estimate_spectrum(y)
             hist[report.k_hat] = hist.get(report.k_hat, 0) + 1
             correct += report.k_hat == k
         rows.append(
@@ -468,7 +465,7 @@ def mc_order(
         name="order_accuracy",
         rows=rows,
         config={
-            "estimator": estimator,
+            "estimator": EstimatorConfig(),
             "n_samples": n_samples,
             "snr_db": snr_db,
             "min_separation": 4 * TWO_PI / n_samples,
@@ -550,20 +547,20 @@ def cluster_frequencies(n_samples: int = _CLUSTER_N) -> np.ndarray:
     return TWO_PI * np.concatenate([c1, c2])
 
 
-def _cluster_init(y: np.ndarray, l_factor: int = 4, span: int = 2) -> np.ndarray:
+def _cluster_init(y: np.ndarray) -> np.ndarray:
     """Twelve starting frequencies from the four strongest separated peaks.
 
     Picks the top four padded-FFT magnitudes subject to a circular exclusion
-    radius of two N-grid bins, then brackets each with companions ``span``
-    padded bins on either side. Overlapping tones bury some spectral peaks,
-    so bracketing seeds more nodes than peak counting alone would give.
+    radius of two N-grid bins, then brackets each with companions two padded
+    bins on either side. Overlapping tones bury some spectral peaks, so
+    bracketing seeds more nodes than peak counting alone would give.
     """
-    n = y.size
-    L = l_factor * n
-    mag = np.abs(np.fft.fft(y, L))
-    peaks = find_peaks(mag, 0.0, InitConfig(l_factor=l_factor))
+    cfg = InitConfig()
+    mag = np.abs(zero_padded_fft(y, cfg))
+    L = mag.size
+    peaks = find_peaks(mag, 0.0, cfg)
     peaks.sort(key=lambda k: -mag[k])
-    excl = span * l_factor
+    excl = 2 * cfg.l_factor
     centers: list[int] = []
     for k in peaks:
         if all(min(abs(k - c), L - abs(k - c)) >= excl for c in centers):
@@ -572,17 +569,14 @@ def _cluster_init(y: np.ndarray, l_factor: int = 4, span: int = 2) -> np.ndarray
             break
     bins: set[int] = set()
     for k in centers:
-        bins.update(((k - span) % L, k, (k + span) % L))
+        bins.update(((k - 2) % L, k, (k + 2) % L))
     return np.sort(TWO_PI * np.array(sorted(bins)) / L)
 
 
 def _cluster_estimator() -> EstimatorConfig:
-    return EstimatorConfig(
-        train=TrainConfig(
-            gamma_omega=1.0 / sum_n_squared(_CLUSTER_N), min_iter=3000, consec_hits=3
-        ),
-        order=OrderConfig(epsilon_f=1e-12),
-    )
+    gamma_omega = 1.0 / sum_n_squared(_CLUSTER_N)
+    train = replace(EstimatorConfig().train, gamma_omega=gamma_omega, min_iter=3000)
+    return EstimatorConfig(train=train, order=OrderConfig(epsilon_f=1e-12))
 
 
 @dataclass
@@ -597,7 +591,7 @@ class ClusterCaseResult:
     freq_crb: list[float]
 
 
-def cluster_case(seed: int = 0) -> ClusterCaseResult:
+def cluster_case(seed: int) -> ClusterCaseResult:
     """Estimate ten sub-resolution tones in two clusters from a 12-node start.
 
     N = 128, SNR 20 dB, unit magnitudes with seeded random phases. The run
@@ -624,7 +618,7 @@ def cluster_case(seed: int = 0) -> ClusterCaseResult:
     )
 
 
-def mc_cluster(trials: int = 20, base_seed: int = 9000) -> SweepResult:
+def mc_cluster(trials: int, base_seed: int) -> SweepResult:
     """Repeat the cluster scenario over seeds and tabulate order recovery."""
     hist: dict[int, int] = {}
     within = 0

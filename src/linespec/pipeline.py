@@ -6,8 +6,10 @@ the nodes it fuses by least squares, so pruning always judges a fitted
 model. The inner tolerance is annealed across outer passes: early
 passes stop training coarsely so that redundant nodes are merged or pruned
 while they are cheap to remove, and later passes tighten the tolerance
-down to a floor so the surviving nodes converge to full precision. The loop exits only when a floor-tolerance pass
-makes no structural change (or the pass budget runs out).
+down to a floor so the surviving nodes converge to full precision: pass k
+(from 0) trains to max(10^-(EPS_START_DECADE + k), eps_floor), an exact
+power of ten or the floor itself. The loop exits when a floor pass makes no
+structural change, after MAX_PASSES passes, or when no node is left.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .order_control import (
 from .signal_model import Sinusoid, as_samples, ls_amplitudes, wrap_angle
 
 
+EPS_START_DECADE = 2
+MAX_PASSES = 20
+
+
 def _default_train() -> TrainConfig:
     # The outer loop overrides eps_tol per pass; min_iter and consec_hits
     # guard each pass against stopping on a momentary flat spot of the cost.
@@ -40,24 +46,19 @@ def _default_train() -> TrainConfig:
 class EstimatorConfig:
     """Configuration of the full estimation pipeline.
 
-    ``eps_start``, ``eps_decay``, and ``eps_floor`` define the annealed
-    inner-tolerance schedule: the first pass trains to ``eps_start``, each
-    following pass multiplies the tolerance by ``eps_decay`` down to
-    ``eps_floor``, and the loop exits once a floor-tolerance pass changes
-    nothing. The schedule overrides ``train.eps_tol`` on every pass.
+    ``eps_floor`` is the tightest inner tolerance of the annealed schedule,
+    at most 10^-EPS_START_DECADE; the loop exits once a pass at the floor
+    changes nothing. The schedule overrides ``train.eps_tol`` on every pass.
     """
 
     init: InitConfig = field(default_factory=InitConfig)
     train: TrainConfig = field(default_factory=_default_train)
     order: OrderConfig = field(default_factory=OrderConfig)
-    max_outer: int = 20
-    eps_start: float = 1e-2
-    eps_decay: float = 0.1
     eps_floor: float = 1e-9
 
     def __post_init__(self):
-        if not 0.0 < self.eps_floor <= self.eps_start:
-            raise InvalidDimension("eps_floor must lie in (0, eps_start]")
+        if not 0.0 < self.eps_floor <= 10.0**-EPS_START_DECADE:
+            raise InvalidDimension(f"eps_floor must lie in (0, {10.0**-EPS_START_DECADE:g}]")
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,12 @@ def _build_report(y, state, outer, traces, merge_events, prune_events) -> RunRep
 
 
 def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunReport:
-    eps = cfg.eps_start
     outer = 0
     traces: list[np.ndarray] = []
     merge_events: list[tuple[int, MergeEvent]] = []
     prune_events: list[tuple[int, PruneReport]] = []
-    while outer < cfg.max_outer and state.m_nodes > 0:
+    while outer < MAX_PASSES and state.m_nodes > 0:
+        eps = max(10.0 ** -(EPS_START_DECADE + outer), cfg.eps_floor)
         outer += 1
         try:
             state, trace = train_inner(y, state, replace(cfg.train, eps_tol=eps))
@@ -112,9 +113,8 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
         pruned = not bool(np.all(prune_report.keep_mask))
         if pruned:
             prune_events.append((outer, prune_report))
-        if not (merged or pruned) and eps <= cfg.eps_floor * (1.0 + 1e-9):
+        if not (merged or pruned) and eps == cfg.eps_floor:
             break
-        eps = max(eps * cfg.eps_decay, cfg.eps_floor)
     return _build_report(y, state, outer, traces, merge_events, prune_events)
 
 

@@ -100,14 +100,7 @@ class NoiseSpec:
 
 def as_samples(observed) -> np.ndarray:
     """Coerce a Signal or array-like into a finite 1-d complex sample vector."""
-    if isinstance(observed, Signal):
-        return observed.samples
-    s = np.asarray(observed, dtype=np.complex128)
-    if s.ndim != 1 or s.size < 1:
-        raise InvalidDimension("observed data must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(s)):
-        raise DegenerateInput("observed samples must be finite")
-    return s
+    return (observed if isinstance(observed, Signal) else Signal(observed)).samples
 
 
 def atom(omega: float, n_samples: int) -> np.ndarray:
@@ -161,10 +154,15 @@ def noise_var_for_snr(clean, snr_db: float) -> float:
     """Per-sample noise variance that puts the clean signal at ``snr_db``.
 
     Solves 10*log10(||x||^2 / (N * sigma2)) = snr_db, so
-    sigma2 = ||x||^2 / (N * 10^(snr_db / 10)).
+    sigma2 = ||x||^2 / (N * 10^(snr_db / 10)). An all-zero signal, or an
+    SNR for which sigma2 is no finite positive float, raises DegenerateInput.
     """
     x = as_samples(clean)
     power = float(np.vdot(x, x).real)
-    if power == 0.0:
-        raise DegenerateInput("cannot set an SNR for an all-zero signal")
-    return power / (x.size * 10.0 ** (snr_db / 10.0))
+    try:
+        sigma2 = power / (x.size * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not 0.0 < sigma2 < math.inf:
+        raise DegenerateInput(f"no finite positive noise variance gives {snr_db} dB SNR")
+    return sigma2

@@ -252,9 +252,14 @@ def test_gradcheck_passes_and_detects_bias(capsys):
         ["experiment", "order", "--seed", "-1"],
         ["simulate", "--n", "32", "--components", "c.json", "--snr-db", "10",
          "--seed", "-1", "--out", "x.csv"],
+        ["gradcheck", "--tol", "nan"],
+        ["gradcheck", "--tol=-1"],
+        ["gradcheck", "--tol", "0"],
+        ["gradcheck", "--tol", "inf"],
     ],
     ids=["simulate-n-0", "order-trials-0", "mse-trials-negative", "gradcheck-n-1",
-         "gradcheck-seed-negative", "experiment-seed-negative", "simulate-seed-negative"],
+         "gradcheck-seed-negative", "experiment-seed-negative", "simulate-seed-negative",
+         "gradcheck-tol-nan", "gradcheck-tol-negative", "gradcheck-tol-0", "gradcheck-tol-inf"],
 )
 def test_out_of_range_count_exits_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -276,6 +281,23 @@ def test_simulate_with_nan_snr_exits_2(tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("snr", ["--snr-db=-inf", "--snr-db=4000"])
+def test_simulate_with_snr_outside_float_range_exits_2(snr, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps(COMPONENTS))
+    assert main(["simulate", "--n", "8", "--components", "c.json", snr, "--out", "x.csv"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_experiment_missing_out_dir_exits_2_before_the_study_runs(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(experiments, "mc_order", lambda **kwargs: calls.append(kwargs))
+    assert main(["experiment", "order", "--out-dir", str(tmp_path / "missing")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_unknown_experiment_name_rejected(capsys):

@@ -214,7 +214,8 @@ def test_write_json_round_trips_estimator_config(tmp_path):
     path = tmp_path / "config.json"
     write_json(path, EstimatorConfig())
     d = json.loads(path.read_text())
-    assert d["max_outer"] == 20
+    assert set(d) == {"init", "train", "order", "eps_floor"}
+    assert d["eps_floor"] == 1e-9
     assert d["train"]["momentum"] == 0.9
 
 

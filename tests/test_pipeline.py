@@ -7,12 +7,17 @@ frequency accuracy rather than the reported count. Counting is asserted at
 moderate SNR where the thresholds are calibrated to operate.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from linespec import pipeline
 from linespec.errors import DegenerateInput, InvalidDimension, NumericalDivergence, Overdetermined
-from linespec.optimizer import TrainConfig
+from linespec.optimizer import TrainConfig, train_inner
+from linespec.order_control import apply_prunes
 from linespec.pipeline import (
+    MAX_PASSES,
     EstimatorConfig,
     RunReport,
     estimate_spectrum,
@@ -90,10 +95,44 @@ def test_report_invariants():
     assert rep.sigma2_hat >= 0
 
 
-def test_outer_pass_budget_respected():
+DECADES = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9]
+
+
+def _record_tolerances(monkeypatch) -> list[float]:
+    seen: list[float] = []
+
+    def recording(y, state, cfg):
+        seen.append(cfg.eps_tol)
+        return train_inner(y, state, cfg)
+
+    monkeypatch.setattr(pipeline, "train_inner", recording)
+    return seen
+
+
+@pytest.mark.parametrize("floor", [1e-9, 1e-6])
+def test_passes_train_at_exact_decades_down_to_the_floor(monkeypatch, floor):
+    seen = _record_tolerances(monkeypatch)
     y, _ = _noisy_signal()
-    rep = estimate_spectrum(y, EstimatorConfig(max_outer=2))
-    assert rep.outer_iterations <= 2
+    rep = estimate_spectrum(y, EstimatorConfig(eps_floor=floor))
+    decades = DECADES[: DECADES.index(floor) + 1]
+    assert seen[: len(decades)] == decades
+    assert seen[len(decades):] == [floor] * (len(seen) - len(decades))
+    assert len(seen) == rep.outer_iterations <= MAX_PASSES == 20
+
+
+def test_a_run_that_never_settles_stops_at_the_pass_cap(monkeypatch):
+    # Every pass reports a prune, so no floor pass ends the run.
+    seen = _record_tolerances(monkeypatch)
+
+    def always_prunes(state, y, order):
+        state, report = apply_prunes(state, y, order)
+        return state, replace(report, keep_mask=np.zeros_like(report.keep_mask))
+
+    monkeypatch.setattr(pipeline, "apply_prunes", always_prunes)
+    y, _ = _noisy_signal()
+    rep = estimate_spectrum(y)
+    assert rep.outer_iterations == MAX_PASSES
+    assert seen == DECADES + [1e-9] * (MAX_PASSES - len(DECADES))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -158,6 +158,13 @@ def test_noise_var_for_snr_rejects_zero_signal():
         noise_var_for_snr(np.zeros(8), 10.0)
 
 
+@pytest.mark.parametrize("snr_db", [-math.inf, -3300.0, 4000.0, math.inf])
+def test_noise_var_for_snr_rejects_snr_outside_float_range(snr_db):
+    # 10^(snr_db / 10) underflows to 0 or overflows: no finite positive variance.
+    with pytest.raises(DegenerateInput):
+        noise_var_for_snr(np.ones(8), snr_db)
+
+
 def test_noise_spec_rejects_negative_variance():
     with pytest.raises(DegenerateInput):
         NoiseSpec(sigma2=-1.0)
