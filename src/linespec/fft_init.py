@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InvalidDimension
 from .optimizer import NetworkState
-from .order_control import OrderConfig, merge_radius, prune_statistics, prune_threshold
-from .signal_model import TWO_PI, Sinusoid, as_samples, design_matrix, ls_amplitudes, wrap_angle
+from .order_control import OrderConfig, _prune_statistics, merge_radius, prune_threshold
+from .signal_model import TWO_PI, Sinusoid, _ls_solve, as_samples, design_matrix, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ def _peak_bins(y: np.ndarray, mag: np.ndarray, cfg: InitConfig, order: OrderConf
         peaks = _drop_weaker_of_closest_pair(peaks, mag, big_l)
     if not peaks:
         return []
-    omegas = TWO_PI * np.array(peaks) / big_l
-    xi = prune_statistics(NetworkState(omegas, ls_amplitudes(omegas, y)), y)
+    A = design_matrix(TWO_PI * np.array(peaks) / big_l, y.size)
+    xi = _prune_statistics(y, A, _ls_solve(A, y))
     keep = xi >= prune_threshold(y.size, len(peaks), order)
     return [k for k, kept in zip(peaks, keep) if kept]
 
@@ -141,20 +141,20 @@ def initialize(observed, cfg: InitConfig | None = None, order: OrderConfig | Non
     peaks = _peak_bins(y, mag, cfg, order)
     if not peaks:
         return NetworkState.empty()
-    heads = TWO_PI * np.array(peaks) / big_l
+    bins = np.array(peaks)
+    heads = TWO_PI * bins / big_l
     A = design_matrix(heads, n)
-    alphas = ls_amplitudes(heads, y)
+    alphas = _ls_solve(A, y)
     residual = y - A @ alphas
     sigma2 = float(np.vdot(residual, residual).real) / n
-    omegas, amps = [], []
-    for i, k in enumerate(peaks):
-        side = 1.0 if mag[(k + 1) % big_l] >= mag[(k - 1) % big_l] else -1.0
-        gap = merge_radius(alphas[i], sigma2, n, order, TWO_PI / big_l)
-        pair = np.array([heads[i], heads[i] + side * gap])
+    sides = np.where(mag[(bins + 1) % big_l] >= mag[(bins - 1) % big_l], 1.0, -1.0)
+    companions = heads + sides * merge_radius(alphas, sigma2, n, order, TWO_PI / big_l)
+    B = design_matrix(companions, n)
+    amps = []
+    for i in range(bins.size):
         partial = residual + A[:, i] * alphas[i]
-        omegas.extend(pair)
-        amps.extend(ls_amplitudes(pair, partial))
-    omegas = wrap_angle(np.array(omegas))
+        amps.extend(_ls_solve(np.column_stack((A[:, i], B[:, i])), partial))
+    omegas = wrap_angle(np.column_stack((heads, companions)).ravel())
     idx = np.argsort(omegas, kind="stable")
     return NetworkState(omegas[idx], np.array(amps)[idx])
 

@@ -80,18 +80,20 @@ def estimate_noise_var(observed, model) -> float:
     return cost(y, model) / y.size
 
 
-def rho(omega_i: float, omega_j: float, n_samples: int):
+def rho(omega_i, omega_j, n_samples: int):
     """Weighted index sums of the pair Fisher information.
 
     Returns (rho1, rho2) with rho1 = sum n^2 and
     rho2 = sum n^2 * exp(j * (omega_j - omega_i) * n) over n = 0 .. N-1.
+    Scalar frequencies give a complex rho2; arrays give an array, one rho2
+    per pair, each summed over its own row with the scalar's bits.
     """
     if n_samples < 2:
         raise InvalidDimension("rho needs at least two samples")
-    n = np.arange(n_samples)
-    n2 = n.astype(float) ** 2
-    rho2 = complex(np.sum(n2 * np.exp(1j * (omega_j - omega_i) * n)))
-    return sum_n_squared(n_samples), rho2
+    gap = np.subtract(omega_j, omega_i)
+    n = np.arange(n_samples, dtype=float)
+    rho2 = (n**2 * np.exp(1j * gap[..., None] * n)).sum(axis=-1)
+    return sum_n_squared(n_samples), complex(rho2) if rho2.ndim == 0 else rho2
 
 
 def crb_pair(
@@ -137,35 +139,66 @@ def merge_test(omega_lo: float, omega_hi: float, crb_delta: float, cfg: OrderCon
     return (omega_hi - omega_lo) < bound
 
 
-def _fuses(alpha_i, alpha_j, omega_i, omega_j, sigma2, n_samples, cfg: OrderConfig) -> bool:
-    """merge_test on crb_pair's bound; a singular bound means one node and fuses."""
-    try:
-        crb_delta = crb_pair(alpha_i, alpha_j, omega_i, omega_j, sigma2, n_samples).crb_delta
-    except SingularInformation:
-        return True
-    return merge_test(omega_i, omega_j, crb_delta, cfg)
+def _fuse_test(alpha_i, alpha_j, sigma2: float, n_samples: int, cfg: OrderConfig):
+    """merge_test on crb_pair's bound for arrays of amplitude pairs, or one pair.
+
+    Returns fuses(omega_i, omega_j): one boolean per pair, True where the
+    pair merges; a singular bound means one node and fuses. The terms that
+    do not depend on the frequencies are computed once. Every value is
+    crb_pair's and merge_test's, in their order, element by element, so a
+    decision has the scalar path's bits: a modulus goes through hypot (as
+    abs of a complex scalar does), a square through float_power (libm pow,
+    as a scalar ** 2 does) and a complex product through its real
+    arithmetic, since numpy's vector complex multiply rounds differently.
+    """
+    pi2 = np.float_power(np.hypot(alpha_i.real, alpha_i.imag), 2.0)
+    pj2 = np.float_power(np.hypot(alpha_j.real, alpha_j.imag), 2.0)
+    conj_i = np.conj(alpha_i)
+    c_re = conj_i.real * alpha_j.real - conj_i.imag * alpha_j.imag
+    c_im = conj_i.real * alpha_j.imag + conj_i.imag * alpha_j.real
+    rho1 = sum_n_squared(n_samples)
+    power_term = pi2 * pj2 * rho1**2
+    sum_term = (pi2 + pj2) * rho1
+    half_sigma2 = sigma2 / 2.0
+    quantile = std_normal_inv_cdf(cfg.epsilon_f)
+    singular = (sigma2 <= 0) | (pi2 == 0.0) | (pj2 == 0.0)
+
+    def fuses(omega_i, omega_j) -> np.ndarray:
+        _, rho2 = rho(omega_i, omega_j, n_samples)
+        cross = c_re * rho2.real - c_im * rho2.imag
+        den = power_term - np.float_power(cross, 2.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = half_sigma2 * (sum_term + 2.0 * cross) / den
+            bound = -np.sqrt(delta) * quantile
+        return singular | (den <= 0.0) | (np.subtract(omega_j, omega_i) < bound)
+
+    return fuses
 
 
-def merge_radius(alpha: complex, sigma2: float, n_samples: int, cfg: OrderConfig, limit: float) -> float:
+def merge_radius(alpha, sigma2: float, n_samples: int, cfg: OrderConfig, limit: float):
     """Largest spacing, up to ``limit``, at which merge_test fuses alpha split in two.
 
     The pair is two nodes with amplitude alpha / 2 each; the spacing is
-    found by bisection of the merge decision apply_merges takes (_fuses).
+    found by bisection of the merge decision apply_merges takes
+    (_fuse_test); an amplitude whose halves fuse at ``limit`` gets
+    ``limit``. ``alpha`` may be an array: the other amplitudes are bisected
+    together, each through the same 40 midpoints as alone. A scalar gives
+    a float, an array an array.
     """
-
-    def fuses(gap: float) -> bool:
-        return _fuses(alpha / 2, alpha / 2, 0.0, gap, sigma2, n_samples, cfg)
-
-    if fuses(limit):
-        return limit
-    lo, hi = 0.0, limit
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if fuses(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    half = np.asarray(alpha, dtype=complex) / 2
+    radius = np.full(half.shape, float(limit))
+    todo = ~_fuse_test(half, half, sigma2, n_samples, cfg)(0.0, radius)
+    if todo.any():
+        fuses = _fuse_test(half[todo], half[todo], sigma2, n_samples, cfg)
+        hi = radius[todo]
+        lo = np.zeros_like(hi)
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            fused = fuses(0.0, mid)
+            lo = np.where(fused, mid, lo)
+            hi = np.where(fused, hi, mid)
+        radius[todo] = lo
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
@@ -174,14 +207,15 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     Nodes are wrapped into [0, 2*pi) and sorted. One circular walk tests
     each node i against its next neighbor j = (i + 1) mod M, shifted by
     2*pi for the wrap-around pair (last, first), with the current amplitudes
-    and the residual noise estimate (see _fuses; a singular pair bound
-    means the nodes are already indistinguishable and forces the merge). A
-    fused pair becomes one node at the midpoint with the summed amplitude,
-    which is tested again against its next neighbor; the wrap-around pair
-    ends the walk. Every fused node then gets least-squares amplitudes
-    (refit_amplitudes), so the result is a fitted model, wrapped and sorted;
-    a state of fewer than two nodes is returned as it is. Returns (new
-    state, list of MergeEvent).
+    and the residual noise estimate (see _fuse_test; a singular pair bound
+    means the nodes are already indistinguishable and forces the merge).
+    All M adjacent pairs, the wrap-around one included, are tested at once.
+    A fused pair becomes one node at the midpoint with the summed
+    amplitude, which is tested again against its next neighbor; the
+    wrap-around pair ends the walk. Every fused node then gets
+    least-squares amplitudes (refit_amplitudes), so the result is a fitted
+    model, wrapped and sorted; a state of fewer than two nodes is returned
+    as it is. Returns (new state, list of MergeEvent).
     """
     y = as_samples(observed)
     n_samples = y.size
@@ -191,20 +225,28 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     order = np.argsort(w, kind="stable")
     w, a = w[order], state.alphas[order]
     sigma2 = estimate_noise_var(y, design_matrix(w, n_samples) @ a)
+    # Pair k is (k, k + 1 mod M). Until a node fuses, its next neighbor in
+    # the walk is its next neighbor here, so only pairs that hold a fused
+    # node need a new test.
+    adjacent = _fuse_test(a, np.append(a[1:], a[0]), sigma2, n_samples, cfg)(w, np.append(w[1:], w[0] + TWO_PI))
 
-    ws, am, fused = list(w), list(a), [False] * w.size
+    ws, am, fused, origin = list(w), list(a), [False] * w.size, list(range(w.size))
     events: list[MergeEvent] = []
     i = 0
     while len(ws) > 1 and i < len(ws):
         j = (i + 1) % len(ws)
         shift = TWO_PI if j == 0 else 0.0
-        if not _fuses(am[i], am[j], ws[i], ws[j] + shift, sigma2, n_samples, cfg):
+        if fused[i] or fused[j]:
+            fuses = _fuse_test(am[i], am[j], sigma2, n_samples, cfg)(ws[i], ws[j] + shift)
+        else:
+            fuses = adjacent[origin[i]]
+        if not fuses:
             i += 1
             continue
         merged = wrap_angle(0.5 * (ws[i] + ws[j] + shift))
         events.append(MergeEvent(ws[i], ws[j], merged))
         ws[i], am[i], fused[i] = merged, am[i] + am[j], True
-        del ws[j], am[j], fused[j]
+        del ws[j], am[j], fused[j], origin[j]
         if j == 0:
             break
     w = np.array(ws)
@@ -248,12 +290,16 @@ def prune_statistics(state: NetworkState, observed) -> np.ndarray:
     fit) gives inf for every node.
     """
     y = as_samples(observed)
-    A = design_matrix(state.omegas, y.size)
-    residual = y - A @ state.alphas
+    return _prune_statistics(y, design_matrix(state.omegas, y.size), state.alphas)
+
+
+def _prune_statistics(y: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """prune_statistics for a design matrix the caller has already built."""
+    residual = y - A @ alphas
     den = float(np.vdot(residual, residual).real)
     if den == 0.0:
-        return np.full(state.m_nodes, math.inf)
-    return np.abs(A.conj().T @ residual + y.size * state.alphas) ** 2 / den
+        return np.full(alphas.size, math.inf)
+    return np.abs(A.conj().T @ residual + y.size * alphas) ** 2 / den
 
 
 def prune_statistic(node_index: int, state: NetworkState, observed) -> float:

@@ -48,7 +48,9 @@ class EstimatorConfig:
 
     ``eps_floor`` is the tightest inner tolerance of the annealed schedule,
     at most 10^-EPS_START_DECADE; the loop exits once a pass at the floor
-    changes nothing. The schedule overrides ``train.eps_tol`` on every pass.
+    changes nothing. The schedule sets the inner tolerance of every pass,
+    so ``train.eps_tol`` must keep TrainConfig's default: any other value
+    would be ignored, and is rejected.
     """
 
     init: InitConfig = field(default_factory=InitConfig)
@@ -59,6 +61,11 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 0.0 < self.eps_floor <= 10.0**-EPS_START_DECADE:
             raise InvalidDimension(f"eps_floor must lie in (0, {10.0**-EPS_START_DECADE:g}]")
+        if self.train.eps_tol != TrainConfig.eps_tol:
+            raise InvalidDimension(
+                "train.eps_tol is set by the annealing schedule on every pass; "
+                "set eps_floor for the final tolerance instead"
+            )
 
 
 @dataclass(frozen=True)

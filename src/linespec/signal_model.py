@@ -128,7 +128,12 @@ def ls_amplitudes(omegas, target: np.ndarray) -> np.ndarray:
     minimum-norm solution (equal halves for an exact duplicate) instead of
     cancelling at many times the data's size. No frequencies fit nothing.
     """
-    return np.linalg.lstsq(design_matrix(omegas, target.size), target, rcond=1e-12)[0]
+    return _ls_solve(design_matrix(omegas, target.size), target)
+
+
+def _ls_solve(A: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """ls_amplitudes for a design matrix the caller has already built."""
+    return np.linalg.lstsq(A, target, rcond=1e-12)[0]
 
 
 def synthesize(components, n_samples: int, noise: NoiseSpec) -> Signal:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linespec.errors import (
     DegenerateResidual,
@@ -32,13 +32,14 @@ from linespec.order_control import (
     estimate_noise_var,
     merge_radius,
     merge_test,
+    _fuse_test,
     prune_statistic,
     prune_statistics,
     prune_threshold,
     refit_amplitudes,
     rho,
 )
-from linespec.signal_model import TWO_PI, atom, design_matrix
+from linespec.signal_model import TWO_PI, atom, design_matrix, wrap_angle
 
 
 def _unit_noise(n, seed):
@@ -270,6 +271,157 @@ def test_apply_merges_single_node_noop():
     out, events = apply_merges(st0, y, OrderConfig())
     assert out is st0
     assert events == []
+
+
+# ---------------------------------------------------------------------------
+# the array merge test against the scalar path: crb_pair + merge_test
+
+
+def _scalar_fuses(alpha_i, alpha_j, omega_i, omega_j, sigma2, n, cfg):
+    try:
+        crb_delta = crb_pair(alpha_i, alpha_j, omega_i, omega_j, sigma2, n).crb_delta
+    except SingularInformation:
+        return True
+    return merge_test(omega_i, omega_j, crb_delta, cfg)
+
+
+def _scalar_radius(alpha, sigma2, n, cfg, limit):
+    """merge_radius of one amplitude, one crb_pair per bisection step."""
+    if _scalar_fuses(alpha / 2, alpha / 2, 0.0, limit, sigma2, n, cfg):
+        return limit
+    lo, hi = 0.0, limit
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if _scalar_fuses(alpha / 2, alpha / 2, 0.0, mid, sigma2, n, cfg):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _scalar_walk(state, y, cfg):
+    """apply_merges with one crb_pair per tested pair, in walk order."""
+    if state.m_nodes <= 1:
+        return state, []
+    n = y.size
+    w = wrap_angle(state.omegas)
+    order = np.argsort(w, kind="stable")
+    w, a = w[order], state.alphas[order]
+    sigma2 = estimate_noise_var(y, design_matrix(w, n) @ a)
+    ws, am, fused, events = list(w), list(a), [False] * w.size, []
+    i = 0
+    while len(ws) > 1 and i < len(ws):
+        j = (i + 1) % len(ws)
+        shift = TWO_PI if j == 0 else 0.0
+        if not _scalar_fuses(am[i], am[j], ws[i], ws[j] + shift, sigma2, n, cfg):
+            i += 1
+            continue
+        merged = wrap_angle(0.5 * (ws[i] + ws[j] + shift))
+        events.append(MergeEvent(ws[i], ws[j], merged))
+        ws[i], am[i], fused[i] = merged, am[i] + am[j], True
+        del ws[j], am[j], fused[j]
+        if j == 0:
+            break
+    w = np.array(ws)
+    order = np.argsort(w, kind="stable")
+    st0 = NetworkState(w[order], np.array(am, dtype=np.complex128)[order])
+    return refit_amplitudes(st0, y, np.array(fused)[order]), events
+
+
+def test_rho_over_arrays_equals_each_scalar_pair():
+    rng = np.random.default_rng(21)
+    for n in (2, 33, 512):
+        wi, wj = rng.uniform(0, TWO_PI, 7), rng.uniform(0, TWO_PI, 7)
+        rho1, rho2 = rho(wi, wj, n)
+        assert rho2.shape == (7,)
+        for k in range(7):
+            one = rho(wi[k], wj[k], n)
+            assert one == (rho1, complex(rho2[k]))
+            assert type(one[1]) is complex
+
+
+def test_fuse_test_flips_between_the_same_two_floats_as_the_scalar_test():
+    # A 40-step bisection hides most rounding differences; at the exact
+    # boundary, bracketed by adjacent floats, a bound one ulp off flips a
+    # decision (a modulus by np.abs or numpy's vector complex multiply does).
+    rng = np.random.default_rng(22)
+    cfg = OrderConfig()
+    for n in (2, 3, 8, 17, 64, 512):
+        sigma2 = 10.0 ** rng.uniform(-3, -1.5)
+        rows = []
+        for _ in range(60):
+            ai, aj = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            wi = rng.uniform(0, TWO_PI)
+            lo, hi = wi, wi + 4.0 / n
+            if not _scalar_fuses(ai, aj, wi, lo, sigma2, n, cfg) or _scalar_fuses(ai, aj, wi, hi, sigma2, n, cfg):
+                continue
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _scalar_fuses(ai, aj, wi, mid, sigma2, n, cfg) else (lo, mid)
+            rows += [(ai, aj, wi, lo), (ai, aj, wi, hi)]
+        assert len(rows) >= 80
+        ai, aj, wi, wj = (np.array(c) for c in zip(*rows))
+        got = _fuse_test(ai, aj, sigma2, n, cfg)(wi, wj)
+        np.testing.assert_array_equal(got, np.tile([True, False], len(rows) // 2))
+
+
+_AMPS = st.lists(
+    st.tuples(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 30.0]), st.floats(0.0, 6.28)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(amps=_AMPS, log_sigma2=st.floats(-6.0, 9.0), n=st.integers(2, 1024), bins=st.sampled_from([0.25, 1.0, 4.0]))
+@example(amps=[(1.0, 0.3), (0.0, 0.0), (30.0, 2.0)], log_sigma2=-2.0, n=2, bins=1.0)
+@example(amps=[(1.0, 0.3), (0.0, 0.0), (0.1, 4.0)], log_sigma2=-1.0, n=1024, bins=0.25)
+@example(amps=[(1.0, 0.3), (30.0, 1.0), (1e-3, 2.0)], log_sigma2=9.0, n=1024, bins=0.25)
+def test_merge_radius_over_an_array_is_the_scalar_bisection_bit_for_bit(amps, log_sigma2, n, bins):
+    alphas = np.array([m * np.exp(1j * p) for m, p in amps], dtype=np.complex128)
+    sigma2, cfg, limit = 10.0**log_sigma2, OrderConfig(), bins * TWO_PI / (4 * n)
+    want = np.array([_scalar_radius(a, sigma2, n, cfg, limit) for a in alphas])
+    got = merge_radius(alphas, sigma2, n, cfg, limit)
+    assert got.shape == alphas.shape
+    np.testing.assert_array_equal(got, want)
+    assert np.all(got[alphas == 0] == limit)  # a zero amplitude is singular and fuses
+    if log_sigma2 == 9.0:
+        assert np.all(got == limit)
+    one = merge_radius(alphas[0], sigma2, n, cfg, limit)
+    assert type(one) is float and one == want[0]
+
+
+def _merge_scene(rng):
+    """A random state of clusters, some across 0 = 2*pi, with data near it."""
+    n = int(rng.choice([8, 32, 128, 512]))
+    centers = rng.uniform(0, TWO_PI, int(rng.integers(1, 4)))
+    if rng.uniform() < 0.5:
+        centers[0] = rng.choice([0.0, TWO_PI]) + rng.uniform(-1, 1) * 1e-3 / n
+    omegas = np.concatenate(
+        [c + np.sort(rng.uniform(0, 10.0 ** rng.uniform(-6, -1), int(rng.integers(1, 5)))) / n for c in centers]
+    )
+    alphas = rng.standard_normal(omegas.size) + 1j * rng.standard_normal(omegas.size)
+    truth = NetworkState(centers, np.ones(centers.size, dtype=complex))
+    noise = 10.0 ** rng.uniform(-3, 0) * _unit_noise(n, int(rng.integers(1 << 30)))
+    y = design_matrix(truth.omegas, n) @ truth.alphas + noise
+    return NetworkState(omegas, alphas), y
+
+
+def test_apply_merges_is_the_scalar_walk_bit_for_bit():
+    cfg = OrderConfig()
+    chains = wraps = 0
+    for seed in range(60):
+        state, y = _merge_scene(np.random.default_rng(seed))
+        got, got_events = apply_merges(state, y, cfg)
+        want, want_events = _scalar_walk(state, y, cfg)
+        assert got_events == want_events
+        np.testing.assert_array_equal(got.omegas, want.omegas)
+        np.testing.assert_array_equal(got.alphas, want.alphas)
+        # a chain fuses a merged node again; a wrap-around fusion lists its
+        # lower node above its upper one
+        chains += any(a.omega_merged == b.omega_low for a, b in zip(want_events, want_events[1:]))
+        wraps += any(e.omega_low > e.omega_high for e in want_events)
+    assert chains >= 5 and wraps >= 3
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,14 @@ def test_tolerance_floor_above_start_is_rejected():
         EstimatorConfig(eps_floor=0.1)
 
 
+def test_train_tolerance_the_schedule_would_override_is_rejected():
+    # Every pass trains to the schedule's tolerance; a train.eps_tol that no
+    # pass would use must not be accepted (or recorded by --report).
+    with pytest.raises(InvalidDimension, match="eps_floor"):
+        EstimatorConfig(train=TrainConfig(eps_tol=1e-3))
+    assert EstimatorConfig(train=TrainConfig(min_iter=5)).train.eps_tol == TrainConfig().eps_tol
+
+
 def test_fixed_order_straddling_pair_merges_to_one():
     # One noisy tone, two initial nodes half a coarse bin to each side.
     # The pair is statistically one component and collapses (this specific
