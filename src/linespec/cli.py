@@ -193,10 +193,10 @@ def cmd_estimate(args) -> int:
                 gamma_alpha=args.gamma_alpha,
                 gamma_omega=args.gamma_omega,
                 momentum=args.momentum,
+                eps_tol=args.eps,
                 max_iter=args.max_iter,
             ),
             order=replace(_DEFAULTS.order, epsilon_f=args.epsf, epsilon_a=args.epsa),
-            eps_floor=args.eps,
         )
     except LineSpecError as exc:
         return _fail(str(exc), 2)
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--eps",
         type=float,
-        default=_DEFAULTS.eps_floor,
+        default=_DEFAULTS.train.eps_tol,
         help="floor of the annealed inner tolerance: passes tighten it from"
         f" {10.0**-EPS_START_DECADE:g} down to this value, and the run ends at the first"
         " floor pass that changes nothing",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularInformation
 from .fft_init import InitConfig, find_peaks, initialize, zero_padded_fft
-from .optimizer import NetworkState, TrainConfig, cost, sum_n_squared, train_inner
+from .optimizer import NetworkState, cost, sum_n_squared, train_inner
 from .order_control import OrderConfig, apply_prunes, detection_prob
 from .pipeline import (
     EstimatorConfig,
@@ -480,12 +480,11 @@ def convergence_trace(spec: TrialSpec, gamma_grid, lambda_grid) -> SweepResult:
     ``gamma_grid`` entries scale both default learning rates. Each setting
     runs spec.trials seeded instances of the scenario; the row reports the
     median iteration count, whether every run converged, and one thinned
-    trace from the first seed.
+    trace from the first seed. Runs train under the estimator's stopping
+    rule at a fixed tolerance of 1e-5, one call from the FFT start.
     """
     freqs, mags = _truth_arrays(spec.truth)
-    base = TrainConfig(
-        eps_tol=spec.estimator.train.eps_tol, max_iter=spec.estimator.train.max_iter
-    ).resolve(spec.n_samples)
+    base = replace(spec.estimator.train, eps_tol=1e-5).resolve(spec.n_samples)
     rows = []
     for gs in gamma_grid:
         for lam in lambda_grid:
@@ -525,6 +524,7 @@ def convergence_trace(spec: TrialSpec, gamma_grid, lambda_grid) -> SweepResult:
             "n_samples": spec.n_samples,
             "snr_db": spec.snr_db,
             "truth_freqs": list(freqs),
+            "train": base,
             "notes": ["gamma_scale multiplies both default learning rates"],
         },
         seeds={"base_seed": spec.base_seed, "trials": spec.trials},

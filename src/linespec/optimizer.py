@@ -20,6 +20,10 @@ from .errors import InvalidDimension, NumericalDivergence
 from .signal_model import as_samples
 
 _DEFAULT_RATE_NUMERATOR = 0.5
+# Rising iterations in a row that trigger a safeguard halving, and
+# below-tolerance iterations in a row that end a pass.
+_SAFEGUARD_PATIENCE = 20
+_CONSEC_HITS = 3
 
 
 def sum_n_squared(n_samples: int) -> float:
@@ -60,38 +64,36 @@ class NetworkState:
 class TrainConfig:
     """Learning rates, momentum, and stopping rule for the inner loop.
 
+    The defaults are what every estimator pass trains with; the outer loop
+    sets only the tolerance of each pass, with ``eps_tol`` as its floor.
     ``gamma_alpha`` and ``gamma_omega`` default to None, meaning "resolve per
     signal length": 0.5 / N for the amplitudes and 0.5 / sum(n^2) for the
     frequencies, which rescales the two gradient blocks to comparable step
-    sizes. ``momentum`` is the exponential moving average coefficient of the
-    momentum buffers. The loop stops once the mean cost change |dC/N| stays
-    below ``eps_tol`` for ``consec_hits`` consecutive iterations after at
-    least ``min_iter`` iterations; the bare defaults (0, 1) stop at the first
-    crossing.
+    sizes; a set rate must be finite and positive. ``momentum`` is the
+    exponential moving average coefficient of the momentum buffers. The
+    loop stops once the mean cost change |dC/N| stays below ``eps_tol`` for
+    three consecutive iterations after at least ``min_iter`` iterations, so
+    a momentary flat spot of the cost does not end it.
     """
 
     gamma_alpha: float | None = None
     gamma_omega: float | None = None
     momentum: float = 0.9
-    eps_tol: float = 1e-5
+    eps_tol: float = 1e-9
     max_iter: int = 20000
-    safeguard_patience: int = 20
-    min_iter: int = 0
-    consec_hits: int = 1
+    min_iter: int = 30
 
     def __post_init__(self):
-        if self.gamma_alpha is not None and not self.gamma_alpha > 0:
-            raise InvalidDimension("gamma_alpha must be positive")
-        if self.gamma_omega is not None and not self.gamma_omega > 0:
-            raise InvalidDimension("gamma_omega must be positive")
+        if self.gamma_alpha is not None and not 0.0 < self.gamma_alpha < math.inf:
+            raise InvalidDimension("gamma_alpha must be finite and positive")
+        if self.gamma_omega is not None and not 0.0 < self.gamma_omega < math.inf:
+            raise InvalidDimension("gamma_omega must be finite and positive")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidDimension("momentum must lie in [0, 1)")
         if not self.eps_tol > 0:
             raise InvalidDimension("eps_tol must be positive")
-        if self.max_iter < 1 or self.safeguard_patience < 1:
-            raise InvalidDimension("iteration limits must be positive")
-        if self.min_iter < 0 or self.consec_hits < 1:
-            raise InvalidDimension("stopping counters out of range")
+        if self.max_iter < 1 or self.min_iter < 0:
+            raise InvalidDimension("iteration limits out of range")
 
     def resolve(self, n_samples: int) -> "TrainConfig":
         """Fill in the per-N default learning rates."""
@@ -244,10 +246,9 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     """Gradient descent with momentum until the mean cost change is below tolerance.
 
     Returns (final state, CostTrace). The momentum buffer lives only inside
-    one call and starts from zero. If the cost rises for
-    ``safeguard_patience`` consecutive iterations, both learning rates are
-    halved, the buffer is zeroed, and the best state seen so far is
-    restored before continuing.
+    one call and starts from zero. If the cost rises for 20 consecutive
+    iterations, both learning rates are halved, the buffer is zeroed, and
+    the best state seen so far is restored before continuing.
     """
     y = as_samples(observed)
     n_samples = y.size
@@ -303,8 +304,8 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     append = trace.append
     eps_tol = cfg.eps_tol
     min_iter = cfg.min_iter
-    consec_hits = cfg.consec_hits
-    patience = cfg.safeguard_patience
+    hits_to_stop = _CONSEC_HITS
+    patience = _SAFEGUARD_PATIENCE
 
     for t in range(1, cfg.max_iter + 1):
         gradients(a, scale_a, scale_w, step_parts)
@@ -344,7 +345,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
             break
         if t > min_iter and abs(c - cbar) < eps_tol:
             hits += 1
-            if hits >= consec_hits:
+            if hits >= hits_to_stop:
                 exit_reason = "tol"
                 break
         else:

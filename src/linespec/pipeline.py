@@ -7,9 +7,10 @@ model. The inner tolerance is annealed across outer passes: early
 passes stop training coarsely so that redundant nodes are merged or pruned
 while they are cheap to remove, and later passes tighten the tolerance
 down to a floor so the surviving nodes converge to full precision: pass k
-(from 0) trains to max(10^-(EPS_START_DECADE + k), eps_floor), an exact
-power of ten or the floor itself. The loop exits when a floor pass makes no
-structural change, after MAX_PASSES passes, or when no node is left.
+(from 0) trains to max(10^-(EPS_START_DECADE + k), train.eps_tol), an
+exact power of ten or the floor itself. The loop exits when a floor pass
+makes no structural change, after MAX_PASSES passes, or when no node is
+left.
 """
 
 from __future__ import annotations
@@ -36,35 +37,25 @@ EPS_START_DECADE = 2
 MAX_PASSES = 20
 
 
-def _default_train() -> TrainConfig:
-    # The outer loop overrides eps_tol per pass; min_iter and consec_hits
-    # guard each pass against stopping on a momentary flat spot of the cost.
-    return TrainConfig(min_iter=30, consec_hits=3)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Configuration of the full estimation pipeline.
 
-    ``eps_floor`` is the tightest inner tolerance of the annealed schedule,
-    at most 10^-EPS_START_DECADE; the loop exits once a pass at the floor
-    changes nothing. The schedule sets the inner tolerance of every pass,
-    so ``train.eps_tol`` must keep TrainConfig's default: any other value
-    would be ignored, and is rejected.
+    Every outer pass trains with ``train``, at the annealed tolerance whose
+    floor is ``train.eps_tol``; that floor may not exceed the schedule's
+    start, 10^-EPS_START_DECADE. The loop exits once a pass at the floor
+    changes nothing.
     """
 
     init: InitConfig = field(default_factory=InitConfig)
-    train: TrainConfig = field(default_factory=_default_train)
+    train: TrainConfig = field(default_factory=TrainConfig)
     order: OrderConfig = field(default_factory=OrderConfig)
-    eps_floor: float = 1e-9
 
     def __post_init__(self):
-        if not 0.0 < self.eps_floor <= 10.0**-EPS_START_DECADE:
-            raise InvalidDimension(f"eps_floor must lie in (0, {10.0**-EPS_START_DECADE:g}]")
-        if self.train.eps_tol != TrainConfig.eps_tol:
+        if self.train.eps_tol > 10.0**-EPS_START_DECADE:
             raise InvalidDimension(
-                "train.eps_tol is set by the annealing schedule on every pass; "
-                "set eps_floor for the final tolerance instead"
+                f"train.eps_tol must be at most {10.0**-EPS_START_DECADE:g},"
+                " where the annealing schedule starts"
             )
 
 
@@ -106,7 +97,7 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
     merge_events: list[tuple[int, MergeEvent]] = []
     prune_events: list[tuple[int, PruneReport]] = []
     while outer < MAX_PASSES and state.m_nodes > 0:
-        eps = max(10.0 ** -(EPS_START_DECADE + outer), cfg.eps_floor)
+        eps = max(10.0 ** -(EPS_START_DECADE + outer), cfg.train.eps_tol)
         outer += 1
         try:
             state, trace = train_inner(y, state, replace(cfg.train, eps_tol=eps))
@@ -120,7 +111,7 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
         pruned = not bool(np.all(prune_report.keep_mask))
         if pruned:
             prune_events.append((outer, prune_report))
-        if not (merged or pruned) and eps == cfg.eps_floor:
+        if not (merged or pruned) and eps == cfg.train.eps_tol:
             break
     return _build_report(y, state, outer, traces, merge_events, prune_events)
 

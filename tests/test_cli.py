@@ -185,7 +185,7 @@ def test_estimate_eps_sets_the_tolerance_floor(tmp_path, capsys):
     assert main(["estimate", "--in", sig, "--report", str(default)]) == 0
     capsys.readouterr()
     assert json.loads(default.read_text()) == reports["1e-9"]
-    assert reports["1e-6"]["config"]["eps_floor"] == 1e-6
+    assert reports["1e-6"]["config"]["train"]["eps_tol"] == 1e-6
     assert reports["1e-6"]["outer_iterations"] < reports["1e-9"]["outer_iterations"]
 
 
@@ -193,7 +193,7 @@ def test_estimate_parser_defaults_are_the_estimator_config():
     args = build_parser().parse_args(["estimate", "--in", "signal.csv"])
     cfg = EstimatorConfig()
     assert args.l_factor == cfg.init.l_factor
-    assert args.eps == cfg.eps_floor
+    assert args.eps == cfg.train.eps_tol
     assert (args.epsf, args.epsa) == (cfg.order.epsilon_f, cfg.order.epsilon_a)
     train = (args.gamma_alpha, args.gamma_omega, args.momentum, args.max_iter)
     assert train == (
@@ -204,7 +204,15 @@ def test_estimate_parser_defaults_are_the_estimator_config():
 def test_estimate_eps_above_the_schedule_start_exits_2(tmp_path, capsys):
     path = _write_csv(tmp_path / "ones.csv", [(i, 1.0, 0.0) for i in range(16)])
     assert main(["estimate", "--in", path, "--eps", "0.1"]) == 2
-    assert "eps_floor" in capsys.readouterr().err
+    assert "train.eps_tol" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("option", ["--gamma-alpha", "--gamma-omega"])
+def test_estimate_infinite_learning_rate_exits_2(option, tmp_path, capsys):
+    path = _write_csv(tmp_path / "ones.csv", [(i, 1.0, 0.0) for i in range(16)])
+    assert main(["estimate", "--in", path, option, "inf"]) == 2
+    assert option[2:].replace("-", "_") in capsys.readouterr().err
 
 
 def test_estimate_epsf_at_which_nothing_merges_exits_2(tmp_path, capsys):

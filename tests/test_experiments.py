@@ -214,8 +214,11 @@ def test_write_json_round_trips_estimator_config(tmp_path):
     path = tmp_path / "config.json"
     write_json(path, EstimatorConfig())
     d = json.loads(path.read_text())
-    assert set(d) == {"init", "train", "order", "eps_floor"}
-    assert d["eps_floor"] == 1e-9
+    assert set(d) == {"init", "train", "order"}
+    assert set(d["train"]) == {
+        "gamma_alpha", "gamma_omega", "momentum", "eps_tol", "max_iter", "min_iter"
+    }
+    assert d["train"]["eps_tol"] == 1e-9
     assert d["train"]["momentum"] == 0.9
 
 
@@ -361,6 +364,18 @@ def test_convergence_trace_structure():
         assert row["n_nonconverged"] >= 0
         assert 1 <= len(row["trace"]) <= 513
         assert all(np.isfinite(row["trace"]))
+
+
+def test_convergence_trace_records_the_training_config(tmp_path):
+    # The study trains under the estimator's stopping rule at 1e-5, with the
+    # per-N rates resolved.
+    spec = TrialSpec(truth=[Sinusoid(1.0, TWO_PI * 0.3)], n_samples=32, snr_db=20.0, trials=1)
+    convergence_trace(spec, [1.0], [0.9]).to_json(tmp_path / "convergence.json")
+    train = json.loads((tmp_path / "convergence.json").read_text())["config"]["train"]
+    assert train["eps_tol"] == 1e-5
+    assert train["min_iter"] == 30
+    assert train["max_iter"] == spec.estimator.train.max_iter
+    assert train["gamma_alpha"] == 0.5 / 32
 
 
 # ---------------------------------------------------------------------------

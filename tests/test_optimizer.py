@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from linespec import optimizer
 from linespec.errors import InvalidDimension, NumericalDivergence
 from linespec.optimizer import (
     CostTrace,
@@ -170,7 +171,14 @@ def test_train_config_validation():
     with pytest.raises(InvalidDimension):
         TrainConfig(max_iter=0)
     with pytest.raises(InvalidDimension):
-        TrainConfig(consec_hits=0)
+        TrainConfig(min_iter=-1)
+
+
+@pytest.mark.parametrize("field", ["gamma_alpha", "gamma_omega"])
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0])
+def test_train_config_rejects_rates_that_are_not_finite_and_positive(field, rate):
+    with pytest.raises(InvalidDimension, match=field):
+        TrainConfig(**{field: rate})
 
 
 def test_resolve_fills_documented_default_rates():
@@ -274,7 +282,7 @@ def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = No
             best_c, best_w, best_a = c, w.copy(), a.copy()
         if c > cbar:
             rising += 1
-            if rising >= cfg.safeguard_patience:
+            if rising >= optimizer._SAFEGUARD_PATIENCE:
                 rate_a *= 0.5
                 rate_w *= 0.5
                 da[:] = 0.0
@@ -291,7 +299,7 @@ def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = No
             break
         if t > cfg.min_iter and abs(c - cbar) < cfg.eps_tol:
             hits += 1
-            if hits >= cfg.consec_hits:
+            if hits >= optimizer._CONSEC_HITS:
                 cbar = c
                 converged = True
                 break
@@ -325,37 +333,40 @@ _BIT_PIN_CASES = {
         _noisy_tones(32, [0.9, 1.6, 4.0], 3),
         [0.85, 1.65, 4.1],
         [1.0, 1.0j, -1.0],
-        TrainConfig(eps_tol=1e-5, min_iter=30, consec_hits=3),
+        TrainConfig(eps_tol=1e-5),
     ),
     "wide": (
         _noisy_tones(512, np.linspace(0.3, 5.9, 8), 8),
         np.linspace(0.31, 5.88, 8),
         np.ones(8, dtype=complex),
-        TrainConfig(eps_tol=1e-9, min_iter=30, consec_hits=3),
+        TrainConfig(),
     ),
     # the shape of the cluster10_n128 benchmark: eleven nodes 0.8 bin apart
     "cluster_n128": (
         _noisy_tones(128, 1.0 + TWO_PI * 0.8 * np.arange(11) / 128, 11),
         1.004 + TWO_PI * 0.8 * np.arange(11) / 128,
         np.ones(11, dtype=complex),
-        TrainConfig(eps_tol=1e-7, min_iter=30, consec_hits=3),
+        TrainConfig(eps_tol=1e-7),
     ),
-    # four halvings, each restoring a best state at least three iterations
-    # old, and new best states in between (see the rotation test below)
+    # with a safeguard patience of 3: four halvings, each restoring a best
+    # state at least two iterations old, and new best states in between
+    # (see the rotation test below)
     "rotation": (
         _noisy_tones(24, [0.8, 2.0, 2.4], 2),
         [0.75, 2.05, 2.3],
         [1.0, 1.0, 1.0],
-        TrainConfig(
-            gamma_alpha=1.0, gamma_omega=0.02, safeguard_patience=3, max_iter=3000, eps_tol=1e-12
-        ),
+        TrainConfig(gamma_alpha=1.0, gamma_omega=0.02, max_iter=3000, eps_tol=1e-12),
     ),
 }
+# Cases that need a shorter safeguard patience than the default 20.
+_PATIENCE = {"rotation": 3}
 
 
 @pytest.mark.parametrize("case", sorted(_BIT_PIN_CASES))
-def test_train_inner_reproduces_the_reference_bit_for_bit(case):
+def test_train_inner_reproduces_the_reference_bit_for_bit(case, monkeypatch):
     y, w0, a0, cfg = _BIT_PIN_CASES[case]
+    if case in _PATIENCE:
+        monkeypatch.setattr(optimizer, "_SAFEGUARD_PATIENCE", _PATIENCE[case])
     state = NetworkState(w0, a0)
     w_in, a_in = state.omegas.copy(), state.alphas.copy()
     out, trace = train_inner(y, state, cfg)
@@ -399,14 +410,15 @@ def _restores(costs: np.ndarray, patience: int) -> list[tuple[int, int]]:
     return events
 
 
-def test_rotation_case_restores_old_and_moving_best_states():
+def test_rotation_case_restores_old_and_moving_best_states(monkeypatch):
     # The loop keeps three parameter buffers. A restore whose best state is
     # at least two iterations old finds it in neither the current buffer
     # nor the one written before it; a best state that moves between
     # restores makes the rotation skip a different buffer each time.
     y, w0, a0, cfg = _BIT_PIN_CASES["rotation"]
+    monkeypatch.setattr(optimizer, "_SAFEGUARD_PATIENCE", _PATIENCE["rotation"])
     _, trace = train_inner(y, NetworkState(w0, a0), cfg)
-    events = _restores(trace.mean_costs, cfg.safeguard_patience)
+    events = _restores(trace.mean_costs, _PATIENCE["rotation"])
     assert len(events) == trace.halvings >= 2
     assert all(best_t <= t - 2 for t, best_t in events)
     assert len({best_t for _, best_t in events}) >= 2
@@ -468,9 +480,10 @@ def test_exit_reason_names_the_stopping_rule(reason):
         assert trace.iterations_run == cfg.max_iter
 
 
-def test_oversized_rates_force_a_halving():
+def test_oversized_rates_force_a_halving(monkeypatch):
     y, w0, a0, _ = _BIT_PIN_CASES["m1"]
-    cfg = TrainConfig(gamma_alpha=40.0, gamma_omega=40.0, safeguard_patience=5, max_iter=300)
+    monkeypatch.setattr(optimizer, "_SAFEGUARD_PATIENCE", 5)
+    cfg = TrainConfig(gamma_alpha=40.0, gamma_omega=40.0, max_iter=300)
     _, trace = train_inner(y, NetworkState(w0, a0), cfg)
     assert trace.halvings >= 1
     assert np.all(np.isfinite(trace.mean_costs))
@@ -516,19 +529,26 @@ def test_min_iter_defers_stopping():
     # a scenario that converges almost immediately under the bare rule
     y = atom(1.0, 16)
     state = NetworkState([1.0], [np.vdot(atom(1.0, 16), y) / 16])
-    _, bare = train_inner(y, state, TrainConfig(eps_tol=1e-3))
+    _, bare = train_inner(y, state, TrainConfig(eps_tol=1e-3, min_iter=0))
     _, patient = train_inner(y, state, TrainConfig(eps_tol=1e-3, min_iter=40))
     assert bare.iterations_run < 40
     assert patient.iterations_run > 40
 
 
-def test_consecutive_hits_require_a_run_of_flat_iterations():
-    rng = np.random.default_rng(13)
+def test_a_pass_stops_at_the_first_three_consecutive_hits():
+    # An iteration hits when it is past min_iter and |dC/N| < eps_tol. Here
+    # lone and paired hits (iterations 56, 64-65 and 69-70) come first and
+    # do not end the pass; the first run of three does, at 80.
+    rng = np.random.default_rng(1)
     y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    state = NetworkState([0.9], [0.0])
-    _, single = train_inner(y, state, TrainConfig(eps_tol=1e-6))
-    _, tripled = train_inner(y, state, TrainConfig(eps_tol=1e-6, consec_hits=3))
-    assert tripled.iterations_run >= single.iterations_run
+    cfg = TrainConfig(eps_tol=1e-5)
+    _, trace = train_inner(y, NetworkState([0.9], [0.0]), cfg)
+    c = trace.mean_costs
+    hit = [t > cfg.min_iter and abs(c[t] - c[t - 1]) < cfg.eps_tol for t in range(c.size)]
+    first_run = next(t for t in range(2, c.size) if all(hit[t - 2 : t + 1]))
+    assert (trace.exit_reason, trace.halvings) == ("tol", 0)
+    assert trace.iterations_run == first_run
+    assert sum(hit[: first_run - 2]) >= 3
 
 
 def test_empty_state_is_a_converged_noop():

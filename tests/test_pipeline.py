@@ -7,7 +7,7 @@ frequency accuracy rather than the reported count. Counting is asserted at
 moderate SNR where the thresholds are calibrated to operate.
 """
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -109,11 +109,11 @@ def _record_tolerances(monkeypatch) -> list[float]:
     return seen
 
 
-@pytest.mark.parametrize("floor", [1e-9, 1e-6])
+@pytest.mark.parametrize("floor", [1e-9, 1e-6, 1e-2])
 def test_passes_train_at_exact_decades_down_to_the_floor(monkeypatch, floor):
     seen = _record_tolerances(monkeypatch)
     y, _ = _noisy_signal()
-    rep = estimate_spectrum(y, EstimatorConfig(eps_floor=floor))
+    rep = estimate_spectrum(y, EstimatorConfig(train=TrainConfig(eps_tol=floor)))
     decades = DECADES[: DECADES.index(floor) + 1]
     assert seen[: len(decades)] == decades
     assert seen[len(decades):] == [floor] * (len(seen) - len(decades))
@@ -163,16 +163,49 @@ def test_fixed_order_more_starts_than_samples_is_rejected():
 
 
 def test_tolerance_floor_above_start_is_rejected():
-    with pytest.raises(InvalidDimension):
-        EstimatorConfig(eps_floor=0.1)
+    # train.eps_tol is the schedule's floor, so it may not lie above the
+    # tolerance of the first pass.
+    with pytest.raises(InvalidDimension, match="train.eps_tol"):
+        EstimatorConfig(train=TrainConfig(eps_tol=0.1))
+    with pytest.raises(InvalidDimension, match="train.eps_tol"):
+        EstimatorConfig(train=TrainConfig(eps_tol=np.nextafter(1e-2, 1.0)))
 
 
-def test_train_tolerance_the_schedule_would_override_is_rejected():
-    # Every pass trains to the schedule's tolerance; a train.eps_tol that no
-    # pass would use must not be accepted (or recorded by --report).
-    with pytest.raises(InvalidDimension, match="eps_floor"):
-        EstimatorConfig(train=TrainConfig(eps_tol=1e-3))
-    assert EstimatorConfig(train=TrainConfig(min_iter=5)).train.eps_tol == TrainConfig().eps_tol
+def _settable(cfg, prefix="") -> list[str]:
+    names = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            names += _settable(value, f"{prefix}{f.name}.")
+        else:
+            names.append(prefix + f.name)
+    return names
+
+
+def test_estimator_config_has_exactly_ten_settable_values():
+    # A new setting must be a deliberate change to this list.
+    assert sorted(_settable(EstimatorConfig())) == sorted([
+        "init.l_factor", "init.peak_gate_epsilon",
+        "train.gamma_alpha", "train.gamma_omega", "train.momentum",
+        "train.eps_tol", "train.max_iter", "train.min_iter",
+        "order.epsilon_f", "order.epsilon_a",
+    ])
+
+
+def test_default_config_is_what_every_pass_trains_with(monkeypatch):
+    # Each pass trains with EstimatorConfig().train == TrainConfig(), but
+    # for the tolerance the schedule sets.
+    seen: list[TrainConfig] = []
+
+    def recording(y, state, cfg):
+        seen.append(cfg)
+        return train_inner(y, state, cfg)
+
+    monkeypatch.setattr(pipeline, "train_inner", recording)
+    y, _ = _noisy_signal()
+    estimate_spectrum(y)
+    assert EstimatorConfig().train == TrainConfig()
+    assert seen and all(replace(cfg, eps_tol=TrainConfig().eps_tol) == TrainConfig() for cfg in seen)
 
 
 def test_fixed_order_straddling_pair_merges_to_one():
@@ -223,9 +256,7 @@ def test_fixed_order_empty_initialization():
 
 def test_divergence_carries_partial_report():
     y, _ = _noisy_signal()
-    cfg = EstimatorConfig(
-        train=TrainConfig(gamma_alpha=1e280, min_iter=30, consec_hits=3)
-    )
+    cfg = EstimatorConfig(train=TrainConfig(gamma_alpha=1e280))
     with pytest.raises(NumericalDivergence) as excinfo:
         estimate_spectrum(y, cfg)
     report = excinfo.value.report
