@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidDimension
 from .optimizer import NetworkState
 from .order_control import OrderConfig, _prune_statistics, merge_radius, prune_threshold
-from .signal_model import TWO_PI, Sinusoid, _ls_solve, as_samples, design_matrix, wrap_angle
+from .signal_model import TWO_PI, Sinusoid, _ls_solve, as_samples, atom_table, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def _peak_bins(y: np.ndarray, mag: np.ndarray, cfg: InitConfig, order: OrderConf
         peaks = _drop_weaker_of_closest_pair(peaks, mag, big_l)
     if not peaks:
         return []
-    A = design_matrix(TWO_PI * np.array(peaks) / big_l, y.size)
+    A = atom_table(TWO_PI * np.array(peaks) / big_l, y.size)
     xi = _prune_statistics(y, A, _ls_solve(A, y))
     keep = xi >= prune_threshold(y.size, len(peaks), order)
     return [k for k, kept in zip(peaks, keep) if kept]
@@ -143,13 +143,13 @@ def initialize(observed, cfg: InitConfig | None = None, order: OrderConfig | Non
         return NetworkState.empty()
     bins = np.array(peaks)
     heads = TWO_PI * bins / big_l
-    A = design_matrix(heads, n)
+    A = atom_table(heads, n)
     alphas = _ls_solve(A, y)
     residual = y - A @ alphas
     sigma2 = float(np.vdot(residual, residual).real) / n
     sides = np.where(mag[(bins + 1) % big_l] >= mag[(bins - 1) % big_l], 1.0, -1.0)
     companions = heads + sides * merge_radius(alphas, sigma2, n, order, TWO_PI / big_l)
-    B = design_matrix(companions, n)
+    B = atom_table(companions, n)
     amps = []
     for i in range(bins.size):
         partial = residual + A[:, i] * alphas[i]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidDimension, NumericalDivergence
-from .signal_model import as_samples
+from .signal_model import as_samples, atom_split
 
 _DEFAULT_RATE_NUMERATOR = 0.5
 # Rising iterations in a row that trigger a safeguard halving, and
@@ -110,6 +110,10 @@ class TrainConfig:
 class CostTrace:
     """Per-iteration mean cost C/N, starting with the initial state's cost.
 
+    train_inner returns the last iterate, whose cost is the last entry,
+    unless that cost is above the first entry, the starting state's; then
+    it returns the lowest-cost state of the run, whose cost is the minimum
+    of ``mean_costs``. So a call never ends above its start.
     ``halvings`` counts the safeguard's learning-rate halvings.
     ``exit_reason`` says why the loop stopped: ``"tol"`` (the mean cost
     change stayed below tolerance; also an empty state, whose cost cannot
@@ -135,19 +139,18 @@ class _Kernel:
     Every numpy call passes its output positionally and takes array
     operands only, the cheapest way to call a ufunc on a few dozen numbers.
     The design matrix A = exp(j * outer(n, omegas)) is built by angle
-    addition. With B = ceil(sqrt(N)) every n < N is q*B + s with s < B and
-    q*B < N, so exp(j*n*w) = exp(j*q*B*w) * exp(j*s*w): one exp per step k
+    addition on the split of signal_model.atom_split: one exp per step k
     (the B offsets s, then the multiples q*B) and node, B + ceil(N/B) of
-    them instead of N, and one complex multiply per entry of A. Each phase
-    k*w is rounded as n*w is, so A keeps the accuracy of the direct exp.
+    them instead of N, and one complex multiply per entry of A. These are
+    signal_model.atom_table's operations into fixed buffers, so A has its
+    bits.
     """
 
     def __init__(self, y: np.ndarray, m_nodes: int):
         n_samples = y.size
-        b = math.isqrt(n_samples - 1) + 1
-        k = np.concatenate((np.arange(b), np.arange(0, n_samples, b)))
+        b, k = atom_split(n_samples)
         self._y = y
-        self._k = k[:, None].astype(float)
+        self._k = k
         # Only the imaginary part is ever written: exp(0 + j*k*w).
         self._phase = np.zeros((k.size, m_nodes), dtype=np.complex128)
         self._phase_imag = self._phase.imag
@@ -248,7 +251,10 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     Returns (final state, CostTrace). The momentum buffer lives only inside
     one call and starts from zero. If the cost rises for 20 consecutive
     iterations, both learning rates are halved, the buffer is zeroed, and
-    the best state seen so far is restored before continuing.
+    the best state seen so far is restored before continuing. The final
+    state is the last iterate, or the best state seen when the last
+    iterate costs more than the starting state (an oscillation that never
+    rises 20 times in a row can end there).
     """
     y = as_samples(observed)
     n_samples = y.size
@@ -352,5 +358,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
             hits = 0
         cbar = c
 
+    if c > trace[0]:
+        _, a, w = bufs[best]
     out = NetworkState(w.copy(), a.copy())
     return out, CostTrace(np.asarray(trace), t, halvings, exit_reason)

@@ -25,7 +25,7 @@ from .errors import (
     SingularInformation,
 )
 from .optimizer import NetworkState, cost, sum_n_squared
-from .signal_model import TWO_PI, as_samples, design_matrix, ls_amplitudes, wrap_angle
+from .signal_model import TWO_PI, _ls_solve, as_samples, atom_table, wrap_angle
 from .stat_dist import FParams, f2_upper_quantile, noncentral_f_sf, std_normal_inv_cdf
 
 
@@ -84,15 +84,17 @@ def rho(omega_i, omega_j, n_samples: int):
     """Weighted index sums of the pair Fisher information.
 
     Returns (rho1, rho2) with rho1 = sum n^2 and
-    rho2 = sum n^2 * exp(j * (omega_j - omega_i) * n) over n = 0 .. N-1.
-    Scalar frequencies give a complex rho2; arrays give an array, one rho2
-    per pair, each summed over its own row with the scalar's bits.
+    rho2 = sum n^2 * exp(j * (omega_j - omega_i) * n) over n = 0 .. N-1,
+    the exponentials from atom_table. Scalar frequencies give a complex
+    rho2; arrays give an array, one rho2 per pair, each summed along its
+    own contiguous row with the scalar's bits.
     """
     if n_samples < 2:
         raise InvalidDimension("rho needs at least two samples")
     gap = np.subtract(omega_j, omega_i)
-    n = np.arange(n_samples, dtype=float)
-    rho2 = (n**2 * np.exp(1j * gap[..., None] * n)).sum(axis=-1)
+    n2 = np.arange(n_samples, dtype=float) ** 2
+    rows = np.multiply(atom_table(gap, n_samples).T, n2, order="C")
+    rho2 = rows.sum(axis=-1).reshape(gap.shape)
     return sum_n_squared(n_samples), complex(rho2) if rho2.ndim == 0 else rho2
 
 
@@ -224,7 +226,7 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     w = wrap_angle(state.omegas)
     order = np.argsort(w, kind="stable")
     w, a = w[order], state.alphas[order]
-    sigma2 = estimate_noise_var(y, design_matrix(w, n_samples) @ a)
+    sigma2 = estimate_noise_var(y, atom_table(w, n_samples) @ a)
     # Pair k is (k, k + 1 mod M). Until a node fuses, its next neighbor in
     # the walk is its next neighbor here, so only pairs that hold a fused
     # node need a new test.
@@ -271,9 +273,10 @@ def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
         raise InvalidDimension("node mask must have one entry per node")
     if not sel.any():
         return state
-    target = y - design_matrix(state.omegas, y.size)[:, ~sel] @ state.alphas[~sel]
+    A = atom_table(state.omegas, y.size)
+    target = y - A[:, ~sel] @ state.alphas[~sel]
     alphas = state.alphas.copy()
-    alphas[sel] = ls_amplitudes(state.omegas[sel], target)
+    alphas[sel] = _ls_solve(A[:, sel], target)
     return NetworkState(state.omegas, alphas)
 
 
@@ -286,11 +289,12 @@ def prune_statistics(state: NetworkState, observed) -> np.ndarray:
     tone no longer inherits that tone's power. Since a_i^H a_i = N the
     numerator is |a_i^H r + N alpha_i|^2. The statistic means what the F
     test assumes only for a fitted state; for atoms orthogonal to the other
-    nodes' atoms it equals |a_i^H y|^2 / ||r||^2. A zero residual (perfect
+    nodes' atoms it equals |a_i^H y|^2 / ||r||^2. The atoms come from
+    atom_table, the model forward() evaluates. A zero residual (perfect
     fit) gives inf for every node.
     """
     y = as_samples(observed)
-    return _prune_statistics(y, design_matrix(state.omegas, y.size), state.alphas)
+    return _prune_statistics(y, atom_table(state.omegas, y.size), state.alphas)
 
 
 def _prune_statistics(y: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.ndarray:

@@ -5,12 +5,19 @@ sinusoids, x(n) = sum_k alpha_k * exp(j * omega_k * n), and e is circularly
 symmetric complex Gaussian noise. This module provides the steering vectors
 (atoms), design matrices, the least-squares amplitude fit, synthetic signals
 at a controlled SNR, and the small value types shared across the library.
+
+Two ways build the atoms. ``atom``, ``design_matrix`` and ``synthesize``
+take one complex exp per sample; they make the signals. ``atom_table``
+builds the same matrix by angle addition, about 2*sqrt(N) exps per atom,
+with the bits of the training kernel's matrix; everything the estimator
+fits evaluates it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -120,6 +127,43 @@ def design_matrix(omegas, n_samples: int) -> np.ndarray:
     return np.exp(1j * np.outer(n, w))
 
 
+@lru_cache(maxsize=16)
+def atom_split(n_samples: int) -> tuple[int, np.ndarray]:
+    """(B, k): the angle-addition split of the sample indices 0 .. N-1.
+
+    With B = isqrt(N - 1) + 1 = ceil(sqrt(N)) every n < N is q*B + s with
+    s < B and q*B < N. k is a read-only float column of the B offsets s,
+    then the multiples q*B, so exp(j*n*w) = exp(j*k_{B+q}*w) * exp(j*k_s*w).
+    Computed once per N and shared by atom_table and the training kernel.
+    """
+    if n_samples < 1:
+        raise InvalidDimension("atom table needs at least one sample")
+    b = math.isqrt(n_samples - 1) + 1
+    k = np.concatenate((np.arange(b), np.arange(0, n_samples, b)))[:, None].astype(float)
+    k.flags.writeable = False
+    return b, k
+
+
+def atom_table(omegas, n_samples: int) -> np.ndarray:
+    """design_matrix(omegas, n_samples) built by angle addition.
+
+    One exp per step of atom_split and frequency, B + ceil(N/B) of them
+    instead of N, and one complex multiply per entry. Each phase k*w is rounded as
+    n*w is, so the table keeps the direct exp's accuracy; its entries
+    differ from it in the last bits. The operations are those of the
+    training kernel, so the result has the bits of its matrix at the same
+    frequencies, and a column's bits do not depend on the other columns.
+    """
+    w = np.asarray(omegas, dtype=float).ravel()
+    b, k = atom_split(n_samples)
+    # Only the imaginary part is written: exp(0 + j*k*w).
+    steps = np.zeros((k.size, w.size), dtype=np.complex128)
+    np.multiply(k, w, steps.imag)
+    np.exp(steps, steps)
+    prod = np.multiply(steps[b:, None], steps[:b])
+    return prod.reshape(prod.shape[0] * b, w.size)[:n_samples]
+
+
 def ls_amplitudes(omegas, target: np.ndarray) -> np.ndarray:
     """Least-squares amplitudes of the atoms at ``omegas`` fitted to ``target``.
 
@@ -127,8 +171,9 @@ def ls_amplitudes(omegas, target: np.ndarray) -> np.ndarray:
     numerically duplicated frequencies share their amplitude as the
     minimum-norm solution (equal halves for an exact duplicate) instead of
     cancelling at many times the data's size. No frequencies fit nothing.
+    The atoms come from atom_table.
     """
-    return _ls_solve(design_matrix(omegas, target.size), target)
+    return _ls_solve(atom_table(omegas, target.size), target)
 
 
 def _ls_solve(A: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from linespec import optimizer
 from linespec.errors import InvalidDimension, NumericalDivergence
+from linespec.experiments import _draw_signal
+from linespec.fft_init import initialize
 from linespec.optimizer import (
     CostTrace,
     NetworkState,
@@ -307,6 +310,9 @@ def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = No
             hits = 0
         cbar = c
 
+    # A call never ends above its start: past it, the best state is returned.
+    if c > trace[0]:
+        w, a = best_w, best_a
     return w, a, np.asarray(trace), iterations, converged
 
 
@@ -591,3 +597,21 @@ def test_safeguard_keeps_moderately_excessive_rates_finite():
     assert np.all(np.isfinite(out.omegas))
     assert np.all(np.isfinite(out.alphas.view(float)))
     assert np.all(np.isfinite(trace.mean_costs))
+
+
+def test_an_oscillating_call_returns_its_best_state_not_its_last():
+    # The converge study's trial at twice the default rates, momentum 0,
+    # seed 3000: the cost settles into a two-state cycle about 14 times its
+    # start. It never rises 20 times in a row, so the safeguard never
+    # halves, and the call would end on the cycle; it returns the best
+    # state instead, here the start.
+    freqs = TWO_PI * np.array([0.1, 0.22, 0.37])
+    y, _, _ = _draw_signal(freqs, np.ones(3), 32, 10.0, np.random.default_rng(3000))
+    base = TrainConfig(eps_tol=1e-5).resolve(32)
+    cfg = replace(base, gamma_alpha=2 * base.gamma_alpha, gamma_omega=2 * base.gamma_omega, momentum=0.0)
+    out, trace = train_inner(y, initialize(y), cfg)
+    assert (trace.exit_reason, trace.halvings) == ("max_iter", 0)
+    assert trace.mean_costs[-1] > 10 * trace.mean_costs[0]
+    final = cost(y, forward(out, 32)) / 32
+    assert final == pytest.approx(trace.mean_costs.min(), rel=1e-12)
+    assert final <= trace.mean_costs[0]

@@ -19,7 +19,7 @@ from linespec.errors import (
     InvalidDimension,
     SingularInformation,
 )
-from linespec.optimizer import NetworkState
+from linespec.optimizer import NetworkState, forward
 from linespec.order_control import (
     CrbPair,
     MergeEvent,
@@ -77,6 +77,29 @@ def test_rho_matches_direct_sums():
     expect2 = sum(k**2 * np.exp(1j * (wj - wi) * k) for k in range(n))
     assert rho1 == pytest.approx(expect1, rel=1e-14)
     assert rho2 == pytest.approx(expect2, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 32, 33, 512, 4096])
+def test_rho_stays_within_1e11_of_the_direct_sum(n):
+    # rho sums the atom table's exponentials; the direct sum takes one exp
+    # per sample. Both carry the rounding of the phases, so they differ by
+    # about 1e-14 of rho1 = sum n^2, the largest |rho2| can be and the scale
+    # the pair information is read at. At gaps within 8 bins, where merge
+    # decisions are taken, |rho2| is near rho1 and the bound is relative to
+    # the direct sum itself; at wide gaps rho2 cancels to a small part of
+    # rho1 in both sums.
+    rng = np.random.default_rng(n)
+    idx = np.arange(n, dtype=float)
+
+    def errors(gaps):
+        rho1, rho2 = rho(np.zeros_like(gaps), gaps, n)
+        direct = np.array([(idx**2 * np.exp(1j * g * idx)).sum() for g in gaps])
+        return np.abs(rho2 - direct), np.abs(direct), rho1
+
+    err, size, _ = errors(rng.uniform(-8.0, 8.0, 50) * TWO_PI / n)
+    assert np.all(err <= 1e-11 * size)
+    err, _, rho1 = errors(rng.uniform(-TWO_PI, TWO_PI, 50))
+    assert np.all(err <= 1e-11 * rho1)
 
 
 def test_rho_requires_two_samples():
@@ -496,9 +519,11 @@ def test_merge_radius_is_the_merge_test_boundary():
 
 
 def test_prune_statistic_perfect_fit_raises():
+    # forward() is the model the statistic evaluates (the same atom table),
+    # so the residual is exactly zero.
     n = 16
     st0 = NetworkState([1.0], [1.0])
-    y = design_matrix(st0.omegas, n) @ st0.alphas
+    y = forward(st0, n)
     with pytest.raises(DegenerateResidual):
         prune_statistic(0, st0, y)
 
@@ -570,7 +595,7 @@ def test_apply_prunes_evaluates_all_nodes_at_original_m():
 def test_apply_prunes_perfect_fit_keeps_all():
     n = 16
     st0 = NetworkState([1.0, 2.0], [1.0, 0.5])
-    y = design_matrix(st0.omegas, n) @ st0.alphas
+    y = forward(st0, n)
     out, report = apply_prunes(st0, y, OrderConfig())
     assert out.m_nodes == 2
     assert np.all(np.isinf(report.xi))
