@@ -24,6 +24,9 @@ _DEFAULT_RATE_NUMERATOR = 0.5
 # below-tolerance iterations in a row that end a pass.
 _SAFEGUARD_PATIENCE = 20
 _CONSEC_HITS = 3
+# Training at N >= this applies A through its factors (_FactoredKernel);
+# below it, building A (_Kernel) takes less time per iteration.
+_FACTORED_MIN_N = 256
 
 
 def sum_n_squared(n_samples: int) -> float:
@@ -201,6 +204,73 @@ class _Kernel:
         np.multiply(self._s_imag, scale_w, out_w)
 
 
+class _FactoredKernel:
+    """_Kernel's residual and gradients, applying A through its two factors.
+
+    With the split of signal_model.atom_split, A[q*B + s] = H[q] * L[s]
+    elementwise, where H = exp(j*q*B*omegas) is Q x M and
+    L = exp(j*s*omegas) is B x M. The model on the zero-padded Q x B grid
+    is then one product, (H * alpha) @ L^T, whose first N entries minus y
+    are r. Both gradient sums come from one product of the stacked
+    2Q x B array [conj(r); n * conj(r)] with L, times H and summed over q:
+    A^T conj(r) and A^T (n * conj(r)). Only the first N entries of each
+    half are ever written, so the padded tail stays zero. This skips the
+    N x M table and its complex multiply; the sums run in another order,
+    so the results differ from _Kernel's in the last bits.
+    """
+
+    def __init__(self, y: np.ndarray, m_nodes: int):
+        n_samples = y.size
+        b, k = atom_split(n_samples)
+        q = k.size - b
+        self._y = y
+        self._k = k
+        # Only the imaginary part is ever written: exp(0 + j*k*w).
+        self._phase = np.zeros((k.size, m_nodes), dtype=np.complex128)
+        self._phase_imag = self._phase.imag
+        self._steps = np.empty_like(self._phase)
+        self._l = self._steps[:b]
+        self._lt = self._l.T
+        self._h = self._steps[b:]
+        self._ha = np.empty((q, m_nodes), dtype=np.complex128)
+        self._x = np.empty((q, b), dtype=np.complex128)
+        self.r = self._x.reshape(q * b)[:n_samples]
+        self._stack = np.zeros((2 * q, b), dtype=np.complex128)
+        halves = self._stack.reshape(2, q * b)
+        self._rc = halves[0, :n_samples]
+        self._nrc = halves[1, :n_samples]
+        self._p = np.empty((2 * q, m_nodes), dtype=np.complex128)
+        self._p3 = self._p.reshape(2, q, m_nodes)
+        self._n = np.arange(n_samples, dtype=np.complex128)
+        self._s = np.empty((2, m_nodes), dtype=np.complex128)
+        self._s_pairs = self._s[0].view(float)
+        self._s_w = self._s[1]
+        self._s_imag = self._s_w.imag
+
+    def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+        """Evaluate the factors at omegas and return r = A alpha - y."""
+        np.multiply(self._k, omegas, self._phase_imag)
+        np.exp(self._phase, self._steps)
+        np.multiply(self._h, alphas, self._ha)
+        np.matmul(self._ha, self._lt, self._x)
+        np.subtract(self.r, self._y, self.r)
+        return self.r
+
+    def gradients(
+        self, alphas: np.ndarray, scale_a: np.ndarray, scale_w: np.ndarray, out
+    ) -> None:
+        """_Kernel.gradients at the last residual, through the factors."""
+        out_a, out_w = out
+        np.conjugate(self.r, self._rc)
+        np.multiply(self._n, self._rc, self._nrc)
+        np.matmul(self._stack, self._l, self._p)
+        np.multiply(self._p3, self._h, self._p3)
+        np.add.reduce(self._p3, 1, None, self._s)
+        np.multiply(self._s_pairs, scale_a, out_a)
+        np.multiply(alphas, self._s_w, self._s_w)
+        np.multiply(self._s_imag, scale_w, out_w)
+
+
 def forward(state: NetworkState, n_samples: int) -> np.ndarray:
     """Model signal x_hat(n) = sum_i alpha_i * exp(j * omega_i * n)."""
     if n_samples < 1:
@@ -254,7 +324,8 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     the best state seen so far is restored before continuing. The final
     state is the last iterate, or the best state seen when the last
     iterate costs more than the starting state (an oscillation that never
-    rises 20 times in a row can end there).
+    rises 20 times in a row can end there). From N = 256 samples the model
+    and gradients go through _FactoredKernel, below it through _Kernel.
     """
     y = as_samples(observed)
     n_samples = y.size
@@ -266,7 +337,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         c0 = float(np.vdot(y, y).real) / n_samples
         return state, CostTrace(np.array([c0]), 0, 0, "tol")
 
-    kernel = _Kernel(y, m)
+    kernel = (_FactoredKernel if n_samples >= _FACTORED_MIN_N else _Kernel)(y, m)
     # Parameters, momentum, rates and steps share one flat layout:
     # [alpha (re, im interleaved), omega]. Three parameter buffers rotate:
     # the current one, the best one (often the same) and a free one that

@@ -67,7 +67,7 @@ class Sinusoid:
 
 @dataclass(frozen=True)
 class Signal:
-    """A length-N vector of complex samples."""
+    """A length-N vector of complex samples with a finite energy sum |y[n]|^2."""
 
     samples: np.ndarray
 
@@ -75,8 +75,12 @@ class Signal:
         s = np.asarray(self.samples, dtype=np.complex128)
         if s.ndim != 1 or s.size < 1:
             raise InvalidDimension("signal must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(s)):
-            raise DegenerateInput("signal samples must be finite")
+        # One sum catches every non-finite sample and an energy that
+        # overflows, which would make the cost and the noise variance inf.
+        if not math.isfinite(np.vdot(s, s).real):
+            raise DegenerateInput(
+                "signal samples must be finite and their energy sum |y[n]|^2 must not overflow"
+            )
         object.__setattr__(self, "samples", s)
 
     @property

@@ -171,6 +171,14 @@ def test_estimate_non_finite_sample_exits_2(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_estimate_overflowing_energy_exits_2(tmp_path, capsys):
+    # Finite samples whose energy sum overflows a float.
+    rows = [(i, 1e154, 0.0) for i in range(8)]
+    path = _write_csv(tmp_path / "huge.csv", rows)
+    assert main(["estimate", "--in", path]) == 2
+    assert "energy" in capsys.readouterr().err
+
+
 def test_estimate_eps_sets_the_tolerance_floor(tmp_path, capsys):
     comp = _components_file(tmp_path)
     sig = str(tmp_path / "signal.csv")

@@ -15,6 +15,7 @@ from linespec.optimizer import (
     CostTrace,
     NetworkState,
     TrainConfig,
+    _FactoredKernel,
     _Kernel,
     cost,
     forward,
@@ -117,6 +118,71 @@ def test_training_kernel_matches_direct_design_matrix(n):
     assert A.flags.c_contiguous
     np.testing.assert_allclose(A, D, rtol=0, atol=tol)
     np.testing.assert_allclose(r, D @ alphas - y, rtol=0, atol=tol)
+
+
+def _direct_gradients(omegas, alphas, y):
+    """r = A alpha - y and its two gradients, with A = design_matrix."""
+    D = design_matrix(omegas, y.size)
+    r = D @ alphas - y
+    n = np.arange(y.size)
+    return r, D.conj().T @ r, -2.0 * np.imag(alphas * (D.T @ (n * np.conj(r))))
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 90])
+@pytest.mark.parametrize("n", [256, 257, 300, 512, 529, 4096])
+def test_factored_kernel_agrees_with_the_table_kernel_and_the_direct_exp(n, m):
+    # 256, 529 and 4096 split exactly (B * Q = N), 257, 300 and 512 into a
+    # zero-padded grid; frequencies from -3 to 3 * 2 * pi.
+    rng = np.random.default_rng(1000 * n + m)
+    omegas = rng.uniform(-3.0, 3.0 * TWO_PI, m)
+    alphas = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    unit_a, unit_w = np.tile([1.0, -1.0], m), np.full(m, -2.0)
+    results = []
+    for cls in (_FactoredKernel, _Kernel):
+        kernel = cls(y, m)
+        r = kernel.residual(omegas, alphas).copy()
+        grad_a = np.empty(m, dtype=np.complex128)
+        grad_w = np.empty(m)
+        kernel.gradients(alphas, unit_a, unit_w, (grad_a.view(float), grad_w))
+        results.append((r, grad_a, grad_w))
+    results.append(_direct_gradients(omegas, alphas, y))
+    # Each sum is bounded by the sum of its terms' moduli: ||r||_1 for the
+    # amplitude gradient, 2 |alpha| sum n |r_n| for the frequency gradient.
+    r_abs = np.abs(results[2][0])
+    scales = (1.0, r_abs.sum(), 2.0 * np.abs(alphas) * (np.arange(n) * r_abs).sum())
+    tol = 1e-12 * n
+    (r, grad_a, grad_w), *refs = results
+    for r_ref, ga_ref, gw_ref in refs:
+        assert np.max(np.abs(r - r_ref)) <= tol * scales[0]
+        assert np.max(np.abs(grad_a - ga_ref)) <= tol * scales[1]
+        assert np.all(np.abs(grad_w - gw_ref) <= tol * scales[2])
+
+
+def _counting(cls, made: list):
+    class Counting(cls):
+        def __init__(self, y, m_nodes):
+            made.append((cls.__name__, y.size))
+            super().__init__(y, m_nodes)
+
+    return Counting
+
+
+def test_train_inner_picks_the_kernel_by_signal_length(monkeypatch):
+    made = []
+    for name in ("_Kernel", "_FactoredKernel"):
+        monkeypatch.setattr(optimizer, name, _counting(getattr(optimizer, name), made))
+    threshold = optimizer._FACTORED_MIN_N
+    assert threshold == 256
+    for n in (threshold - 1, threshold):
+        train_inner(_noisy_tones(n, [1.0], 0), NetworkState([1.01], [1.0]), TrainConfig(max_iter=3))
+    assert made == [("_Kernel", 255), ("_FactoredKernel", 256)]
+    # The gradient helpers and forward keep the table kernel at every N.
+    made.clear()
+    state = NetworkState([1.0], [1.0])
+    forward(state, 512)
+    grad_alpha(state, _noisy_tones(512, [1.0], 0))
+    assert made == [("_Kernel", 512), ("_Kernel", 512)]
 
 
 def test_training_allocates_no_per_iteration_design_matrix():
@@ -222,8 +288,9 @@ def test_train_inner_two_iterations_match_hand_steps():
 
 
 # Reference: the training loop as it stood before the buffered kernel,
-# verbatim apart from its return value (a tuple in place of CostTrace).
-# The kernel must reproduce its trajectories bit for bit.
+# verbatim apart from its return value (a tuple in place of CostTrace) and
+# the choice of formulas by N below. The kernels must reproduce its
+# trajectories bit for bit.
 def _ref_phase_steps(n_samples: int):
     b = math.isqrt(n_samples - 1) + 1
     return np.concatenate((np.arange(b), np.arange(0, n_samples, b))), b
@@ -242,6 +309,29 @@ def _ref_gradients(A: np.ndarray, r: np.ndarray, alphas: np.ndarray, n: np.ndarr
     return A.conj().T @ r, 2.0 * np.imag(alphas * (A.T @ (n * np.conj(-r))))
 
 
+# The same loop at N >= optimizer._FACTORED_MIN_N, where training applies A
+# through its angle-addition factors H = exp(j*q*B*w) (Q x M) and
+# L = exp(j*s*w) (B x M): the model is (H * alpha) @ L^T on the zero-padded
+# Q x B grid, and both gradient sums are one product of the stacked
+# [conj(r); n * conj(r)] with L, times H and summed over q.
+def _ref_factored_residual(omegas: np.ndarray, alphas: np.ndarray, y: np.ndarray, steps):
+    k, b = steps
+    t = np.exp(np.outer(k, 1j * omegas))
+    H, L = t[b:], t[:b]
+    r = ((H * alphas) @ L.T).reshape(-1)[: y.size] - y
+    return (H, L), r
+
+
+def _ref_factored_gradients(HL, r: np.ndarray, alphas: np.ndarray, n: np.ndarray):
+    H, L = HL
+    q, b = H.shape[0], L.shape[0]
+    R = np.zeros((2, q * b), dtype=np.complex128)
+    R[0, : r.size] = np.conj(r)
+    R[1, : r.size] = n * np.conj(r)
+    s = ((R.reshape(2 * q, b) @ L).reshape(2, q, -1) * H).sum(axis=1)
+    return np.conj(s[0]), -2.0 * np.imag(alphas * s[1])
+
+
 def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     y = np.asarray(observed, dtype=np.complex128)
     n_samples = y.size
@@ -249,6 +339,10 @@ def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = No
         cfg = TrainConfig()
     cfg = cfg.resolve(n_samples)
     m = state.m_nodes
+    if n_samples >= optimizer._FACTORED_MIN_N:
+        residual, gradients = _ref_factored_residual, _ref_factored_gradients
+    else:
+        residual, gradients = _ref_residual, _ref_gradients
 
     n = np.arange(n_samples)
     steps = _ref_phase_steps(n_samples)
@@ -260,7 +354,7 @@ def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = No
     rate_w = cfg.gamma_omega
     lam = cfg.momentum
 
-    A, r = _ref_residual(w, a, y, steps)
+    A, r = residual(w, a, y, steps)
     cbar = float(np.vdot(r, r).real) / n_samples
     trace = [cbar]
     best_c, best_w, best_a = cbar, w.copy(), a.copy()
@@ -271,12 +365,12 @@ def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = No
 
     for t in range(1, cfg.max_iter + 1):
         iterations = t
-        ga, gw = _ref_gradients(A, r, a, n)
+        ga, gw = gradients(A, r, a, n)
         da = lam * da + (1.0 - lam) * ga
         dw = lam * dw + (1.0 - lam) * gw
         a = a - rate_a * da
         w = w - rate_w * dw
-        A, r = _ref_residual(w, a, y, steps)
+        A, r = residual(w, a, y, steps)
         c = float(np.vdot(r, r).real) / n_samples
         trace.append(c)
         if not math.isfinite(c):
@@ -291,7 +385,7 @@ def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = No
                 da[:] = 0.0
                 dw[:] = 0.0
                 w, a = best_w.copy(), best_a.copy()
-                A, r = _ref_residual(w, a, y, steps)
+                A, r = residual(w, a, y, steps)
                 c = best_c
                 rising = 0
         else:
@@ -354,6 +448,22 @@ _BIT_PIN_CASES = {
         np.ones(11, dtype=complex),
         TrainConfig(eps_tol=1e-7),
     ),
+    # sixteen nodes about eight tones, as tones8_n512's first passes train
+    # them; at N = 512 training applies A through its factors
+    "tones8_n512": (
+        _noisy_tones(512, np.linspace(0.3, 5.9, 8), 12),
+        np.sort(np.concatenate((np.linspace(0.3, 5.9, 8) + 0.004, np.linspace(0.3, 5.9, 8) + 0.02))),
+        np.full(16, 0.5 + 0j),
+        TrainConfig(eps_tol=1e-6),
+    ),
+    # the factored kernel at its smallest N, an exact 16 x 16 split, through
+    # seven safeguard restores
+    "safeguard_n256": (
+        _noisy_tones(256, [1.0, 2.5], 6),
+        [1.0, 1.1],
+        [10.0, -10.0],
+        TrainConfig(gamma_alpha=10.0, gamma_omega=0.01, max_iter=2000),
+    ),
     # with a safeguard patience of 3: four halvings, each restoring a best
     # state at least two iterations old, and new best states in between
     # (see the rotation test below)
@@ -384,7 +494,7 @@ def test_train_inner_reproduces_the_reference_bit_for_bit(case, monkeypatch):
     assert state.omegas.tobytes() == w_in.tobytes()
     assert state.alphas.tobytes() == a_in.tobytes()
     assert out.omegas.flags.owndata and out.alphas.flags.owndata
-    if case == "safeguard":
+    if case.startswith("safeguard"):
         assert trace.halvings > 0
     if case == "exact_fit":
         assert trace.exit_reason == "exact_fit"

@@ -149,6 +149,15 @@ def test_non_finite_sample_is_rejected(run, bad):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e154, 1e155])
+def test_overflowing_signal_energy_is_rejected(scale):
+    # Every sample is finite, but sum |y[n]|^2 overflows: the estimate used
+    # to end at k_hat = 0 with sigma2_hat inf (1e154) or NaN (1e155).
+    with pytest.raises(DegenerateInput, match="energy"):
+        estimate_spectrum(scale * np.exp(0.3j * np.arange(8)))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fixed_order_non_finite_start_is_rejected(bad):
     y, _ = _noisy_signal()

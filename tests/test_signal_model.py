@@ -161,6 +161,16 @@ def test_signal_validation():
         Signal(np.array([1.0, np.inf]))
 
 
+def test_signal_rejects_only_an_energy_that_overflows():
+    # 8 * 1e306 is a finite energy, 8 * 1e308 is not.
+    tone = np.exp(0.3j * np.arange(8))
+    assert Signal(1e153 * tone).n_samples == 8
+    with pytest.raises(DegenerateInput, match="energy"):
+        Signal(1e154 * tone)
+    with pytest.raises(DegenerateInput, match="energy"):
+        Signal(np.array([1.0, complex(0.0, np.nan)]))
+
+
 def test_as_samples_accepts_signal_and_lists():
     sig = Signal(np.array([1.0 + 1j, 2.0]))
     np.testing.assert_array_equal(as_samples(sig), sig.samples)
