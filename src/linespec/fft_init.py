@@ -120,7 +120,9 @@ def initialize(observed, cfg: InitConfig | None = None, order: OrderConfig | Non
     side of its stronger neighbor bin (the upper one on a tie, so an
     on-grid peak is deterministic), one padded bin away or, if closer,
     at merge_radius: the spacing up to which the merge test of ``order``
-    fuses the peak's amplitude split in two equal halves. A companion the
+    fuses the peak's amplitude split in two equal halves, as a bisection
+    of that test finds it, read off the root of its flip condition for all
+    peaks at once. A companion the
     data do not need can then be merged away; at large N a full padded bin
     lies beyond that radius, and an isolated tone would start, and stay, as
     an unmergeable split pair. Each pair is fitted by least squares to the

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,30 +178,152 @@ def _fuse_test(alpha_i, alpha_j, sigma2: float, n_samples: int, cfg: OrderConfig
     return fuses
 
 
+# Amplitudes outside this range are rescaled before the exact merge test,
+# whose |h|^4 rho1^2 would overflow (or underflow) near its ends.
+_SAFE_MAGNITUDE = (2.0**-128, 2.0**128)
+# Newton stops once |F / t - 1| <= _NEWTON_TOL, and the window widens by
+# what is left; a root still open after _NEWTON_STEPS gets no window.
+_NEWTON_STEPS = 12
+_NEWTON_TOL = 2.0**-46
+
+
+@lru_cache(maxsize=16)
+def _flip_sums(n_samples: int):
+    """Per-N terms of _flip_window: (n / 2, n^2, n^3) over n = 0 .. N-1,
+    read-only, then sum n^4, sum n^6 and S (2 rho1 - S) at pi / (N - 1)."""
+    n = np.arange(n_samples, dtype=float)
+    n2 = n * n
+    powers = (0.5 * n, n2, n2 * n)
+    for p in powers:
+        p.flags.writeable = False
+    s_end = 2.0 * float(np.sum(n2 * np.sin(0.5 * math.pi / (n_samples - 1) * n) ** 2))
+    return powers, float(np.sum(n2 * n2)), float(np.sum(n2**3)), s_end * (2.0 * sum_n_squared(n_samples) - s_end)
+
+
+def _flip_window(half, sigma2: float, n_samples: int, cfg: OrderConfig, top: float):
+    """(below, above): where _fuse_test of the pair (h, h) flips, per h in ``half``.
+
+    For equal amplitudes h, crb_pair's bound reduces to
+    sigma2 / (|h|^2 S(d)) with S(d) = rho1 - Re rho2(d) = 2 sum n^2
+    sin^2(n d / 2), so the pair fuses at gap d iff F(d) = d^2 S(d) is below
+    t = sigma2 q^2 / |h|^2, q = Phi^{-1}(epsilon_f). Every term of F grows
+    up to d = pi / (N - 1), and ``top`` may not lie past it. Newton's method
+    on F^(1/4), which is close to linear in d, finds the root of F = t,
+    kept between ``top`` and the lower bound that sin x <= x gives.
+    d ln F / d ln d lies in [2, 4], so the last residual g = ln(F / t)
+    puts the root within |g| / 2 of the last point d, and past d e^(|g| / 4)
+    when F(d) < t; a root past ``top`` needs no more.
+
+    The test fuses at gaps below ``below`` and keeps the pair apart at gaps
+    from ``above`` to pi / (N - 1); the window between is the root's
+    uncertainty widened by a relative band. In units of u = 2^-53, rounding
+    moves the exact test's flip point by at most about
+    38 rho1^2 / (S (2 rho1 - S)) + 4 (its den, |h|^4 (rho1^2 - (Re rho2)^2),
+    cancels to S (2 rho1 - S), and Re rho2's table and sum are good to
+    about 30 rho1) and this root by about 15 (F is good to 30). The band,
+    2^-47 (1 + rho1^2 / (S (2 rho1 - S))), is at least twice that; S is taken
+    at the root and at pi / (N - 1), where rho1 + Re rho2 is smallest (0 at
+    N = 2, which gets no window). Singular or extreme input (h = 0,
+    sigma2 <= 0, top <= 0, a root below 2^-200) gets the window
+    (-inf, inf), and so does a root Newton leaves unconverged.
+    """
+    mag = np.abs(half)
+    below = np.full(mag.shape, -math.inf)
+    above = np.full(mag.shape, math.inf)
+    if not (0.0 < sigma2 < math.inf and top > 0.0):
+        return below, above
+    (n_half, n2, n3), sum_n4, sum_n6, cancel_end = _flip_sums(n_samples)
+    rho1 = sum_n_squared(n_samples)
+    # sqrt(t), capped at 2 top sqrt(rho1): any t above 4 top^2 rho1 >= 2 F(top)
+    # puts the root past the top, and the cap keeps t finite.
+    scale = math.sqrt(sigma2) * -std_normal_inv_cdf(cfg.epsilon_f)
+    root_t = scale / np.maximum(mag, scale / (2.0 * top * math.sqrt(rho1)))
+    # F(d) <= d^4 sum n^4 / 2, so the root is at least lo.
+    lo = np.sqrt(root_t * math.sqrt(2.0 / sum_n4))
+    ok = np.flatnonzero((mag > 0.0) & (lo > 2.0**-200))
+    t, lo = root_t[ok] ** 2, np.minimum(lo[ok], top)
+    # Start at the root of d^4 sum n^4 / 2 - d^6 sum n^6 / 24 = t, to first order.
+    d = np.minimum(lo * (1.0 + lo * lo * (sum_n6 / (48.0 * sum_n4))), top)
+    for _ in range(_NEWTON_STEPS):
+        sin = np.sin(np.multiply.outer(d, n_half))
+        sin2 = sin * sin
+        sum_half = (sin2 * n2).sum(axis=-1)
+        root, ratio = d, t / ((2.0 * d * d) * sum_half)
+        # F grows at most as d^4, so the root is at least reach when F < t.
+        reach = d * np.sqrt(np.sqrt(ratio))
+        capped = reach > top
+        converged = capped | (np.abs(ratio - 1.0) <= _NEWTON_TOL)
+        if converged.all():
+            break
+        # d ln F / d ln d = 2 + d sum n^3 sin cos / sum n^2 sin^2, with
+        # cos >= 0 up to pi / (N - 1); only the step depends on its rounding.
+        slope = 2.0 + d * ((sin * np.sqrt(1.0 - sin2)) @ n3) / sum_half
+        d = np.clip(d + 4.0 * (reach - d) / slope, lo, top)
+    s = 2.0 * sum_half
+    with np.errstate(divide="ignore"):
+        band = 2.0**-47 * (1.0 + rho1**2 / np.minimum(s * (2.0 * rho1 - s), cancel_end))
+    err = np.abs(np.log(ratio)) / 2.0
+    lower = np.where(capped, reach, root * (1.0 - err)) * (1.0 - band)
+    upper = np.where(capped, math.inf, root * (1.0 + err) * (1.0 + band))
+    below[ok] = np.where(converged, lower, -math.inf)
+    above[ok] = np.where(converged, upper, math.inf)
+    return below, above
+
+
+def _rescaled_fuse_test(h: complex, sigma2: float, n_samples: int, cfg: OrderConfig):
+    """_fuse_test of the pair (h, h), with h and sigma2 scaled into range.
+
+    An h outside _SAFE_MAGNITUDE is divided by the power of two 2^k that
+    puts |h| in [0.5, 1), and sigma2 by 4^k. Both scalings are exact and
+    leave the bound as it is, up to float_power's last bit; amplitudes in
+    range are not scaled, so their decisions keep their bits.
+    """
+    mag = abs(h)
+    k = 0 if _SAFE_MAGNITUDE[0] <= mag <= _SAFE_MAGNITUDE[1] else math.frexp(mag)[1]
+    scaled = np.complex128(complex(math.ldexp(h.real, -k), math.ldexp(h.imag, -k)))
+    return _fuse_test(scaled, scaled, np.ldexp(sigma2, -2 * k), n_samples, cfg)
+
+
 def merge_radius(alpha, sigma2: float, n_samples: int, cfg: OrderConfig, limit: float):
     """Largest spacing, up to ``limit``, at which merge_test fuses alpha split in two.
 
-    The pair is two nodes with amplitude alpha / 2 each; the spacing is
-    found by bisection of the merge decision apply_merges takes
-    (_fuse_test); an amplitude whose halves fuse at ``limit`` gets
-    ``limit``. ``alpha`` may be an array: the other amplitudes are bisected
-    together, each through the same 40 midpoints as alone. A scalar gives
-    a float, an array an array.
+    The pair is two nodes with amplitude alpha / 2 each, and the spacing is
+    what a bisection of the merge decision apply_merges takes (_fuse_test)
+    returns: the test at ``limit`` (an amplitude whose halves fuse there
+    gets ``limit``), then 40 midpoints. Each decision is read off the
+    window where the test flips (_flip_window). Only a point inside the
+    window or past pi / (N - 1), and singular input, run the exact test,
+    on operands rescaled so that it cannot overflow (_rescaled_fuse_test).
+    So the result has the bisection's bits. ``alpha`` may be an array: a
+    scalar gives a float, an array an array.
     """
+    if n_samples < 2:
+        raise InvalidDimension("merge_radius needs at least two samples")
     half = np.asarray(alpha, dtype=complex) / 2
-    radius = np.full(half.shape, float(limit))
-    todo = ~_fuse_test(half, half, sigma2, n_samples, cfg)(0.0, radius)
-    if todo.any():
-        fuses = _fuse_test(half[todo], half[todo], sigma2, n_samples, cfg)
-        hi = radius[todo]
-        lo = np.zeros_like(hi)
+    flat = half.ravel()
+    limit = float(limit)
+    end = math.pi / (n_samples - 1)
+    below, above = _flip_window(flat, sigma2, n_samples, cfg, min(limit, end))
+    radius = np.empty(flat.shape)
+    for i, (h, fuse_below, apart_above) in enumerate(zip(flat.tolist(), below.tolist(), above.tolist())):
+        exact = None
+
+        def fuses(gap: float) -> bool:
+            nonlocal exact
+            if gap > end or fuse_below <= gap <= apart_above:
+                exact = exact or _rescaled_fuse_test(h, sigma2, n_samples, cfg)
+                return bool(exact(0.0, gap))
+            return gap < fuse_below
+
+        if fuses(limit):
+            radius[i] = limit
+            continue
+        lo, hi = 0.0, limit
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            fused = fuses(0.0, mid)
-            lo = np.where(fused, mid, lo)
-            hi = np.where(fused, hi, mid)
-        radius[todo] = lo
-    return float(radius) if radius.ndim == 0 else radius
+            lo, hi = (mid, hi) if fuses(mid) else (lo, mid)
+        radius[i] = lo
+    return float(radius[0]) if half.ndim == 0 else radius.reshape(half.shape)
 
 
 def apply_merges(state: NetworkState, observed, cfg: OrderConfig):

@@ -1,12 +1,15 @@
 """FFT initialization: spectrum, noise floor, peak gating, starting amplitudes."""
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from linespec.errors import InvalidDimension
-from linespec import fft_init
+from linespec import fft_init, order_control
 from linespec.fft_init import (
     InitConfig,
     find_peaks,
@@ -128,6 +131,46 @@ def test_initialize_companion_tie_goes_to_upper_bin(monkeypatch):
     assert state.m_nodes == 2
     assert state.omegas[0] == head
     assert head < state.omegas[1] <= head + TWO_PI / big_l
+
+
+def _benchmark_workloads(monkeypatch):
+    """perfbench/scenes.py's WORKLOADS, loaded from its path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "scenes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_scenes", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_merge_radius_runs_few_exact_merge_tests_on_the_benchmark_scenes(monkeypatch):
+    # merge_radius decides its bisection's 41 points off the merge test's
+    # flip point and runs the exact test (one rho each) only next to it.
+    counts = {"radius": 0, "rho": 0}
+    inside = [False]
+    real_radius, real_rho = fft_init.merge_radius, order_control.rho
+
+    def radius(*args):
+        counts["radius"] += 1
+        inside[0] = True
+        try:
+            return real_radius(*args)
+        finally:
+            inside[0] = False
+
+    def rho(*args):
+        counts["rho"] += inside[0]
+        return real_rho(*args)
+
+    monkeypatch.setattr(fft_init, "merge_radius", radius)
+    monkeypatch.setattr(order_control, "rho", rho)
+    workloads = _benchmark_workloads(monkeypatch)
+    for name, seeds in (("sep3_n32", range(7000, 7020)), ("tones8_n512", range(8000, 8005)), ("cluster10_n128", range(9000, 9004))):
+        counts.update(radius=0, rho=0)
+        for seed in seeds:
+            initialize(workloads[name].scene(seed).y)
+        assert counts["radius"] == len(seeds), name
+        assert counts["rho"] <= 3 * counts["radius"], name
 
 
 def test_initialize_two_clean_tones():

@@ -396,11 +396,24 @@ _AMPS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(amps=_AMPS, log_sigma2=st.floats(-6.0, 9.0), n=st.integers(2, 1024), bins=st.sampled_from([0.25, 1.0, 4.0]))
+@given(
+    amps=_AMPS,
+    log_sigma2=st.floats(-9.0, 9.0),
+    n=st.integers(2, 4096),
+    bins=st.sampled_from([0.25, 1.0, 4.0, 8.0]),
+)
 @example(amps=[(1.0, 0.3), (0.0, 0.0), (30.0, 2.0)], log_sigma2=-2.0, n=2, bins=1.0)
 @example(amps=[(1.0, 0.3), (0.0, 0.0), (0.1, 4.0)], log_sigma2=-1.0, n=1024, bins=0.25)
 @example(amps=[(1.0, 0.3), (30.0, 1.0), (1e-3, 2.0)], log_sigma2=9.0, n=1024, bins=0.25)
+# Strong tones in low noise, where the exact test's flip point is least
+# certain: comparing each point with the root alone, without the exact test
+# near it, returns a different radius on each of these.
+@example(amps=[(30.0, 3.21)], log_sigma2=-8.95, n=339, bins=4.0)
+@example(amps=[(30.0, 3.53), (1.0, 0.3)], log_sigma2=-7.0, n=3252, bins=0.25)
+@example(amps=[(30.0, 4.34)], log_sigma2=-4.6, n=12, bins=1.0)
 def test_merge_radius_over_an_array_is_the_scalar_bisection_bit_for_bit(amps, log_sigma2, n, bins):
+    # bins = 4 is an l_factor = 1 start, whose limit 2*pi/N lies past
+    # pi/(N - 1), and bins = 8 puts the first midpoint there too.
     alphas = np.array([m * np.exp(1j * p) for m, p in amps], dtype=np.complex128)
     sigma2, cfg, limit = 10.0**log_sigma2, OrderConfig(), bins * TWO_PI / (4 * n)
     want = np.array([_scalar_radius(a, sigma2, n, cfg, limit) for a in alphas])
@@ -412,6 +425,29 @@ def test_merge_radius_over_an_array_is_the_scalar_bisection_bit_for_bit(amps, lo
         assert np.all(got == limit)
     one = merge_radius(alphas[0], sigma2, n, cfg, limit)
     assert type(one) is float and one == want[0]
+
+
+def test_merge_radius_does_not_depend_on_the_signal_scale():
+    # Scaling the amplitudes by 2^500 and the noise variance by 2^1000 is
+    # exact and leaves every merge decision as it was; the exact test's
+    # |h|^4 rho1^2 would overflow on the scaled amplitudes.
+    rng = np.random.default_rng(31)
+    cfg = OrderConfig()
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for n in (8, 32, 512, 4096):
+            alphas = 10.0 ** rng.uniform(-3, 1.5, 6) * np.exp(1j * rng.uniform(0, TWO_PI, 6))
+            alphas[0] = 0.0
+            for log_sigma2 in (-9.0, -2.0, 0.5):
+                for limit in (TWO_PI / (4 * n), TWO_PI / n):
+                    want = merge_radius(alphas, 10.0**log_sigma2, n, cfg, limit)
+                    got = merge_radius(2.0**500 * alphas, 2.0**1000 * 10.0**log_sigma2, n, cfg, limit)
+                    np.testing.assert_array_equal(got, want)
+                    assert 0.0 < got.min() and got[0] == limit
+        # A one-tone N = 8 signal of amplitude 1e153 once got radius 0, with
+        # the companion node on its own peak.
+        big = merge_radius(1e153 + 0j, 1e300, 8, cfg, 0.1)
+        assert big == merge_radius(1e153 * 2.0**-508 + 0j, 1e300 * 2.0**-1016, 8, cfg, 0.1)
+        assert 0.0 < big < 0.1
 
 
 def _merge_scene(rng):
