@@ -120,11 +120,11 @@ def initialize(observed, cfg: InitConfig | None = None, order: OrderConfig | Non
     side of its stronger neighbor bin (the upper one on a tie, so an
     on-grid peak is deterministic), one padded bin away or, if closer,
     at merge_radius: the spacing up to which the merge test of ``order``
-    fuses the peak's amplitude split in two equal halves, as a bisection
-    of that test finds it, read off the root of its flip condition for all
-    peaks at once. A companion the
-    data do not need can then be merged away; at large N a full padded bin
-    lies beyond that radius, and an isolated tone would start, and stay, as
+    fuses the peak's amplitude split in two equal halves, solved in closed
+    form for all peaks at once (the limit, one padded bin, is at most
+    2 pi / N, as merge_radius requires). A companion the data do not need
+    can then be merged away; at large N a full padded bin lies beyond that
+    radius, and an isolated tone would start, and stay, as
     an unmergeable split pair. Each pair is fitted by least squares to the
     data minus the other peaks' joint fit, never jointly with all pairs:
     atoms a fraction of a bin apart across all peaks make that fit ill

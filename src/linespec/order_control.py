@@ -99,6 +99,35 @@ def rho(omega_i, omega_j, n_samples: int):
     return sum_n_squared(n_samples), complex(rho2) if rho2.ndim == 0 else rho2
 
 
+def _pair_bound(alpha_i, alpha_j, omega_i, omega_j, sigma2: float, n_samples: int):
+    """crb_pair's bound over arrays of pairs: (crb_delta, singular, terms).
+
+    One entry per pair; scalars count as one pair. ``singular`` marks the
+    pairs whose information is singular (sigma2 <= 0, a zero amplitude, or
+    aligned phases at equal frequencies), and their crb_delta is inf.
+    ``terms`` is (pi2, pj2, cross, rho1, sigma2 / 2, den), the information
+    of the pair as scaled: each pair's amplitudes are divided by the power
+    of two 2^k that puts the larger modulus in [0.5, 1), and sigma2 by 4^k,
+    so pi2 * pj2 * rho1^2 cannot overflow. The scaling is exact, so the
+    bound is the unscaled pair's wherever that one is in range.
+    """
+    ai, aj = (np.atleast_1d(np.asarray(a, dtype=complex)) for a in (alpha_i, alpha_j))
+    mi, mj = np.abs(ai), np.abs(aj)
+    # 2^-k, kept finite for a subnormal modulus
+    k = np.maximum(np.frexp(np.maximum(mi, mj))[1], -1021)
+    scale = np.ldexp(1.0, -k)
+    pi2, pj2 = (mi * scale) ** 2, (mj * scale) ** 2
+    rho1, rho2 = rho(np.atleast_1d(omega_i), np.atleast_1d(omega_j), n_samples)
+    cross = (np.conj(ai) * scale * (aj * scale) * rho2).real
+    den = pi2 * pj2 * rho1**2 - cross**2
+    half_sigma2 = np.ldexp(sigma2 / 2.0, -2 * k)
+    # A zero amplitude gives den = -cross^2 <= 0.
+    singular = (den <= 0.0) | (sigma2 <= 0)
+    num = half_sigma2 * ((pi2 + pj2) * rho1 + 2.0 * cross)
+    delta = np.divide(num, den, out=np.full(den.shape, math.inf), where=~singular)
+    return delta, singular, (pi2, pj2, cross, rho1, half_sigma2, den)
+
+
 def crb_pair(
     alpha_i: complex,
     alpha_j: complex,
@@ -116,213 +145,123 @@ def crb_pair(
     """
     if sigma2 <= 0:
         raise SingularInformation("noise variance must be positive")
-    pi2 = abs(alpha_i) ** 2
-    pj2 = abs(alpha_j) ** 2
-    if pi2 == 0.0 or pj2 == 0.0:
-        raise SingularInformation("zero amplitude makes the information singular")
-    rho1, rho2 = rho(omega_i, omega_j, n_samples)
-    cross = (np.conj(alpha_i) * alpha_j * rho2).real
-    den = pi2 * pj2 * rho1**2 - cross**2
-    if den <= 0.0:
+    delta, singular, (pi2, pj2, cross, rho1, half_sigma2, den) = _pair_bound(
+        alpha_i, alpha_j, omega_i, omega_j, sigma2, n_samples
+    )
+    if singular[0]:
         raise SingularInformation("pair information matrix is singular")
-    half_sigma2 = sigma2 / 2.0
     matrix = (half_sigma2 / den) * np.array([[pj2 * rho1, -cross], [-cross, pi2 * rho1]])
-    delta = half_sigma2 * ((pi2 + pj2) * rho1 + 2.0 * cross) / den
-    return CrbPair(matrix, float(delta))
+    return CrbPair(matrix[..., 0], float(delta[0]))
 
 
-def merge_test(omega_lo: float, omega_hi: float, crb_delta: float, cfg: OrderConfig) -> bool:
+def merge_test(omega_lo, omega_hi, crb_delta, cfg: OrderConfig):
     """True when the gap is too small to be a resolvable pair.
 
     The pair merges when omega_hi - omega_lo < -sqrt(crb_delta) *
     Phi^{-1}(epsilon_f); the quantile is negative for epsilon_f < 0.5, so
-    the bound grows with the CRB.
+    the bound grows with the CRB, and an infinite crb_delta (a singular
+    pair, see _pair_bound) fuses. Arrays give one decision per pair, a
+    scalar a bool.
     """
-    bound = -math.sqrt(crb_delta) * std_normal_inv_cdf(cfg.epsilon_f)
-    return (omega_hi - omega_lo) < bound
+    bound = -np.sqrt(crb_delta) * std_normal_inv_cdf(cfg.epsilon_f)
+    fuses = np.subtract(omega_hi, omega_lo) < bound
+    return bool(fuses) if fuses.ndim == 0 else fuses
 
 
-def _fuse_test(alpha_i, alpha_j, sigma2: float, n_samples: int, cfg: OrderConfig):
-    """merge_test on crb_pair's bound for arrays of amplitude pairs, or one pair.
-
-    Returns fuses(omega_i, omega_j): one boolean per pair, True where the
-    pair merges; a singular bound means one node and fuses. The terms that
-    do not depend on the frequencies are computed once. Every value is
-    crb_pair's and merge_test's, in their order, element by element, so a
-    decision has the scalar path's bits: a modulus goes through hypot (as
-    abs of a complex scalar does), a square through float_power (libm pow,
-    as a scalar ** 2 does) and a complex product through its real
-    arithmetic, since numpy's vector complex multiply rounds differently.
-    """
-    pi2 = np.float_power(np.hypot(alpha_i.real, alpha_i.imag), 2.0)
-    pj2 = np.float_power(np.hypot(alpha_j.real, alpha_j.imag), 2.0)
-    conj_i = np.conj(alpha_i)
-    c_re = conj_i.real * alpha_j.real - conj_i.imag * alpha_j.imag
-    c_im = conj_i.real * alpha_j.imag + conj_i.imag * alpha_j.real
-    rho1 = sum_n_squared(n_samples)
-    power_term = pi2 * pj2 * rho1**2
-    sum_term = (pi2 + pj2) * rho1
-    half_sigma2 = sigma2 / 2.0
-    quantile = std_normal_inv_cdf(cfg.epsilon_f)
-    singular = (sigma2 <= 0) | (pi2 == 0.0) | (pj2 == 0.0)
-
-    def fuses(omega_i, omega_j) -> np.ndarray:
-        _, rho2 = rho(omega_i, omega_j, n_samples)
-        cross = c_re * rho2.real - c_im * rho2.imag
-        den = power_term - np.float_power(cross, 2.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = half_sigma2 * (sum_term + 2.0 * cross) / den
-            bound = -np.sqrt(delta) * quantile
-        return singular | (den <= 0.0) | (np.subtract(omega_j, omega_i) < bound)
-
-    return fuses
-
-
-# Amplitudes outside this range are rescaled before the exact merge test,
-# whose |h|^4 rho1^2 would overflow (or underflow) near its ends.
-_SAFE_MAGNITUDE = (2.0**-128, 2.0**128)
-# Newton stops once |F / t - 1| <= _NEWTON_TOL, and the window widens by
-# what is left; a root still open after _NEWTON_STEPS gets no window.
+# Newton stops once |F / t - 1| <= _NEWTON_TOL; merge_radius's last step
+# squares that residual, far below its rounding band. A root left open
+# after _NEWTON_STEPS is still approached from below.
 _NEWTON_STEPS = 12
-_NEWTON_TOL = 2.0**-46
+_NEWTON_TOL = 2.0**-36
 
 
 @lru_cache(maxsize=16)
-def _flip_sums(n_samples: int):
-    """Per-N terms of _flip_window: (n / 2, n^2, n^3) over n = 0 .. N-1,
-    read-only, then sum n^4, sum n^6 and S (2 rho1 - S) at pi / (N - 1)."""
+def _radius_sums(n_samples: int):
+    """Per-N terms of merge_radius: (n / 2, n^2, n^3) over n = 0 .. N-1, read-only, sum n^4 and sum n^6."""
     n = np.arange(n_samples, dtype=float)
     n2 = n * n
     powers = (0.5 * n, n2, n2 * n)
     for p in powers:
         p.flags.writeable = False
-    s_end = 2.0 * float(np.sum(n2 * np.sin(0.5 * math.pi / (n_samples - 1) * n) ** 2))
-    return powers, float(np.sum(n2 * n2)), float(np.sum(n2**3)), s_end * (2.0 * sum_n_squared(n_samples) - s_end)
+    return powers, float(np.sum(n2 * n2)), float(np.sum(n2**3))
 
 
-def _flip_window(half, sigma2: float, n_samples: int, cfg: OrderConfig, top: float):
-    """(below, above): where _fuse_test of the pair (h, h) flips, per h in ``half``.
+def _flip_terms(d: np.ndarray, root_t: np.ndarray, n_samples: int):
+    """(t / F(d), d ln F / d ln d, S(d)) per gap d, for sqrt(t) = root_t.
 
-    For equal amplitudes h, crb_pair's bound reduces to
-    sigma2 / (|h|^2 S(d)) with S(d) = rho1 - Re rho2(d) = 2 sum n^2
-    sin^2(n d / 2), so the pair fuses at gap d iff F(d) = d^2 S(d) is below
-    t = sigma2 q^2 / |h|^2, q = Phi^{-1}(epsilon_f). Every term of F grows
-    up to d = pi / (N - 1), and ``top`` may not lie past it. Newton's method
-    on F^(1/4), which is close to linear in d, finds the root of F = t,
-    kept between ``top`` and the lower bound that sin x <= x gives.
-    d ln F / d ln d lies in [2, 4], so the last residual g = ln(F / t)
-    puts the root within |g| / 2 of the last point d, and past d e^(|g| / 4)
-    when F(d) < t; a root past ``top`` needs no more.
-
-    The test fuses at gaps below ``below`` and keeps the pair apart at gaps
-    from ``above`` to pi / (N - 1); the window between is the root's
-    uncertainty widened by a relative band. In units of u = 2^-53, rounding
-    moves the exact test's flip point by at most about
-    38 rho1^2 / (S (2 rho1 - S)) + 4 (its den, |h|^4 (rho1^2 - (Re rho2)^2),
-    cancels to S (2 rho1 - S), and Re rho2's table and sum are good to
-    about 30 rho1) and this root by about 15 (F is good to 30). The band,
-    2^-47 (1 + rho1^2 / (S (2 rho1 - S))), is at least twice that; S is taken
-    at the root and at pi / (N - 1), where rho1 + Re rho2 is smallest (0 at
-    N = 2, which gets no window). Singular or extreme input (h = 0,
-    sigma2 <= 0, top <= 0, a root below 2^-200) gets the window
-    (-inf, inf), and so does a root Newton leaves unconverged.
+    F(d) = d^4 W with W = 2 sum n^2 (sin(n d / 2) / d)^2, which stays in
+    range for any root a finite t can have. Each entry is summed along its
+    own row, so its bits do not depend on the other entries.
     """
-    mag = np.abs(half)
-    below = np.full(mag.shape, -math.inf)
-    above = np.full(mag.shape, math.inf)
-    if not (0.0 < sigma2 < math.inf and top > 0.0):
-        return below, above
-    (n_half, n2, n3), sum_n4, sum_n6, cancel_end = _flip_sums(n_samples)
-    rho1 = sum_n_squared(n_samples)
-    # sqrt(t), capped at 2 top sqrt(rho1): any t above 4 top^2 rho1 >= 2 F(top)
-    # puts the root past the top, and the cap keeps t finite.
-    scale = math.sqrt(sigma2) * -std_normal_inv_cdf(cfg.epsilon_f)
-    root_t = scale / np.maximum(mag, scale / (2.0 * top * math.sqrt(rho1)))
-    # F(d) <= d^4 sum n^4 / 2, so the root is at least lo.
-    lo = np.sqrt(root_t * math.sqrt(2.0 / sum_n4))
-    ok = np.flatnonzero((mag > 0.0) & (lo > 2.0**-200))
-    t, lo = root_t[ok] ** 2, np.minimum(lo[ok], top)
-    # Start at the root of d^4 sum n^4 / 2 - d^6 sum n^6 / 24 = t, to first order.
-    d = np.minimum(lo * (1.0 + lo * lo * (sum_n6 / (48.0 * sum_n4))), top)
-    for _ in range(_NEWTON_STEPS):
-        sin = np.sin(np.multiply.outer(d, n_half))
-        sin2 = sin * sin
-        sum_half = (sin2 * n2).sum(axis=-1)
-        root, ratio = d, t / ((2.0 * d * d) * sum_half)
-        # F grows at most as d^4, so the root is at least reach when F < t.
-        reach = d * np.sqrt(np.sqrt(ratio))
-        capped = reach > top
-        converged = capped | (np.abs(ratio - 1.0) <= _NEWTON_TOL)
-        if converged.all():
-            break
-        # d ln F / d ln d = 2 + d sum n^3 sin cos / sum n^2 sin^2, with
-        # cos >= 0 up to pi / (N - 1); only the step depends on its rounding.
-        slope = 2.0 + d * ((sin * np.sqrt(1.0 - sin2)) @ n3) / sum_half
-        d = np.clip(d + 4.0 * (reach - d) / slope, lo, top)
-    s = 2.0 * sum_half
-    with np.errstate(divide="ignore"):
-        band = 2.0**-47 * (1.0 + rho1**2 / np.minimum(s * (2.0 * rho1 - s), cancel_end))
-    err = np.abs(np.log(ratio)) / 2.0
-    lower = np.where(capped, reach, root * (1.0 - err)) * (1.0 - band)
-    upper = np.where(capped, math.inf, root * (1.0 + err) * (1.0 + band))
-    below[ok] = np.where(converged, lower, -math.inf)
-    above[ok] = np.where(converged, upper, math.inf)
-    return below, above
-
-
-def _rescaled_fuse_test(h: complex, sigma2: float, n_samples: int, cfg: OrderConfig):
-    """_fuse_test of the pair (h, h), with h and sigma2 scaled into range.
-
-    An h outside _SAFE_MAGNITUDE is divided by the power of two 2^k that
-    puts |h| in [0.5, 1), and sigma2 by 4^k. Both scalings are exact and
-    leave the bound as it is, up to float_power's last bit; amplitudes in
-    range are not scaled, so their decisions keep their bits.
-    """
-    mag = abs(h)
-    k = 0 if _SAFE_MAGNITUDE[0] <= mag <= _SAFE_MAGNITUDE[1] else math.frexp(mag)[1]
-    scaled = np.complex128(complex(math.ldexp(h.real, -k), math.ldexp(h.imag, -k)))
-    return _fuse_test(scaled, scaled, np.ldexp(sigma2, -2 * k), n_samples, cfg)
+    (n_half, n2, n3), _, _ = _radius_sums(n_samples)
+    x = np.multiply.outer(d, n_half)
+    sin = np.sin(x)
+    c = sin / d[:, None]
+    c2 = np.sum(c * c * n2, axis=-1)
+    # cos(x) from sin(x), x < pi: only the slope reads it, to a few ulp.
+    cos = np.copysign(np.sqrt(1.0 - sin * sin), 0.5 * math.pi - x)
+    slope = 2.0 + np.sum(c * cos * n3, axis=-1) / c2
+    return (root_t / d / d) ** 2 / (2.0 * c2), slope, 2.0 * c2 * d * d
 
 
 def merge_radius(alpha, sigma2: float, n_samples: int, cfg: OrderConfig, limit: float):
     """Largest spacing, up to ``limit``, at which merge_test fuses alpha split in two.
 
-    The pair is two nodes with amplitude alpha / 2 each, and the spacing is
-    what a bisection of the merge decision apply_merges takes (_fuse_test)
-    returns: the test at ``limit`` (an amplitude whose halves fuse there
-    gets ``limit``), then 40 midpoints. Each decision is read off the
-    window where the test flips (_flip_window). Only a point inside the
-    window or past pi / (N - 1), and singular input, run the exact test,
-    on operands rescaled so that it cannot overflow (_rescaled_fuse_test).
-    So the result has the bisection's bits. ``alpha`` may be an array: a
-    scalar gives a float, an array an array.
+    The pair is two nodes with amplitude h = alpha / 2 each. For it,
+    crb_pair's bound is sigma2 / (|h|^2 S(d)) with S(d) = rho1 - Re rho2(d)
+    = 2 sum n^2 sin^2(n d / 2), so the pair fuses at gap d iff
+    F(d) = d^2 S(d) is below t = sigma2 q^2 / |h|^2, q = Phi^{-1}(epsilon_f).
+    On (0, 2 pi / N], F rises to one maximum (at 0.85 to 1 bin) and ln F is
+    concave in ln d up to it. So the result is ``limit`` where F(limit) < t,
+    and otherwise the root of F = t on the rising branch, by Newton's
+    method in (ln d, ln F) from a start where F rises: since the tangent of
+    a concave function lies above it, each step lands at or below the root.
+
+    The root is then pulled in so that the merge test itself still fuses
+    there: the last step aims at F = t / (1 + eta) instead of t. In units of
+    u = 2^-53, rounding moves the test's decision by at most about
+    76 R + 8 in ln F, with R = rho1^2 / (S (2 rho1 - S)) (its den,
+    |h|^4 (rho1^2 - (Re rho2)^2), cancels to S (2 rho1 - S), and Re rho2's
+    table and sum are good to about 30 rho1), and the closed form F by
+    about 30; eta = 2^-46 (1 + R), S taken at the root, covers both.
+
+    A zero amplitude, and a sigma2 that is not positive and finite, make
+    the pair singular, and it fuses at any gap: the result is ``limit``.
+    ``alpha`` may be an array: a scalar gives a float, an array an array.
+    Raises InvalidDimension for N < 2 or a limit outside (0, 2 pi / N].
     """
     if n_samples < 2:
         raise InvalidDimension("merge_radius needs at least two samples")
-    half = np.asarray(alpha, dtype=complex) / 2
-    flat = half.ravel()
     limit = float(limit)
-    end = math.pi / (n_samples - 1)
-    below, above = _flip_window(flat, sigma2, n_samples, cfg, min(limit, end))
-    radius = np.empty(flat.shape)
-    for i, (h, fuse_below, apart_above) in enumerate(zip(flat.tolist(), below.tolist(), above.tolist())):
-        exact = None
-
-        def fuses(gap: float) -> bool:
-            nonlocal exact
-            if gap > end or fuse_below <= gap <= apart_above:
-                exact = exact or _rescaled_fuse_test(h, sigma2, n_samples, cfg)
-                return bool(exact(0.0, gap))
-            return gap < fuse_below
-
-        if fuses(limit):
-            radius[i] = limit
-            continue
-        lo, hi = 0.0, limit
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if fuses(mid) else (lo, mid)
-        radius[i] = lo
+    if not 0.0 < limit <= TWO_PI / n_samples:
+        raise InvalidDimension("merge_radius needs a limit in (0, 2*pi/N]")
+    half = np.asarray(alpha, dtype=complex) / 2
+    radius = np.full(half.size, limit)
+    if 0.0 < sigma2 < math.inf:
+        rho1 = sum_n_squared(n_samples)
+        # sqrt(t), capped at 2 (2 pi / N) sqrt(rho1): F(limit) <= 2 limit^2 rho1
+        # lies below that cap squared, so such a pair fuses at the limit
+        # either way, and the cap keeps t finite.
+        scale = math.sqrt(sigma2) * -std_normal_inv_cdf(cfg.epsilon_f)
+        root_t = scale / np.maximum(np.abs(half.ravel()), scale / (2.0 * TWO_PI / n_samples * math.sqrt(rho1)))
+        split = _flip_terms(np.array([limit]), root_t, n_samples)[0] <= 1.0  # F(limit) >= t
+        root_t = root_t[split]
+        # F(d) <= d^4 sum n^4 / 2, so the root is at least lo; the start is
+        # the root of d^4 sum n^4 / 2 - d^6 sum n^6 / 24 = t to first order,
+        # kept where F rises.
+        _, sum_n4, sum_n6 = _radius_sums(n_samples)
+        lo = np.sqrt(root_t) * (2.0 / sum_n4) ** 0.25
+        d = np.maximum(lo, np.minimum(lo * (1.0 + lo * lo * (sum_n6 / (48.0 * sum_n4))), math.pi / (n_samples - 1)))
+        ratio, slope, s_d = _flip_terms(d, root_t, n_samples)
+        for _ in range(_NEWTON_STEPS):
+            open_ = np.abs(ratio - 1.0) > _NEWTON_TOL
+            if not open_.any():
+                break
+            d = np.where(open_, d * ratio ** (1.0 / slope), d)
+            ratio, slope, s_d = _flip_terms(d, root_t, n_samples)
+        with np.errstate(divide="ignore", over="ignore"):
+            eta = 2.0**-46 * (1.0 + rho1**2 / (s_d * (2.0 * rho1 - s_d)))
+        radius[split] = d * (ratio / (1.0 + eta)) ** (1.0 / slope)
     return float(radius[0]) if half.ndim == 0 else radius.reshape(half.shape)
 
 
@@ -332,8 +271,9 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     Nodes are wrapped into [0, 2*pi) and sorted. One circular walk tests
     each node i against its next neighbor j = (i + 1) mod M, shifted by
     2*pi for the wrap-around pair (last, first), with the current amplitudes
-    and the residual noise estimate (see _fuse_test; a singular pair bound
-    means the nodes are already indistinguishable and forces the merge).
+    and the residual noise estimate: merge_test on crb_pair's bound
+    (_pair_bound; a singular pair bound means the nodes are already
+    indistinguishable and forces the merge).
     All M adjacent pairs, the wrap-around one included, are tested at once.
     A fused pair becomes one node at the midpoint with the summed
     amplitude, which is tested again against its next neighbor; the
@@ -353,7 +293,9 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     # Pair k is (k, k + 1 mod M). Until a node fuses, its next neighbor in
     # the walk is its next neighbor here, so only pairs that hold a fused
     # node need a new test.
-    adjacent = _fuse_test(a, np.append(a[1:], a[0]), sigma2, n_samples, cfg)(w, np.append(w[1:], w[0] + TWO_PI))
+    w_next = np.append(w[1:], w[0] + TWO_PI)
+    delta, _, _ = _pair_bound(a, np.append(a[1:], a[0]), w, w_next, sigma2, n_samples)
+    adjacent = merge_test(w, w_next, delta, cfg)
 
     ws, am, fused, origin = list(w), list(a), [False] * w.size, list(range(w.size))
     events: list[MergeEvent] = []
@@ -362,7 +304,8 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
         j = (i + 1) % len(ws)
         shift = TWO_PI if j == 0 else 0.0
         if fused[i] or fused[j]:
-            fuses = _fuse_test(am[i], am[j], sigma2, n_samples, cfg)(ws[i], ws[j] + shift)
+            delta, _, _ = _pair_bound(am[i], am[j], ws[i], ws[j] + shift, sigma2, n_samples)
+            fuses = merge_test(ws[i], ws[j] + shift, delta[0], cfg)
         else:
             fuses = adjacent[origin[i]]
         if not fuses:

@@ -143,9 +143,9 @@ def _benchmark_workloads(monkeypatch):
     return module.WORKLOADS
 
 
-def test_merge_radius_runs_few_exact_merge_tests_on_the_benchmark_scenes(monkeypatch):
-    # merge_radius decides its bisection's 41 points off the merge test's
-    # flip point and runs the exact test (one rho each) only next to it.
+def test_merge_radius_runs_no_exact_merge_test_on_the_benchmark_scenes(monkeypatch):
+    # merge_radius solves the merge test's flip condition in closed form; an
+    # exact test would cost one rho.
     counts = {"radius": 0, "rho": 0}
     inside = [False]
     real_radius, real_rho = fft_init.merge_radius, order_control.rho
@@ -170,7 +170,7 @@ def test_merge_radius_runs_few_exact_merge_tests_on_the_benchmark_scenes(monkeyp
         for seed in seeds:
             initialize(workloads[name].scene(seed).y)
         assert counts["radius"] == len(seeds), name
-        assert counts["rho"] <= 3 * counts["radius"], name
+        assert counts["rho"] == 0, name
 
 
 def test_initialize_two_clean_tones():

@@ -4,7 +4,10 @@ import importlib.util
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_results.py"
 
@@ -59,3 +62,38 @@ def test_compare_reports_the_largest_differences_and_the_seeds_that_moved():
     assert diff["counts_differ"] == [2]
     assert diff["digests_differ"] == [1]
     assert diff["seeds_not_in_file"] == [3]
+
+
+def test_a_last_bit_perturbation_flips_no_order_on_benchmark_seeds():
+    # Noise at 1e-15 of the signal's rms moves each estimate by last bits;
+    # no order on these seeds may hang on them.
+    for workload, start, stop in (("sep3_n32", "7000", "7004"), ("tones8_n512", "8000", "8002")):
+        done = subprocess.run(
+            [sys.executable, str(TOOL), workload, start, stop, "--perturb", "2"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        lines = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [len(row["perturbed_k_hat"]) for row in lines[:-2]] == [2] * (int(stop) - int(start))
+        assert lines[-1] == {"perturb": 2, "flips": []}
+
+
+def test_perturbed_copies_are_seeded_and_at_1e_15_of_the_rms():
+    tool = _load_tool()
+    seen = []
+
+    def estimate_spectrum(y):
+        seen.append(y)
+        return types.SimpleNamespace(estimates=[0.0])
+
+    fake = types.SimpleNamespace(estimate_spectrum=estimate_spectrum)
+    y = np.full(256, 2.0 + 0j)
+    scene = types.SimpleNamespace(seed=3, y=y)
+    assert tool.perturbed_k_hats(fake, scene, 3) == [1, 1, 1]
+    tool.perturbed_k_hats(fake, scene, 3)
+    for copy, again in zip(seen[:3], seen[3:]):
+        np.testing.assert_array_equal(copy, again)
+        assert 0.8e-15 < np.sqrt(np.mean(np.abs(copy - y) ** 2)) / 2.0 < 1.2e-15
+    assert not np.array_equal(seen[0], seen[1])

@@ -4,6 +4,7 @@ Usage, from the root of a checkout::
 
     python3 tools/same_results.py tones8_n512 8000 8020 --out before.json
     python3 tools/same_results.py tones8_n512 8000 8020 --against before.json
+    python3 tools/same_results.py tones8_n512 8000 8020 --perturb 3
 
 Runs ``estimate_spectrum`` once per seed in [START, STOP) on the scenes of
 ``perfbench/scenes.py`` (any seed, not only the workload's benchmark set),
@@ -18,7 +19,16 @@ the sha256 over every seed's digest.
 ``--against F`` compares with such a file: it prints the largest
 |delta omega| (rad), |delta alpha| and relative |delta sigma2_hat| over
 the seeds whose k_hat agree, the seeds whose counts differ and the seeds
-whose digests differ. Exits 1 when some seed's counts differ, else 0.
+whose digests differ.
+
+``--perturb K`` also estimates each seed from K copies of y + d, d
+complex white Gaussian noise with rms 1e-15 rms(y), the copy seeded by
+(seed, copy index), and adds their k_hat to the row; a last line lists
+the seeds where one of them differs from the unperturbed k_hat. An order
+that such a last-bit change flips is one no refactor can be held to.
+
+Exits 1 when some seed's counts differ from the file or some seed flips
+under --perturb, else 0.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +63,18 @@ def seed_row(linespec, scene) -> dict:
         "alphas": a.view(np.float64).tolist(),
         "sigma2_hat": report.sigma2_hat,
     }
+
+
+def perturbed_k_hats(linespec, scene, copies: int) -> list[int]:
+    """k_hat of ``copies`` seeded copies of the scene's y plus noise at 1e-15 of its rms."""
+    y = scene.y
+    rms = math.sqrt(np.vdot(y, y).real / y.size)
+    k_hats = []
+    for copy in range(copies):
+        rng = np.random.default_rng([scene.seed, copy])
+        d = (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) * (1e-15 * rms / math.sqrt(2.0))
+        k_hats.append(len(linespec.estimate_spectrum(y + d).estimates))
+    return k_hats
 
 
 def compare(rows: list[dict], old: list[dict]) -> dict:
@@ -92,7 +115,10 @@ def main(argv=None) -> int:
     out = ap.add_mutually_exclusive_group()
     out.add_argument("--out", type=Path, help="write the rows, estimates included, to this JSON file")
     out.add_argument("--against", type=Path, help="compare with a file written by --out")
+    ap.add_argument("--perturb", type=int, default=0, metavar="K", help="also estimate K perturbed copies of each seed")
     args = ap.parse_args(argv)
+    if args.perturb < 0:
+        ap.error("--perturb must be at least 0")
 
     linespec = run.load_linespec()
     import scenes
@@ -100,19 +126,27 @@ def main(argv=None) -> int:
     workload = scenes.WORKLOADS[args.workload]
     old = json.loads(args.against.read_text())["rows"] if args.against else None
     rows = []
+    shown_keys = ("seed", *run.COUNT_KEYS, "sha256") + (("perturbed_k_hat",) if args.perturb else ())
     for seed in range(args.start, args.stop):
-        rows.append(seed_row(linespec, workload.scene(seed)))
-        shown = {k: rows[-1][k] for k in ("seed", *run.COUNT_KEYS, "sha256")}
-        print(json.dumps(shown), flush=True)
+        scene = workload.scene(seed)
+        rows.append(seed_row(linespec, scene))
+        if args.perturb:
+            rows[-1]["perturbed_k_hat"] = perturbed_k_hats(linespec, scene, args.perturb)
+        print(json.dumps({k: rows[-1][k] for k in shown_keys}), flush=True)
     total = hashlib.sha256("".join(r["sha256"] for r in rows).encode()).hexdigest()
     print(json.dumps({"workload": args.workload, "seeds": [args.start, args.stop - 1], "sha256": total}))
     if args.out:
         args.out.write_text(json.dumps({"workload": args.workload, "rows": rows}))
-    if old is None:
-        return 0
-    diff = compare(rows, old)
-    print(json.dumps(diff))
-    return 1 if diff["counts_differ"] else 0
+    failed = False
+    if args.perturb:
+        flips = [r["seed"] for r in rows if any(k != r["k_hat"] for k in r["perturbed_k_hat"])]
+        print(json.dumps({"perturb": args.perturb, "flips": flips}))
+        failed = bool(flips)
+    if old is not None:
+        diff = compare(rows, old)
+        print(json.dumps(diff))
+        failed = failed or bool(diff["counts_differ"])
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
