@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension
-from .optimizer import NetworkState
+from .optimizer import NetworkState, _set_integer
 from .order_control import OrderConfig, _prune_statistics, merge_radius, prune_threshold
 from .signal_model import TWO_PI, Sinusoid, _ls_solve, as_samples, atom_table, wrap_angle
 
@@ -37,6 +37,7 @@ class InitConfig:
     peak_gate_epsilon: float = 1e-9
 
     def __post_init__(self):
+        _set_integer(self, "l_factor")
         if self.l_factor < 1:
             raise InvalidDimension("l_factor must be at least 1")
         if not 0.0 < self.peak_gate_epsilon < 1.0:

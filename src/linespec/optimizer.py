@@ -12,6 +12,7 @@ amplitudes and the real gradient for the frequencies.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,6 +34,14 @@ def sum_n_squared(n_samples: int) -> float:
     """Sum of n^2 for n = 0 .. N-1, the curvature scale of the frequency block."""
     n = n_samples
     return (n - 1) * n * (2 * n - 1) / 6.0
+
+
+def _set_integer(cfg, name: str) -> None:
+    """Store the config field ``name`` as an int; a non-integer is InvalidDimension."""
+    try:
+        object.__setattr__(cfg, name, operator.index(getattr(cfg, name)))
+    except TypeError:
+        raise InvalidDimension(f"{name} must be an integer") from None
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,8 @@ class TrainConfig:
             raise InvalidDimension("momentum must lie in [0, 1)")
         if not self.eps_tol > 0:
             raise InvalidDimension("eps_tol must be positive")
+        _set_integer(self, "max_iter")
+        _set_integer(self, "min_iter")
         if self.max_iter < 1 or self.min_iter < 0:
             raise InvalidDimension("iteration limits out of range")
 
@@ -209,14 +220,21 @@ class _FactoredKernel:
 
     With the split of signal_model.atom_split, A[q*B + s] = H[q] * L[s]
     elementwise, where H = exp(j*q*B*omegas) is Q x M and
-    L = exp(j*s*omegas) is B x M. The model on the zero-padded Q x B grid
-    is then one product, (H * alpha) @ L^T, whose first N entries minus y
-    are r. Both gradient sums come from one product of the stacked
-    2Q x B array [conj(r); n * conj(r)] with L, times H and summed over q:
+    L = exp(j*s*omegas) is B x M. Per node, two exps give z1 = exp(j*w)
+    and zB = exp(j*fl(B*w)); L and H are their running powers, z1^s for
+    s < B and zB^q for q < Q, from one multiply.accumulate over a buffer
+    whose first row is ones. The s-th (q-th) power carries about s (q)
+    roundings of exp and the complex multiply, and H also q times the
+    rounding of B*w, the size of the direct exp's own phase rounding at
+    n = q*B. The model on the zero-padded Q x B grid is then one product,
+    (H * alpha) @ L^T, whose first N entries minus y are r. Both gradient
+    sums come from one product of the stacked 2Q x B array
+    [conj(r); n * conj(r)] with L, times H and summed over q:
     A^T conj(r) and A^T (n * conj(r)). Only the first N entries of each
     half are ever written, so the padded tail stays zero. This skips the
-    N x M table and its complex multiply; the sums run in another order,
-    so the results differ from _Kernel's in the last bits.
+    N x M table and its complex multiply; the factors and the sums are
+    rounded differently, so the results differ from _Kernel's in the last
+    bits.
     """
 
     def __init__(self, y: np.ndarray, m_nodes: int):
@@ -224,14 +242,17 @@ class _FactoredKernel:
         b, k = atom_split(n_samples)
         q = k.size - b
         self._y = y
-        self._k = k
+        self._k = np.array([[1.0], [b]])
         # Only the imaginary part is ever written: exp(0 + j*k*w).
-        self._phase = np.zeros((k.size, m_nodes), dtype=np.complex128)
-        self._phase_imag = self._phase.imag
-        self._steps = np.empty_like(self._phase)
-        self._l = self._steps[:b]
+        self._phase = np.zeros((2, 1, m_nodes), dtype=np.complex128)
+        self._phase_imag = self._phase.imag[:, 0]
+        self._z = np.empty_like(self._phase)
+        # Row 0 of each plane stays one; accumulate turns rows 1.. into powers.
+        self._powers = np.ones((2, b, m_nodes), dtype=np.complex128)
+        self._bases = self._powers[:, 1:]
+        self._l = self._powers[0]
         self._lt = self._l.T
-        self._h = self._steps[b:]
+        self._h = self._powers[1, :q]
         self._ha = np.empty((q, m_nodes), dtype=np.complex128)
         self._x = np.empty((q, b), dtype=np.complex128)
         self.r = self._x.reshape(q * b)[:n_samples]
@@ -250,7 +271,9 @@ class _FactoredKernel:
     def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
         """Evaluate the factors at omegas and return r = A alpha - y."""
         np.multiply(self._k, omegas, self._phase_imag)
-        np.exp(self._phase, self._steps)
+        np.exp(self._phase, self._z)
+        np.copyto(self._bases, self._z)
+        np.multiply.accumulate(self._powers, 1, None, self._powers)
         np.multiply(self._h, alphas, self._ha)
         np.matmul(self._ha, self._lt, self._x)
         np.subtract(self.r, self._y, self.r)

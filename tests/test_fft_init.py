@@ -39,6 +39,14 @@ def test_init_config_validation():
         InitConfig(peak_gate_epsilon=1.0)
 
 
+@pytest.mark.parametrize("value", [2.5, 4.0, "4", None])
+def test_init_config_takes_an_integer_padding_factor_only(value):
+    with pytest.raises(InvalidDimension, match="l_factor"):
+        InitConfig(l_factor=value)
+    l_factor = InitConfig(l_factor=np.int64(2)).l_factor
+    assert type(l_factor) is int and l_factor == 2
+
+
 def test_noise_floor_constant_spectrum_hand_value():
     # all magnitudes c: median(|.|^2) = c^2, floor = c^2 / (N * ln 2)
     c = 3.0

@@ -159,6 +159,45 @@ def test_factored_kernel_agrees_with_the_table_kernel_and_the_direct_exp(n, m):
         assert np.all(np.abs(grad_w - gw_ref) <= tol * scales[2])
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double"
+)
+@pytest.mark.parametrize("m", [1, 8, 90])
+@pytest.mark.parametrize("n", [256, 257, 512, 529, 4096])
+def test_factored_kernel_powers_stay_within_their_rounding_bound(n, m):
+    # L = exp(j*s*w) and H = exp(j*q*B*w) are running powers of z1 = exp(j*w)
+    # and zB = exp(j*fl(B*w)). exp gives each part within one ulp, so
+    # |z1 - exp(j*w)| <= 2u, and |zB - exp(j*B*w)| <= d + 2u with
+    # d = |fl(B*w) - B*w|; each complex multiply adds at most sqrt(5)*u
+    # relative error (Brent, Percival and Zimmermann, 2007; the first, by
+    # one, adds none). So the s-th power is off by at most
+    # g = expm1(s*(2 + sqrt(5))*u), about s*(2 + sqrt(5))*u, and the q-th
+    # by g + q*d*(1 + g), about q*d + q*(2 + sqrt(5))*u. The
+    # reference exp runs in long double on the same float w; its phase
+    # n*w is exact up to n < 2**11 and rounded once above, so its own error
+    # is at most (|n*w| + 2) long-double units.
+    rng = np.random.default_rng(3000 * n + m)
+    omegas = rng.uniform(-3.0, 3.0 * TWO_PI, m)
+    kernel = _FactoredKernel(np.zeros(n, dtype=np.complex128), m)
+    kernel.residual(omegas, np.zeros(m, dtype=np.complex128))
+    L, H = kernel._l, kernel._h
+    b, q = L.shape[0], H.shape[0]
+    assert (b, q) == (math.isqrt(n - 1) + 1, -(-n // b))
+    u = np.finfo(float).eps / 2
+    u_ext = float(np.finfo(np.longdouble).eps / 2)
+    per_step = (2.0 + math.sqrt(5.0)) * u
+    w = omegas.astype(np.longdouble)
+    d = np.abs(np.float64(b) * omegas - b * w).astype(float)
+    for powers, steps, phase_error in ((L, np.arange(b), 0.0), (H, b * np.arange(q), d)):
+        k = np.arange(powers.shape[0])[:, None]
+        exact = np.exp(1j * (steps[:, None] * w))
+        err = np.abs(powers.astype(np.clongdouble) - exact).astype(float)
+        ref_err = u_ext * (np.abs(steps[:, None] * omegas) + 2.0)
+        grown = np.expm1(k * per_step)
+        bound = grown + k * phase_error * (1.0 + grown) + ref_err
+        assert np.all(err <= bound), np.max(err / bound)
+
+
 def _counting(cls, made: list):
     class Counting(cls):
         def __init__(self, y, m_nodes):
@@ -243,6 +282,15 @@ def test_train_config_validation():
         TrainConfig(min_iter=-1)
 
 
+@pytest.mark.parametrize("field", ["max_iter", "min_iter"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "30", None])
+def test_train_config_takes_integer_iteration_limits_only(field, value):
+    with pytest.raises(InvalidDimension, match=field):
+        TrainConfig(**{field: value})
+    limit = getattr(TrainConfig(**{field: np.int64(40)}), field)
+    assert type(limit) is int and limit == 40
+
+
 @pytest.mark.parametrize("field", ["gamma_alpha", "gamma_omega"])
 @pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0])
 def test_train_config_rejects_rates_that_are_not_finite_and_positive(field, rate):
@@ -311,13 +359,16 @@ def _ref_gradients(A: np.ndarray, r: np.ndarray, alphas: np.ndarray, n: np.ndarr
 
 # The same loop at N >= optimizer._FACTORED_MIN_N, where training applies A
 # through its angle-addition factors H = exp(j*q*B*w) (Q x M) and
-# L = exp(j*s*w) (B x M): the model is (H * alpha) @ L^T on the zero-padded
-# Q x B grid, and both gradient sums are one product of the stacked
-# [conj(r); n * conj(r)] with L, times H and summed over q.
+# L = exp(j*s*w) (B x M), built as running powers of the two exponentials
+# exp(j*w) and exp(j*fl(B*w)): the model is (H * alpha) @ L^T on the
+# zero-padded Q x B grid, and both gradient sums are one product of the
+# stacked [conj(r); n * conj(r)] with L, times H and summed over q.
 def _ref_factored_residual(omegas: np.ndarray, alphas: np.ndarray, y: np.ndarray, steps):
     k, b = steps
-    t = np.exp(np.outer(k, 1j * omegas))
-    H, L = t[b:], t[:b]
+    z = np.exp(np.outer([1.0, b], 1j * omegas))
+    rows = np.concatenate((np.ones((2, 1, omegas.size)), np.repeat(z[:, None], b - 1, axis=1)), axis=1)
+    powers = np.cumprod(rows, axis=1)
+    H, L = powers[1, : k.size - b], powers[0]
     r = ((H * alphas) @ L.T).reshape(-1)[: y.size] - y
     return (H, L), r
 
