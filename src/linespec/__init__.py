@@ -19,7 +19,6 @@ from .errors import (
     SingularInformation,
 )
 from .fft_init import (
-    InitConfig,
     initialize,
     periodogram_estimate,
     zero_padded_fft,
@@ -82,7 +81,6 @@ __all__ = [
     "DomainError",
     "EstimatorConfig",
     "FParams",
-    "InitConfig",
     "InvalidDimension",
     "LineSpecError",
     "MergeEvent",

@@ -187,7 +187,6 @@ def cmd_estimate(args) -> int:
     try:
         cfg = replace(
             _DEFAULTS,
-            init=replace(_DEFAULTS.init, l_factor=args.l_factor),
             train=replace(
                 _DEFAULTS.train,
                 gamma_alpha=args.gamma_alpha,
@@ -341,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate sinusoids from a signal CSV")
     p.add_argument("--in", dest="infile", required=True, help="input CSV (index,re,im)")
     p.add_argument("--report", default=None, help="write a JSON report here")
-    p.add_argument("--l-factor", type=int, default=_DEFAULTS.init.l_factor,
-                   help="FFT zero-padding factor")
     p.add_argument(
         "--eps",
         type=float,

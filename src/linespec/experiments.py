@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularInformation
-from .fft_init import InitConfig, find_peaks, initialize, zero_padded_fft
+from .fft_init import L_FACTOR, find_peaks, initialize, zero_padded_fft
 from .optimizer import NetworkState, cost, sum_n_squared, train_inner
 from .order_control import OrderConfig, apply_prunes, detection_prob
 from .pipeline import (
@@ -309,7 +309,7 @@ def mc_roc_merge(spec: TrialSpec, epsilon_f_grid) -> SweepResult:
     """
     n = spec.n_samples
     sep = TWO_PI / (16.0 * n)
-    bin_off = TWO_PI / (spec.estimator.init.l_factor * n)
+    bin_off = TWO_PI / (L_FACTOR * n)
     rows = []
     for eps_f in epsilon_f_grid:
         cfg = replace(spec.estimator, order=replace(spec.estimator.order, epsilon_f=float(eps_f)))
@@ -500,7 +500,7 @@ def convergence_trace(spec: TrialSpec, gamma_grid, lambda_grid) -> SweepResult:
             for t in range(spec.trials):
                 rng = np.random.default_rng(spec.base_seed + t)
                 y, _, _ = _draw_signal(freqs, mags, spec.n_samples, spec.snr_db, rng)
-                state = initialize(y, spec.estimator.init, spec.estimator.order)
+                state = initialize(y, spec.estimator.order)
                 state, trace = train_inner(y, state, cfg)
                 iters.append(trace.iterations_run)
                 convs.append(trace.converged)
@@ -555,12 +555,11 @@ def _cluster_init(y: np.ndarray) -> np.ndarray:
     bins on either side. Overlapping tones bury some spectral peaks, so
     bracketing seeds more nodes than peak counting alone would give.
     """
-    cfg = InitConfig()
-    mag = np.abs(zero_padded_fft(y, cfg))
+    mag = np.abs(zero_padded_fft(y))
     L = mag.size
-    peaks = find_peaks(mag, 0.0, cfg)
+    peaks = find_peaks(mag, 0.0)
     peaks.sort(key=lambda k: -mag[k])
-    excl = 2 * cfg.l_factor
+    excl = 2 * L_FACTOR
     centers: list[int] = []
     for k in peaks:
         if all(min(abs(k - c), L - abs(k - c)) >= excl for c in centers):

@@ -54,6 +54,8 @@ class NetworkState:
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.omegas, dtype=float))
         a = np.atleast_1d(np.asarray(self.alphas, dtype=np.complex128))
+        if w.ndim != 1 or a.ndim != 1:
+            raise InvalidDimension("state vectors must be 1-d")
         if w.size != a.size:
             raise InvalidDimension("state vectors must share one length")
         if not np.all(np.isfinite(w)):

@@ -103,8 +103,9 @@ def _pair_bound(alpha_i, alpha_j, omega_i, omega_j, sigma2: float, n_samples: in
     """crb_pair's bound over arrays of pairs: (crb_delta, singular, terms).
 
     One entry per pair; scalars count as one pair. ``singular`` marks the
-    pairs whose information is singular (sigma2 <= 0, a zero amplitude, or
-    aligned phases at equal frequencies), and their crb_delta is inf.
+    pairs whose information is singular (a zero amplitude, or aligned
+    phases at equal frequencies), and their crb_delta is inf; a zero
+    sigma2 (an exact fit) gives every other pair 0.
     ``terms`` is (pi2, pj2, cross, rho1, sigma2 / 2, den), the information
     of the pair as scaled: each pair's amplitudes are divided by the power
     of two 2^k that puts the larger modulus in [0.5, 1), and sigma2 by 4^k,
@@ -122,7 +123,7 @@ def _pair_bound(alpha_i, alpha_j, omega_i, omega_j, sigma2: float, n_samples: in
     den = pi2 * pj2 * rho1**2 - cross**2
     half_sigma2 = np.ldexp(sigma2 / 2.0, -2 * k)
     # A zero amplitude gives den = -cross^2 <= 0.
-    singular = (den <= 0.0) | (sigma2 <= 0)
+    singular = den <= 0.0
     num = half_sigma2 * ((pi2 + pj2) * rho1 + 2.0 * cross)
     delta = np.divide(num, den, out=np.full(den.shape, math.inf), where=~singular)
     return delta, singular, (pi2, pj2, cross, rho1, half_sigma2, den)
@@ -225,8 +226,8 @@ def merge_radius(alpha, sigma2: float, n_samples: int, cfg: OrderConfig, limit: 
     table and sum are good to about 30 rho1), and the closed form F by
     about 30; eta = 2^-46 (1 + R), S taken at the root, covers both.
 
-    A zero amplitude, and a sigma2 that is not positive and finite, make
-    the pair singular, and it fuses at any gap: the result is ``limit``.
+    A zero amplitude or an infinite sigma2 fuses the pair at any gap, and a
+    zero sigma2 (an exact fit, bound 0) at none; all three give ``limit``.
     ``alpha`` may be an array: a scalar gives a float, an array an array.
     Raises InvalidDimension for N < 2 or a limit outside (0, 2 pi / N].
     """

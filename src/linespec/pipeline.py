@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateInput, InvalidDimension, NumericalDivergence, Overdetermined
-from .fft_init import InitConfig, initialize
+from .fft_init import initialize
 from .optimizer import NetworkState, TrainConfig, forward, train_inner
 from .order_control import (
     MergeEvent,
@@ -47,7 +47,6 @@ class EstimatorConfig:
     changes nothing.
     """
 
-    init: InitConfig = field(default_factory=InitConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     order: OrderConfig = field(default_factory=OrderConfig)
 
@@ -127,7 +126,7 @@ def estimate_spectrum(observed, cfg: EstimatorConfig | None = None) -> RunReport
     if cfg is None:
         cfg = EstimatorConfig()
     y = as_samples(observed)
-    state = initialize(y, cfg.init, cfg.order)
+    state = initialize(y, cfg.order)
     if state.m_nodes == 0:
         return _build_report(y, state, 0, [], [], [])
     return _run_outer(y, state, cfg)

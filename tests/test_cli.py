@@ -200,7 +200,7 @@ def test_estimate_eps_sets_the_tolerance_floor(tmp_path, capsys):
 def test_estimate_parser_defaults_are_the_estimator_config():
     args = build_parser().parse_args(["estimate", "--in", "signal.csv"])
     cfg = EstimatorConfig()
-    assert args.l_factor == cfg.init.l_factor
+    assert not hasattr(args, "l_factor")
     assert args.eps == cfg.train.eps_tol
     assert (args.epsf, args.epsa) == (cfg.order.epsilon_f, cfg.order.epsilon_a)
     train = (args.gamma_alpha, args.gamma_omega, args.momentum, args.max_iter)
@@ -321,6 +321,14 @@ def test_unknown_experiment_name_rejected(capsys):
         main(["experiment", "bogus"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_estimate_has_no_padding_option(capsys):
+    # The FFT start's padding is the constant fft_init.L_FACTOR.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["estimate", "--in", "signal.csv", "--l-factor", "4"])
+    assert excinfo.value.code == 2
+    assert "--l-factor" in capsys.readouterr().err
 
 
 def test_full_multiplies_every_default_trial_count_by_five(monkeypatch):

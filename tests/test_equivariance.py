@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from linespec.experiments import _draw_signal
-from linespec.fft_init import InitConfig
+from linespec.fft_init import L_FACTOR
 from linespec.pipeline import estimate_spectrum
 from linespec.signal_model import TWO_PI, wrap_angle
 
@@ -23,7 +23,7 @@ N = 32
 SEEDS = range(7000, 7010)
 TOL = 1e-12
 # Seven bins of the zero-padded FFT that initialization searches.
-SHIFT = TWO_PI * 7 / (InitConfig().l_factor * N)
+SHIFT = TWO_PI * 7 / (L_FACTOR * N)
 
 
 def _signal(seed: int) -> np.ndarray:

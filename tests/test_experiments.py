@@ -34,7 +34,7 @@ from linespec.experiments import (
     sample_well_separated,
     write_json,
 )
-from linespec.fft_init import InitConfig
+from linespec.fft_init import L_FACTOR
 from linespec.optimizer import NetworkState, grad_alpha, grad_omega
 from linespec.pipeline import EstimatorConfig
 from linespec.signal_model import TWO_PI, Sinusoid
@@ -214,7 +214,7 @@ def test_write_json_round_trips_estimator_config(tmp_path):
     path = tmp_path / "config.json"
     write_json(path, EstimatorConfig())
     d = json.loads(path.read_text())
-    assert set(d) == {"init", "train", "order"}
+    assert set(d) == {"train", "order"}
     assert set(d["train"]) == {
         "gamma_alpha", "gamma_omega", "momentum", "eps_tol", "max_iter", "min_iter"
     }
@@ -322,7 +322,8 @@ def test_mc_roc_merge_structure():
 
 
 def test_mc_roc_merge_offsets_the_false_alarm_pair_by_the_spec_padding(monkeypatch):
-    # The false-alarm runs start two nodes one padded-FFT bin either side of the tone.
+    # The false-alarm runs start two nodes one padded-FFT bin either side
+    # of the tone: the padding of the FFT start, L_FACTOR.
     starts = []
 
     def fake(y, omegas0, cfg):
@@ -330,11 +331,10 @@ def test_mc_roc_merge_offsets_the_false_alarm_pair_by_the_spec_padding(monkeypat
         return experiments.RunReport([], 1.0, 0, np.zeros(0), [], [])
 
     monkeypatch.setattr(experiments, "estimate_with_fixed_order", fake)
-    estimator = EstimatorConfig(init=InitConfig(l_factor=8))
-    spec = TrialSpec(truth=[], n_samples=32, snr_db=20.0, trials=1, estimator=estimator)
+    spec = TrialSpec(truth=[], n_samples=32, snr_db=20.0, trials=1)
     mc_roc_merge(spec, [1e-6])
     false_alarm_pair = starts[1]
-    assert false_alarm_pair[1] - false_alarm_pair[0] == pytest.approx(2 * TWO_PI / (8 * 32))
+    assert false_alarm_pair[1] - false_alarm_pair[0] == pytest.approx(2 * TWO_PI / (L_FACTOR * 32))
 
 
 def test_mc_order_histogram_counts():

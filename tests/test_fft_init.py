@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linespec.errors import InvalidDimension
 from linespec import fft_init, order_control
 from linespec.fft_init import (
-    InitConfig,
+    L_FACTOR,
+    PEAK_GATE_EPSILON,
     find_peaks,
     initialize,
     noise_floor_estimate,
@@ -24,27 +24,14 @@ from linespec.signal_model import TWO_PI, Sinusoid, atom, design_matrix
 def test_zero_padded_fft_matches_numpy_reference():
     rng = np.random.default_rng(0)
     y = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    cfg = InitConfig(l_factor=4)
-    spec = zero_padded_fft(y, cfg)
-    assert spec.size == 64
+    spec = zero_padded_fft(y)
+    assert L_FACTOR == 4 and spec.size == 64
     np.testing.assert_allclose(spec, np.fft.fft(y, 64), rtol=1e-12)
 
 
-def test_init_config_validation():
-    with pytest.raises(InvalidDimension):
-        InitConfig(l_factor=0)
-    with pytest.raises(InvalidDimension):
-        InitConfig(peak_gate_epsilon=0.0)
-    with pytest.raises(InvalidDimension):
-        InitConfig(peak_gate_epsilon=1.0)
-
-
-@pytest.mark.parametrize("value", [2.5, 4.0, "4", None])
-def test_init_config_takes_an_integer_padding_factor_only(value):
-    with pytest.raises(InvalidDimension, match="l_factor"):
-        InitConfig(l_factor=value)
-    l_factor = InitConfig(l_factor=np.int64(2)).l_factor
-    assert type(l_factor) is int and l_factor == 2
+def _floor_gating_at(eps, floor):
+    """The noise floor at which the fixed gate is the one ``floor`` gives at false-alarm level ``eps``."""
+    return floor * math.log(1.0 / eps) / math.log(1.0 / PEAK_GATE_EPSILON)
 
 
 def test_noise_floor_constant_spectrum_hand_value():
@@ -69,40 +56,36 @@ def test_noise_floor_estimates_noise_variance():
 
 def test_find_peaks_gate_formula():
     # Spectrum with two local maxima; only the one whose squared magnitude
-    # clears noise_floor * N * ln(1/eps) may pass.
+    # clears noise_floor * N * ln(1/eps), eps = 1e-9, may pass.
     n = 16
-    eps = 1e-3
     floor = 1.0
-    gate = floor * n * math.log(1.0 / eps)  # = 110.5...
-    mag = np.ones(64)
+    gate = floor * n * math.log(1.0 / PEAK_GATE_EPSILON)  # = 331.5...
+    mag = np.ones(L_FACTOR * n)
     mag[10] = math.sqrt(gate * 1.01)  # just above
     mag[40] = math.sqrt(gate * 0.99)  # just below
-    cfg = InitConfig(l_factor=4, peak_gate_epsilon=eps)
-    assert find_peaks(mag, floor, cfg) == [10]
+    assert PEAK_GATE_EPSILON == 1e-9
+    assert find_peaks(mag, floor) == [10]
 
 
 def test_find_peaks_requires_local_maximum():
     mag = np.ones(32)
     mag[5] = 10.0
     mag[6] = 11.0  # 5 is not a peak: right neighbor is larger
-    cfg = InitConfig(l_factor=4, peak_gate_epsilon=0.5)
-    peaks = find_peaks(mag, 1e-6, cfg)
+    peaks = find_peaks(mag, _floor_gating_at(0.5, 1e-6))
     assert 6 in peaks and 5 not in peaks
 
 
 def test_find_peaks_plateau_keeps_left_edge():
     mag = np.full(32, 0.1)
     mag[7] = mag[8] = 5.0
-    cfg = InitConfig(l_factor=4, peak_gate_epsilon=0.5)
-    peaks = find_peaks(mag, 1e-9, cfg)
+    peaks = find_peaks(mag, _floor_gating_at(0.5, 1e-9))
     assert 7 in peaks and 8 not in peaks
 
 
 def test_find_peaks_wraps_circularly():
     mag = np.full(32, 0.1)
     mag[0] = 5.0  # neighbors are bins 31 and 1
-    cfg = InitConfig(l_factor=4, peak_gate_epsilon=0.5)
-    assert 0 in find_peaks(mag, 1e-9, cfg)
+    assert 0 in find_peaks(mag, _floor_gating_at(0.5, 1e-9))
 
 
 @pytest.mark.parametrize("offset, side", [(0.3, 1.0), (-0.3, -1.0)])
@@ -131,7 +114,7 @@ def test_initialize_companion_tie_goes_to_upper_bin(monkeypatch):
     mag = np.zeros(big_l)
     mag[k] = 10.0
     mag[k - 1] = mag[k + 1] = 4.0
-    monkeypatch.setattr(fft_init, "zero_padded_fft", lambda y, cfg: mag)
+    monkeypatch.setattr(fft_init, "zero_padded_fft", lambda y: mag)
     rng = np.random.default_rng(2)
     y = atom(TWO_PI * k / big_l, n) + 0.03 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     state = initialize(y)
@@ -200,19 +183,34 @@ def test_initialize_two_clean_tones():
 def test_initialize_pure_noise_low_gate_is_empty_or_small():
     rng = np.random.default_rng(3)
     y = 0.01 * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    state = initialize(y, InitConfig(peak_gate_epsilon=1e-9))
-    # with a strict gate, white noise rarely seeds anything
+    state = initialize(y)
+    # with the strict 1e-9 gate, white noise rarely seeds anything
     assert state.m_nodes <= 1
 
 
-def test_initialize_caps_nodes_at_signal_length():
+def test_initialize_caps_nodes_at_signal_length(monkeypatch):
+    # No signal of N <= 16 has been seen to clear the 1e-9 gate with more
+    # than N / 3 peaks, so this gates nothing and prunes nothing: every
+    # local maximum becomes a candidate, then closest pairs collapse until
+    # at most N / 2 remain, and their companions make at most N nodes.
     rng = np.random.default_rng(4)
     n = 8
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    # epsilon near 1 gates almost nothing: every local max becomes a
-    # candidate, then pairs collapse until at most N remain
-    state = initialize(y, InitConfig(peak_gate_epsilon=0.9))
-    assert state.m_nodes <= n
+    candidates, fitted = [], []
+
+    def every_maximum(mag, noise_floor):
+        candidates[:] = find_peaks(mag, 0.0)
+        return list(candidates)
+
+    def keep_all(n_samples, m_nodes, cfg):
+        fitted.append(m_nodes)
+        return 0.0
+
+    monkeypatch.setattr(fft_init, "find_peaks", every_maximum)
+    monkeypatch.setattr(fft_init, "prune_threshold", keep_all)
+    state = initialize(y)
+    assert 2 * len(candidates) > n >= 2 * fitted[0]
+    assert state.m_nodes == 2 * fitted[0]
 
 
 def test_initialize_empty_for_zero_signal():

@@ -255,6 +255,8 @@ def test_cost_hand_value():
 def test_network_state_validation():
     with pytest.raises(InvalidDimension):
         NetworkState(np.zeros(2), np.zeros(3, dtype=complex))
+    with pytest.raises(InvalidDimension, match="1-d"):
+        NetworkState([1.0, 2.0], [[1.0, 2.0]])
     with pytest.raises(NumericalDivergence):
         NetworkState([np.nan], [1.0])
     with pytest.raises(NumericalDivergence):

@@ -267,6 +267,25 @@ def test_apply_merges_coincident_pair_is_forced():
     assert len(events) == 1
 
 
+def test_apply_merges_keeps_separated_nodes_of_an_exact_fit():
+    # A zero noise estimate is unbounded information, not singular
+    # information: no gap fuses, and only a singular pair (coincident,
+    # phase-aligned nodes) still does.
+    st0 = NetworkState([0.5, 2.0, 4.0], [1, 1j, -1])
+    y = forward(st0, 32)
+    assert estimate_noise_var(y, forward(st0, 32)) == 0.0
+    out, events = apply_merges(st0, y, OrderConfig())
+    assert events == []
+    np.testing.assert_array_equal(out.omegas, st0.omegas)
+    np.testing.assert_array_equal(out.alphas, st0.alphas)
+    pair = NetworkState([1.0, 1.0, 3.0], [0.5, 0.5, 1.0])
+    y = forward(pair, 32)
+    assert estimate_noise_var(y, forward(pair, 32)) == 0.0
+    out, events = apply_merges(pair, y, OrderConfig())
+    assert events == [MergeEvent(1.0, 1.0, 1.0)]
+    np.testing.assert_array_equal(out.omegas, [1.0, 3.0])
+
+
 def test_apply_merges_separated_nodes_untouched_but_sorted():
     n = 32
     omegas = [TWO_PI * 0.7, TWO_PI * 0.2]  # deliberately unsorted
@@ -474,7 +493,7 @@ _AMPS = st.lists(
 @example(amps=[(30.0, 3.53), (1.0, 0.3)], log_sigma2=-7.0, n=3252, bins=0.25)
 @example(amps=[(30.0, 4.34)], log_sigma2=-4.6, n=12, bins=1.0)
 def test_merge_radius_over_an_array_is_the_scalar_bisection_within_its_band(amps, log_sigma2, n, bins):
-    # bins = 4 is an l_factor = 1 start, whose limit 2*pi/N lies past
+    # bins = 4 is the limit of an unpadded start, 2*pi/N, which lies past
     # pi/(N - 1). At N = 2 that limit is pi, where the pair's information is
     # singular: the exact test fuses at that one gap, and the bisection
     # returns it, while F is continuous there.
@@ -665,6 +684,9 @@ def test_merge_radius_is_the_merge_test_boundary():
     # noisier data fuse wider pairs; a singular bound fuses anything
     assert merge_radius(alpha, 100 * sigma2, n, cfg, limit) == limit
     assert merge_radius(0j, sigma2, n, cfg, limit) == limit
+    # an exact fit fuses no gap, and the radius is the limit
+    assert not merge_test(0.0, limit, _pair_bound(alpha / 2, alpha / 2, 0.0, limit, 0.0, n)[0], cfg)
+    assert merge_radius(alpha, 0.0, n, cfg, limit) == limit
 
 
 def test_prune_statistic_perfect_fit_raises():

@@ -14,8 +14,8 @@ import pytest
 
 from linespec import pipeline
 from linespec.errors import DegenerateInput, InvalidDimension, NumericalDivergence, Overdetermined
-from linespec.optimizer import TrainConfig, train_inner
-from linespec.order_control import apply_prunes
+from linespec.optimizer import NetworkState, TrainConfig, train_inner
+from linespec.order_control import OrderConfig, apply_prunes
 from linespec.pipeline import (
     MAX_PASSES,
     EstimatorConfig,
@@ -171,6 +171,22 @@ def test_fixed_order_more_starts_than_samples_is_rejected():
         estimate_with_fixed_order(y, TWO_PI * np.arange(40) / 40)
 
 
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda y: train_inner(y, NetworkState([[0.6], [1.4]], [[1.0], [1.0]]), TrainConfig()),
+        lambda y: apply_prunes(NetworkState([[0.6], [1.4]], [1.0, 1.0]), y, OrderConfig()),
+        lambda y: estimate_with_fixed_order(y, [[0.6], [1.4]]),
+    ],
+    ids=["train_inner", "apply_prunes", "estimate_with_fixed_order"],
+)
+def test_a_state_of_2d_vectors_is_rejected(stage):
+    # Each stage once failed on such a state with a bare numpy error.
+    y, _ = _noisy_signal()
+    with pytest.raises(InvalidDimension, match="1-d"):
+        stage(y)
+
+
 def test_tolerance_floor_above_start_is_rejected():
     # train.eps_tol is the schedule's floor, so it may not lie above the
     # tolerance of the first pass.
@@ -191,10 +207,9 @@ def _settable(cfg, prefix="") -> list[str]:
     return names
 
 
-def test_estimator_config_has_exactly_ten_settable_values():
+def test_estimator_config_has_exactly_eight_settable_values():
     # A new setting must be a deliberate change to this list.
     assert sorted(_settable(EstimatorConfig())) == sorted([
-        "init.l_factor", "init.peak_gate_epsilon",
         "train.gamma_alpha", "train.gamma_omega", "train.momentum",
         "train.eps_tol", "train.max_iter", "train.min_iter",
         "order.epsilon_f", "order.epsilon_a",

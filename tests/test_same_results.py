@@ -40,6 +40,7 @@ def test_a_second_run_matches_the_saved_one(tmp_path):
     assert lines[:3] == first.stdout.splitlines()[:3]
     diff = json.loads(lines[-1])
     assert diff["counts_differ"] == diff["digests_differ"] == []
+    assert diff["same_results"] is True
     assert diff["max_abs_d_omega"] == diff["max_abs_d_alpha"] == diff["max_rel_d_sigma2"] == 0.0
 
 
@@ -62,6 +63,20 @@ def test_compare_reports_the_largest_differences_and_the_seeds_that_moved():
     assert diff["counts_differ"] == [2]
     assert diff["digests_differ"] == [1]
     assert diff["seeds_not_in_file"] == [3]
+    assert not diff["same_results"]
+
+
+def test_compare_fails_a_frequency_difference_beyond_1e_12_rad():
+    # Equal counts are not enough: README's same-results rule also bounds
+    # |delta omega| by 1e-12 rad.
+    tool = _load_tool()
+    counts = dict.fromkeys(tool.run.COUNT_KEYS, 1)
+    old = [{"seed": 1, **counts, "sha256": "a", "omegas": [1.0], "alphas": [1.0, 0.0], "sigma2_hat": 2.0}]
+    for d_omega, same in ((0.0, True), (2.0**-40, True), (2.0**-39, False)):
+        new = [{**old[0], "sha256": "b", "omegas": [1.0 + d_omega]}]
+        diff = tool.compare(new, old)
+        assert diff["counts_differ"] == []
+        assert diff["same_results"] is same, d_omega
 
 
 def test_a_last_bit_perturbation_flips_no_order_on_benchmark_seeds():

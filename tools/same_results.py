@@ -19,7 +19,9 @@ the sha256 over every seed's digest.
 ``--against F`` compares with such a file: it prints the largest
 |delta omega| (rad), |delta alpha| and relative |delta sigma2_hat| over
 the seeds whose k_hat agree, the seeds whose counts differ and the seeds
-whose digests differ.
+whose digests differ. Its ``same_results`` is false when some seed's
+counts differ or the largest |delta omega| exceeds OMEGA_BOUND = 1e-12
+rad, the bound of README's same-results rule.
 
 ``--perturb K`` also estimates each seed from K copies of y + d, d
 complex white Gaussian noise with rms 1e-15 rms(y), the copy seeded by
@@ -27,8 +29,8 @@ complex white Gaussian noise with rms 1e-15 rms(y), the copy seeded by
 the seeds where one of them differs from the unperturbed k_hat. An order
 that such a last-bit change flips is one no refactor can be held to.
 
-Exits 1 when some seed's counts differ from the file or some seed flips
-under --perturb, else 0.
+Exits 1 when ``same_results`` is false under --against or some seed
+flips under --perturb, else 0.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import run  # noqa: E402  (sets OPENBLAS_NUM_THREADS before numpy loads)
 
 import numpy as np  # noqa: E402
+
+OMEGA_BOUND = 1e-12
 
 
 def seed_row(linespec, scene) -> dict:
@@ -104,6 +108,7 @@ def compare(rows: list[dict], old: list[dict]) -> dict:
         "counts_differ": counts_differ,
         "digests_differ": digests_differ,
         "seeds_not_in_file": missing,
+        "same_results": not counts_differ and d_w <= OMEGA_BOUND,
     }
 
 
@@ -145,7 +150,7 @@ def main(argv=None) -> int:
     if old is not None:
         diff = compare(rows, old)
         print(json.dumps(diff))
-        failed = failed or bool(diff["counts_differ"])
+        failed = failed or not diff["same_results"]
     return 1 if failed else 0
 
 
