@@ -26,8 +26,9 @@ _DEFAULT_RATE_NUMERATOR = 0.5
 _SAFEGUARD_PATIENCE = 20
 _CONSEC_HITS = 3
 # Training at N >= this applies A through its factors (_FactoredKernel);
-# below it, building A (_Kernel) takes less time per iteration.
-_FACTORED_MIN_N = 256
+# below it, building A (_Kernel) takes less time per iteration at M >= 8
+# (tools/kernel_crossover.py).
+_FACTORED_MIN_N = 128
 
 
 def sum_n_squared(n_samples: int) -> float:
@@ -147,30 +148,42 @@ class CostTrace:
         return self.exit_reason != "max_iter"
 
 
-class _Kernel:
-    """Model, residual and both gradients for one signal y and M nodes.
+def _j_omegas(omegas: np.ndarray) -> np.ndarray:
+    """j * omegas as the kernels take it: real parts -0.0, imaginary parts omegas.
 
-    Every array is allocated once, here; ``residual`` and ``gradients`` only
-    write into them, so each call overwrites what the last one returned.
-    Every numpy call passes its output positionally and takes array
-    operands only, the cheapest way to call a ufunc on a few dozen numbers.
-    The design matrix A = exp(j * outer(n, omegas)) is built by angle
-    addition on the split of signal_model.atom_split: one exp per step k
-    (the B offsets s, then the multiples q*B) and node, B + ceil(N/B) of
-    them instead of N, and one complex multiply per entry of A. These are
-    signal_model.atom_table's operations into fixed buffers, so A has its
-    bits.
+    With a -0.0 real part, the imaginary part of k * (j*w) for a real k is
+    k*w + (-0.0), which is k*w with its sign of zero, so the phases have the
+    bits of the real product k*w.
+    """
+    jw = np.empty(omegas.size, dtype=np.complex128)
+    jw.real = -0.0
+    jw.imag = omegas
+    return jw
+
+
+class _Kernel:
+    """Model, residual and both gradient sums for one signal y and M nodes.
+
+    Every array is allocated once, here; ``residual_j`` and
+    ``gradient_sums`` only write into them, so each call overwrites what the
+    last one returned. Every numpy call passes its output positionally and
+    takes array operands only, the cheapest way to call a ufunc on a few
+    dozen numbers. Training passes the frequencies as j*omegas (see
+    _j_omegas), so the phases are one complex product; ``residual`` takes
+    real frequencies. The design matrix A = exp(j * outer(n, omegas))
+    is built by angle addition on the split of signal_model.atom_split: one
+    exp per step k (the B offsets s, then the multiples q*B) and node,
+    B + ceil(N/B) of them instead of N, and one complex multiply per entry
+    of A. These are signal_model.atom_table's operations into fixed
+    buffers, so A has its bits.
     """
 
     def __init__(self, y: np.ndarray, m_nodes: int):
         n_samples = y.size
         b, k = atom_split(n_samples)
         self._y = y
-        self._k = k
-        # Only the imaginary part is ever written: exp(0 + j*k*w).
-        self._phase = np.zeros((k.size, m_nodes), dtype=np.complex128)
-        self._phase_imag = self._phase.imag
-        self._steps = np.empty_like(self._phase)
+        self._k = k.astype(np.complex128)
+        self._steps = np.empty((k.size, m_nodes), dtype=np.complex128)
         self._hi = self._steps[b:, None, :]
         self._lo = self._steps[None, :b, :]
         self._prod = np.empty((k.size - b, b, m_nodes), dtype=np.complex128)
@@ -179,64 +192,55 @@ class _Kernel:
         self.r = np.empty(n_samples, dtype=np.complex128)
         self._rc = np.empty(n_samples, dtype=np.complex128)
         self._n = np.arange(n_samples, dtype=np.complex128)
-        self._s = np.empty(m_nodes, dtype=np.complex128)
-        self._s_pairs = self._s.view(float)
-        self._s_imag = self._s.imag
+        self.s = np.empty((2, m_nodes), dtype=np.complex128)
+        self._s0, self._s1 = self.s
 
     def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Rebuild A at omegas and return r = A alpha - y."""
-        np.multiply(self._k, omegas, self._phase_imag)
-        np.exp(self._phase, self._steps)
+        """Rebuild A at the real frequencies omegas and return r = A alpha - y."""
+        return self.residual_j(_j_omegas(omegas), alphas)
+
+    def residual_j(self, j_omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+        """Rebuild A at the frequencies j_omegas and return r = A alpha - y."""
+        np.multiply(self._k, j_omegas, self._steps)
+        np.exp(self._steps, self._steps)
         np.multiply(self._hi, self._lo, self._prod)
         np.matmul(self.A, alphas, self.r)
         np.subtract(self.r, self._y, self.r)
         return self.r
 
-    def gradients(
-        self, alphas: np.ndarray, scale_a: np.ndarray, scale_w: np.ndarray, out
-    ) -> None:
-        """Scaled gradients of ||r||^2 at the last residual, written into out.
+    def gradient_sums(self) -> np.ndarray:
+        """s = [A^T conj(r); A^T (n * conj(r))] at the last residual, as a 2 x M array.
 
-        ``out`` is a pair: the amplitude block as interleaved (re, im)
-        floats, then the frequency block. With s = A^T conj(r), the first
-        gets ``scale_a`` times the (re, im) pairs of s, the second
-        ``scale_w`` times Im{alpha * A^T (n * conj(r))}. The unit scales
-        [1, -1, 1, -1, ...] and -2 give the gradients themselves:
-        A^H r = conj(s), and 2 Im{alpha * A^T (n * conj(-r))} is
-        -2 Im{alpha * A^T (n * conj(r))}. Negation and doubling are exact,
-        so a step scaled here by [c, -c] and -2c has the bits of the
-        gradient times c.
+        The gradients are A^H r = conj(s[0]) and -2 Im{alpha * s[1]}, since
+        2 Im{alpha * A^T (n * conj(-r))} = -2 Im{alpha * s[1]}.
         """
-        out_a, out_w = out
         rc = np.conjugate(self.r, self._rc)
-        np.matmul(self._At, rc, self._s)
-        np.multiply(self._s_pairs, scale_a, out_a)
+        np.matmul(self._At, rc, self._s0)
         np.multiply(self._n, rc, rc)
-        np.matmul(self._At, rc, self._s)
-        np.multiply(alphas, self._s, self._s)
-        np.multiply(self._s_imag, scale_w, out_w)
+        np.matmul(self._At, rc, self._s1)
+        return self.s
 
 
 class _FactoredKernel:
-    """_Kernel's residual and gradients, applying A through its two factors.
+    """_Kernel's residual and gradient sums, applying A through its two factors.
 
     With the split of signal_model.atom_split, A[q*B + s] = H[q] * L[s]
     elementwise, where H = exp(j*q*B*omegas) is Q x M and
     L = exp(j*s*omegas) is B x M. Per node, two exps give z1 = exp(j*w)
     and zB = exp(j*fl(B*w)); L and H are their running powers, z1^s for
-    s < B and zB^q for q < Q, from one multiply.accumulate over a buffer
-    whose first row is ones. The s-th (q-th) power carries about s (q)
-    roundings of exp and the complex multiply, and H also q times the
-    rounding of B*w, the size of the direct exp's own phase rounding at
-    n = q*B. The model on the zero-padded Q x B grid is then one product,
-    (H * alpha) @ L^T, whose first N entries minus y are r. Both gradient
-    sums come from one product of the stacked 2Q x B array
-    [conj(r); n * conj(r)] with L, times H and summed over q:
-    A^T conj(r) and A^T (n * conj(r)). Only the first N entries of each
-    half are ever written, so the padded tail stays zero. This skips the
-    N x M table and its complex multiply; the factors and the sums are
-    rounded differently, so the results differ from _Kernel's in the last
-    bits.
+    s < B and zB^q for q < Q, from one multiply.accumulate of a stride-0
+    view of the two into rows 1.. of a buffer whose first row is ones.
+    The s-th (q-th) power carries about s (q) roundings of exp and the
+    complex multiply, and H also q times the rounding of B*w, the size of
+    the direct exp's own phase rounding at n = q*B. The model on the
+    zero-padded Q x B grid is then one product, (H * alpha) @ L^T, whose
+    first N entries minus y are r. Both gradient sums come from one product
+    of the stacked 2Q x B array [conj(r); n * conj(r)] with L, times H and
+    summed over q: A^T conj(r) and A^T (n * conj(r)). Only the first N
+    entries of each half are ever written, so the padded tail stays zero.
+    This skips the N x M table and its complex multiply; the factors and
+    the sums are rounded differently, so the results differ from _Kernel's
+    in the last bits.
     """
 
     def __init__(self, y: np.ndarray, m_nodes: int):
@@ -244,14 +248,14 @@ class _FactoredKernel:
         b, k = atom_split(n_samples)
         q = k.size - b
         self._y = y
-        self._k = np.array([[1.0], [b]])
-        # Only the imaginary part is ever written: exp(0 + j*k*w).
-        self._phase = np.zeros((2, 1, m_nodes), dtype=np.complex128)
-        self._phase_imag = self._phase.imag[:, 0]
-        self._z = np.empty_like(self._phase)
-        # Row 0 of each plane stays one; accumulate turns rows 1.. into powers.
+        self._k = np.array([[1.0], [b]], dtype=np.complex128)
+        # The phases [1; B] * (j*w) go into _z, and exp runs in place there.
+        self._z = np.empty((2, 1, m_nodes), dtype=np.complex128)
+        self._phase = self._z[:, 0]
+        self._bases = np.broadcast_to(self._z, (2, b - 1, m_nodes))
+        # Row 0 of each plane stays one; accumulate writes the powers below it.
         self._powers = np.ones((2, b, m_nodes), dtype=np.complex128)
-        self._bases = self._powers[:, 1:]
+        self._rows = self._powers[:, 1:]
         self._l = self._powers[0]
         self._lt = self._l.T
         self._h = self._powers[1, :q]
@@ -265,35 +269,27 @@ class _FactoredKernel:
         self._p = np.empty((2 * q, m_nodes), dtype=np.complex128)
         self._p3 = self._p.reshape(2, q, m_nodes)
         self._n = np.arange(n_samples, dtype=np.complex128)
-        self._s = np.empty((2, m_nodes), dtype=np.complex128)
-        self._s_pairs = self._s[0].view(float)
-        self._s_w = self._s[1]
-        self._s_imag = self._s_w.imag
+        self.s = np.empty((2, m_nodes), dtype=np.complex128)
 
-    def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Evaluate the factors at omegas and return r = A alpha - y."""
-        np.multiply(self._k, omegas, self._phase_imag)
-        np.exp(self._phase, self._z)
-        np.copyto(self._bases, self._z)
-        np.multiply.accumulate(self._powers, 1, None, self._powers)
+    residual = _Kernel.residual
+
+    def residual_j(self, j_omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+        """Evaluate the factors at the frequencies j_omegas and return r = A alpha - y."""
+        np.multiply(self._k, j_omegas, self._phase)
+        np.exp(self._z, self._z)
+        np.multiply.accumulate(self._bases, 1, None, self._rows)
         np.multiply(self._h, alphas, self._ha)
         np.matmul(self._ha, self._lt, self._x)
         np.subtract(self.r, self._y, self.r)
         return self.r
 
-    def gradients(
-        self, alphas: np.ndarray, scale_a: np.ndarray, scale_w: np.ndarray, out
-    ) -> None:
-        """_Kernel.gradients at the last residual, through the factors."""
-        out_a, out_w = out
+    def gradient_sums(self) -> np.ndarray:
+        """_Kernel.gradient_sums at the last residual, through the factors."""
         np.conjugate(self.r, self._rc)
         np.multiply(self._n, self._rc, self._nrc)
         np.matmul(self._stack, self._l, self._p)
         np.multiply(self._p3, self._h, self._p3)
-        np.add.reduce(self._p3, 1, None, self._s)
-        np.multiply(self._s_pairs, scale_a, out_a)
-        np.multiply(alphas, self._s_w, self._s_w)
-        np.multiply(self._s_imag, scale_w, out_w)
+        return np.add.reduce(self._p3, 1, None, self.s)
 
 
 def forward(state: NetworkState, n_samples: int) -> np.ndarray:
@@ -317,14 +313,13 @@ def cost(observed, model) -> float:
 
 def _gradients(state: NetworkState, observed) -> tuple[np.ndarray, np.ndarray]:
     """(A^H r, -2 Im{alpha * A^T (n * conj(r))}) at r = A alpha - y."""
-    m = state.m_nodes
-    kernel = _Kernel(as_samples(observed), m)
+    kernel = _Kernel(as_samples(observed), state.m_nodes)
     kernel.residual(state.omegas, state.alphas)
-    grad_a = np.empty(m, dtype=np.complex128)
-    grad_w = np.empty(m)
-    unit_a, unit_w = np.tile([1.0, -1.0], m), np.full(m, -2.0)
-    kernel.gradients(state.alphas, unit_a, unit_w, (grad_a.view(float), grad_w))
-    return grad_a, grad_w
+    s = kernel.gradient_sums()
+    # In place, as train_inner multiplies: at M = 1 numpy rounds an in-place
+    # complex product differently from one into a new array.
+    np.multiply(state.alphas, s[1], s[1])
+    return np.conjugate(s[0]), -2.0 * s[1].imag
 
 
 def grad_alpha(state: NetworkState, observed) -> np.ndarray:
@@ -349,8 +344,9 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     the best state seen so far is restored before continuing. The final
     state is the last iterate, or the best state seen when the last
     iterate costs more than the starting state (an oscillation that never
-    rises 20 times in a row can end there). From N = 256 samples the model
-    and gradients go through _FactoredKernel, below it through _Kernel.
+    rises 20 times in a row can end there). From N = _FACTORED_MIN_N = 128
+    samples the model and gradient sums go through _FactoredKernel, below
+    it through _Kernel.
     """
     y = as_samples(observed)
     n_samples = y.size
@@ -363,29 +359,37 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         return state, CostTrace(np.array([c0]), 0, 0, "tol")
 
     kernel = (_FactoredKernel if n_samples >= _FACTORED_MIN_N else _Kernel)(y, m)
-    # Parameters, momentum, rates and steps share one flat layout:
-    # [alpha (re, im interleaved), omega]. Three parameter buffers rotate:
-    # the current one, the best one (often the same) and a free one that
-    # takes the next iterate, so keeping the best state copies nothing.
+    # Parameters, momentum, rates and steps share one flat float layout:
+    # the complex slots [alpha; j*omega] as (re, im) pairs, each frequency
+    # in the imaginary part of its slot with a real part of -0.0 (see
+    # _j_omegas). Three parameter buffers rotate: the current one, the best
+    # one (often the same) and a free one that takes the next iterate, so
+    # keeping the best state copies nothing.
     bufs = []
     for _ in range(3):
-        p = np.empty(3 * m)
-        bufs.append((p, p[: 2 * m].view(np.complex128), p[2 * m :]))
-    p, a, w = bufs[0]
+        p = np.empty(4 * m)
+        c_slots = p.view(np.complex128)
+        bufs.append((p, c_slots[:m], c_slots[m:]))
+    p, a, jw = bufs[0]
     a[:] = state.alphas
-    w[:] = state.omegas
-    rates = np.concatenate((np.full(2 * m, cfg.gamma_alpha), np.full(m, cfg.gamma_omega)))
-    d = np.zeros(3 * m)
-    step = np.empty(3 * m)
-    step_parts = (step[: 2 * m], step[2 * m :])
-    lam = np.full(3 * m, cfg.momentum)
-    # The gradient scaled by mix = 1 - lambda in one write: conj(s) * mix
-    # is (re, im) * [mix, -mix], and -2 Im{...} * mix is Im{...} * (-2 mix).
+    jw[:] = _j_omegas(state.omegas)
+    # The real slots of the frequency block get rate 0 and scale 0: their
+    # momentum stays +0.0 and their parameters -0.0.
+    rates = np.concatenate((np.full(2 * m, cfg.gamma_alpha), np.tile([0.0, cfg.gamma_omega], m)))
+    d = np.zeros(4 * m)
+    step = np.empty(4 * m)
+    lam = np.full(4 * m, cfg.momentum)
+    # The gradient scaled by mix = 1 - lambda in one multiply of the sums
+    # s = [A^T conj(r); alpha * A^T (n * conj(r))] as (re, im) pairs:
+    # conj(s[0]) * mix is (re, im) * [mix, -mix], and -2 Im{s[1]} * mix is
+    # Im{s[1]} * (-2 mix).
     mix = 1.0 - cfg.momentum
-    scale_a = np.tile([mix, -mix], m)
-    scale_w = np.full(m, -2.0 * mix)
+    scale = np.concatenate((np.tile([mix, -mix], m), np.tile([0.0, -2.0 * mix], m)))
+    s = kernel.s
+    s_pairs = s.reshape(2 * m).view(float)
+    s_w = s[1]
 
-    r = kernel.residual(w, a)
+    r = kernel.residual_j(jw, a)
     cbar = float(np.vdot(r, r).real) / n_samples
     trace = [cbar]
     best_c = cbar
@@ -396,8 +400,8 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     exit_reason = "max_iter"
 
     # Loop invariants, looked up once.
-    gradients = kernel.gradients
-    residual = kernel.residual
+    gradient_sums = kernel.gradient_sums
+    residual = kernel.residual_j
     multiply = np.multiply
     add = np.add
     subtract = np.subtract
@@ -410,7 +414,9 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     patience = _SAFEGUARD_PATIENCE
 
     for t in range(1, cfg.max_iter + 1):
-        gradients(a, scale_a, scale_w, step_parts)
+        gradient_sums()
+        multiply(a, s_w, s_w)
+        multiply(s_pairs, scale, step)
         multiply(d, lam, d)
         add(d, step, d)
         multiply(rates, d, step)
@@ -418,10 +424,10 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         nxt = (cur + 1) % 3
         if nxt == best:
             nxt = (nxt + 1) % 3
-        q, a, w = bufs[nxt]
+        q, a, jw = bufs[nxt]
         subtract(p, step, q)
         p, cur = q, nxt
-        r = residual(w, a)
+        r = residual(jw, a)
         c = float(vdot(r, r).real) / n_samples
         append(c)
         if not isfinite(c):
@@ -435,8 +441,8 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
                 rates *= 0.5
                 d[:] = 0.0
                 cur = best
-                p, a, w = bufs[best]
-                residual(w, a)
+                p, a, jw = bufs[best]
+                residual(jw, a)
                 c = best_c
                 rising = 0
                 halvings += 1
@@ -455,6 +461,6 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         cbar = c
 
     if c > trace[0]:
-        _, a, w = bufs[best]
-    out = NetworkState(w.copy(), a.copy())
+        _, a, jw = bufs[best]
+    out = NetworkState(jw.imag.copy(), a.copy())
     return out, CostTrace(np.asarray(trace), t, halvings, exit_reason)

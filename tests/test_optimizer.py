@@ -129,23 +129,20 @@ def _direct_gradients(omegas, alphas, y):
 
 
 @pytest.mark.parametrize("m", [1, 3, 8, 90])
-@pytest.mark.parametrize("n", [256, 257, 300, 512, 529, 4096])
+@pytest.mark.parametrize("n", [128, 144, 255, 256, 257, 300, 512, 529, 4096])
 def test_factored_kernel_agrees_with_the_table_kernel_and_the_direct_exp(n, m):
-    # 256, 529 and 4096 split exactly (B * Q = N), 257, 300 and 512 into a
-    # zero-padded grid; frequencies from -3 to 3 * 2 * pi.
+    # 144, 256, 529 and 4096 split exactly (B * Q = N), 128, 255, 257, 300
+    # and 512 into a zero-padded grid; frequencies from -3 to 3 * 2 * pi.
     rng = np.random.default_rng(1000 * n + m)
     omegas = rng.uniform(-3.0, 3.0 * TWO_PI, m)
     alphas = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    unit_a, unit_w = np.tile([1.0, -1.0], m), np.full(m, -2.0)
     results = []
     for cls in (_FactoredKernel, _Kernel):
         kernel = cls(y, m)
         r = kernel.residual(omegas, alphas).copy()
-        grad_a = np.empty(m, dtype=np.complex128)
-        grad_w = np.empty(m)
-        kernel.gradients(alphas, unit_a, unit_w, (grad_a.view(float), grad_w))
-        results.append((r, grad_a, grad_w))
+        s = kernel.gradient_sums()
+        results.append((r, np.conj(s[0]), -2.0 * np.imag(alphas * s[1])))
     results.append(_direct_gradients(omegas, alphas, y))
     # Each sum is bounded by the sum of its terms' moduli: ||r||_1 for the
     # amplitude gradient, 2 |alpha| sum n |r_n| for the frequency gradient.
@@ -163,7 +160,7 @@ def test_factored_kernel_agrees_with_the_table_kernel_and_the_direct_exp(n, m):
     np.finfo(np.longdouble).nmant < 63, reason="needs an extended-precision long double"
 )
 @pytest.mark.parametrize("m", [1, 8, 90])
-@pytest.mark.parametrize("n", [256, 257, 512, 529, 4096])
+@pytest.mark.parametrize("n", [128, 144, 255, 256, 257, 512, 529, 4096])
 def test_factored_kernel_powers_stay_within_their_rounding_bound(n, m):
     # L = exp(j*s*w) and H = exp(j*q*B*w) are running powers of z1 = exp(j*w)
     # and zB = exp(j*fl(B*w)). exp gives each part within one ulp, so
@@ -212,10 +209,10 @@ def test_train_inner_picks_the_kernel_by_signal_length(monkeypatch):
     for name in ("_Kernel", "_FactoredKernel"):
         monkeypatch.setattr(optimizer, name, _counting(getattr(optimizer, name), made))
     threshold = optimizer._FACTORED_MIN_N
-    assert threshold == 256
+    assert threshold == 128
     for n in (threshold - 1, threshold):
         train_inner(_noisy_tones(n, [1.0], 0), NetworkState([1.01], [1.0]), TrainConfig(max_iter=3))
-    assert made == [("_Kernel", 255), ("_FactoredKernel", 256)]
+    assert made == [("_Kernel", 127), ("_FactoredKernel", 128)]
     # The gradient helpers and forward keep the table kernel at every N.
     made.clear()
     state = NetworkState([1.0], [1.0])
@@ -494,6 +491,21 @@ _BIT_PIN_CASES = {
         np.ones(8, dtype=complex),
         TrainConfig(),
     ),
+    # the table kernel one sample below the factored kernel's smallest N
+    "tones3_n127": (
+        _noisy_tones(127, [0.7, 2.1, 4.4], 127),
+        [0.71, 2.08, 4.43],
+        np.ones(3, dtype=complex),
+        TrainConfig(eps_tol=1e-7),
+    ),
+    # the factored kernel at its smallest N and a small M, where it is
+    # slowest against the table
+    "tones3_n128": (
+        _noisy_tones(128, [0.7, 2.1, 4.4], 128),
+        [0.71, 2.08, 4.43],
+        np.ones(3, dtype=complex),
+        TrainConfig(eps_tol=1e-7),
+    ),
     # the shape of the cluster10_n128 benchmark: eleven nodes 0.8 bin apart
     "cluster_n128": (
         _noisy_tones(128, 1.0 + TWO_PI * 0.8 * np.arange(11) / 128, 11),
@@ -509,8 +521,8 @@ _BIT_PIN_CASES = {
         np.full(16, 0.5 + 0j),
         TrainConfig(eps_tol=1e-6),
     ),
-    # the factored kernel at its smallest N, an exact 16 x 16 split, through
-    # seven safeguard restores
+    # the factored kernel on an exact 16 x 16 split, through seven safeguard
+    # restores
     "safeguard_n256": (
         _noisy_tones(256, [1.0, 2.5], 6),
         [1.0, 1.1],

@@ -42,6 +42,17 @@ def test_a_second_run_matches_the_saved_one(tmp_path):
     assert diff["counts_differ"] == diff["digests_differ"] == []
     assert diff["same_results"] is True
     assert diff["max_abs_d_omega"] == diff["max_abs_d_alpha"] == diff["max_rel_d_sigma2"] == 0.0
+    # A run with a seed the file lacks fails, so a mistyped range cannot pass.
+    shifted = subprocess.run(
+        [sys.executable, str(TOOL), "sep3_n32", "7001", "7003", "--against", str(saved)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert shifted.returncode == 1, shifted.stdout + shifted.stderr
+    diff = json.loads(shifted.stdout.splitlines()[-1])
+    assert diff["seeds_not_in_file"] == [7002]
+    assert diff["same_results"] is False
 
 
 def test_compare_reports_the_largest_differences_and_the_seeds_that_moved():
@@ -77,6 +88,19 @@ def test_compare_fails_a_frequency_difference_beyond_1e_12_rad():
         diff = tool.compare(new, old)
         assert diff["counts_differ"] == []
         assert diff["same_results"] is same, d_omega
+
+
+def test_compare_fails_a_seed_missing_from_the_file():
+    # A mistyped seed range compares nothing; it must not read as a pass.
+    tool = _load_tool()
+    counts = dict.fromkeys(tool.run.COUNT_KEYS, 1)
+    old = [{"seed": 1, **counts, "sha256": "a", "omegas": [1.0], "alphas": [1.0, 0.0], "sigma2_hat": 2.0}]
+    assert tool.compare(old, old)["same_results"] is True
+    for new in ([{**old[0], "seed": 2}], [old[0], {**old[0], "seed": 2}]):
+        diff = tool.compare(new, old)
+        assert diff["seeds_not_in_file"] == [2]
+        assert diff["counts_differ"] == [] and diff["max_abs_d_omega"] == 0.0
+        assert diff["same_results"] is False
 
 
 def test_a_last_bit_perturbation_flips_no_order_on_benchmark_seeds():

@@ -5,8 +5,9 @@ Usage, from the root of a checkout::
     python3 tools/kernel_crossover.py
     python3 tools/kernel_crossover.py --n 128 256 512 --m 8 16 --repeats 9
 
-Times one ``residual`` + ``gradients`` call of ``optimizer._FactoredKernel``
-and of ``optimizer._Kernel`` on the same seeded signal, nodes and amplitudes,
+Times one ``residual_j`` + ``gradient_sums`` call, the kernel's share of a
+training iteration, of ``optimizer._FactoredKernel`` and of
+``optimizer._Kernel`` on the same seeded signal, nodes and amplitudes,
 in-process, with one OpenBLAS thread as the benchmark runs it. Each repeat
 times ``--calls`` consecutive calls of each kernel, the two kernels in
 alternating order (the factored one first at even repeats). The ratio,
@@ -33,7 +34,7 @@ import run  # noqa: E402  (sets OPENBLAS_NUM_THREADS before numpy loads)
 
 import numpy as np  # noqa: E402
 
-DEFAULT_N = (32, 64, 128, 192, 256, 320, 512, 1024, 4096)
+DEFAULT_N = (32, 64, 96, 128, 160, 192, 256, 320, 512, 1024, 4096)
 DEFAULT_M = (3, 8, 12, 16, 32)
 
 
@@ -41,10 +42,8 @@ def batch_times(optimizer, n: int, m: int, repeats: int, calls: int) -> dict:
     """Per-call seconds of each kernel in each of ``repeats`` alternating batches."""
     rng = np.random.default_rng([n, m])
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    omegas = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    j_omegas = optimizer._j_omegas(np.sort(rng.uniform(0.0, 2.0 * np.pi, m)))
     alphas = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    scale_a, scale_w = np.tile([1.0, -1.0], m), np.full(m, -2.0)
-    out = (np.empty(2 * m), np.empty(m))
     kernels = {"factored": optimizer._FactoredKernel(y, m), "table": optimizer._Kernel(y, m)}
     times = {name: np.empty(repeats) for name in kernels}
     for repeat in range(repeats):
@@ -53,8 +52,8 @@ def batch_times(optimizer, n: int, m: int, repeats: int, calls: int) -> dict:
             kernel = kernels[name]
             start = perf_counter()
             for _ in range(calls):
-                kernel.residual(omegas, alphas)
-                kernel.gradients(alphas, scale_a, scale_w, out)
+                kernel.residual_j(j_omegas, alphas)
+                kernel.gradient_sums()
             times[name][repeat] = (perf_counter() - start) / calls
     return times
 

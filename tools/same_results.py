@@ -20,8 +20,9 @@ the sha256 over every seed's digest.
 |delta omega| (rad), |delta alpha| and relative |delta sigma2_hat| over
 the seeds whose k_hat agree, the seeds whose counts differ and the seeds
 whose digests differ. Its ``same_results`` is false when some seed's
-counts differ or the largest |delta omega| exceeds OMEGA_BOUND = 1e-12
-rad, the bound of README's same-results rule.
+counts differ, some seed of the run is not in F, or the largest
+|delta omega| exceeds OMEGA_BOUND = 1e-12 rad, the bound of README's
+same-results rule.
 
 ``--perturb K`` also estimates each seed from K copies of y + d, d
 complex white Gaussian noise with rms 1e-15 rms(y), the copy seeded by
@@ -108,7 +109,7 @@ def compare(rows: list[dict], old: list[dict]) -> dict:
         "counts_differ": counts_differ,
         "digests_differ": digests_differ,
         "seeds_not_in_file": missing,
-        "same_results": not counts_differ and d_w <= OMEGA_BOUND,
+        "same_results": not counts_differ and not missing and d_w <= OMEGA_BOUND,
     }
 
 
