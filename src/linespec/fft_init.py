@@ -13,6 +13,12 @@ separates spectral peaks from noise ripples. It is strict: weak spurious
 peaks that sit on the sidelobes of a strong tone survive gradient training
 as locked local optima, so they must be rejected at birth rather than
 pruned later.
+
+The start holds fewer nodes than samples, M < N, the one model-size rule of
+the estimator: the prune test's F(2, 2(N - M)) quantile exists only there,
+and merging and pruning never add nodes. So at most (N - 1) // 2 gated
+peaks, the strongest, enter the start, and with their companions they make
+at most N - 1 nodes; for N <= 2 the start is empty.
 """
 
 from __future__ import annotations
@@ -68,27 +74,16 @@ def find_peaks(spectrum_mag, noise_floor: float) -> list[int]:
     return [int(k) for k in np.nonzero(keep)[0]]
 
 
-def _drop_weaker_of_closest_pair(bins: list[int], mag: np.ndarray, big_l: int) -> list[int]:
-    """Remove the weaker-magnitude member of the closest candidate pair."""
-    order = sorted(bins)
-    gaps = []
-    for i in range(len(order)):
-        j = (i + 1) % len(order)
-        gap = (order[j] - order[i]) % big_l
-        gaps.append((gap, order[i], order[j]))
-    _, ka, kb = min(gaps)
-    drop = ka if mag[ka] <= mag[kb] else kb
-    return [k for k in order if k != drop]
-
-
 def initialize(observed, order: OrderConfig | None = None) -> NetworkState:
     """Seed a network state from the zero-padded spectrum.
 
-    Every gated peak, capped at N / 2 so that each can take a companion
-    node, enters one least-squares fit. A sidelobe peak is leakage of a
-    stronger tone, so the fit gives it almost no amplitude and the prune
-    test drops it: the test each outer pass runs (prune_statistics against
-    prune_threshold), applied to a fitted model of the peaks alone.
+    The gated peaks enter one least-squares fit, at most (N - 1) // 2 of
+    them so that peaks and companions stay fewer than the N samples (see
+    the module docstring): the strongest, the lower bin first on a tie,
+    kept in bin order. A sidelobe peak is leakage of a stronger tone, so
+    the fit gives it almost no amplitude and the prune test drops it: the
+    test each outer pass runs (prune_statistics against prune_threshold),
+    applied to a fitted model of the peaks alone.
 
     Each surviving peak bin gets a companion node on the side of its
     stronger neighbor bin (the upper one on a tie, so an on-grid peak is
@@ -111,12 +106,10 @@ def initialize(observed, order: OrderConfig | None = None) -> NetworkState:
     n = y.size
     mag = np.abs(zero_padded_fft(y))
     big_l = mag.size
-    peaks = find_peaks(mag, noise_floor_estimate(mag, n))
-    while 2 * len(peaks) > n:
-        peaks = _drop_weaker_of_closest_pair(peaks, mag, big_l)
-    if not peaks:
+    bins = np.array(find_peaks(mag, noise_floor_estimate(mag, n)), dtype=int)
+    bins = np.sort(bins[np.argsort(-mag[bins], kind="stable")[: (n - 1) // 2]])
+    if not bins.size:
         return NetworkState.empty()
-    bins = np.array(peaks)
     A = atom_table(TWO_PI * bins / big_l, n)
     keep = _prune_statistics(y, A, _ls_solve(A, y)) >= prune_threshold(n, bins.size, order)
     if not keep.any():

@@ -14,7 +14,6 @@ that the other nodes leave unexplained.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -385,8 +384,10 @@ def prune_statistic(node_index: int, state: NetworkState, observed) -> float:
 
 def _f2_upper_quantile(n_samples: int, m_nodes: int, cfg: OrderConfig):
     """(q, d2): the F(2, d2) quantile at 1 - epsilon_a, d2 = 2(N - M)."""
-    if m_nodes < 1 or n_samples <= m_nodes:
-        raise InvalidDimension("the F test needs n_samples > m_nodes >= 1")
+    if m_nodes < 1:
+        raise InvalidDimension("prune test needs at least one node")
+    if n_samples <= m_nodes:
+        raise InvalidDimension(f"prune test needs fewer nodes than samples: M = {m_nodes}, N = {n_samples}")
     d2 = 2 * (n_samples - m_nodes)
     return f2_upper_quantile(math.log(cfg.epsilon_a), d2), d2
 
@@ -404,23 +405,15 @@ def apply_prunes(state: NetworkState, observed, cfg: OrderConfig):
     current (N, M), each on the power it adds (see prune_statistics); the
     state should be fitted, since the statistic is read off its residual.
     An M = 0 result is legal. A zero residual (perfect fit)
-    keeps every node. When M >= N the threshold is computed with M clamped
-    to N - 1 and a warning is emitted. Returns (new state, PruneReport).
+    keeps every node. The test needs fewer nodes than samples: the start
+    and estimate_with_fixed_order admit fewer than N nodes and no pass adds
+    one, and a state of M >= N nodes raises InvalidDimension (from
+    prune_threshold). Returns (new state, PruneReport).
     """
     y = as_samples(observed)
-    n_samples = y.size
-    m = state.m_nodes
-    if m == 0:
+    if state.m_nodes == 0:
         return state, PruneReport(np.zeros(0), math.inf, np.zeros(0, dtype=bool))
-    m_eff = m
-    if m >= n_samples:
-        m_eff = n_samples - 1
-        warnings.warn(
-            "more nodes than samples; prune threshold clamped to M = N - 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    threshold = prune_threshold(n_samples, m_eff, cfg)
+    threshold = prune_threshold(y.size, state.m_nodes, cfg)
     xi = prune_statistics(state, y)
     keep = xi >= threshold
     kept = NetworkState(state.omegas[keep], state.alphas[keep])

@@ -138,7 +138,8 @@ def estimate_with_fixed_order(observed, omegas0, cfg: EstimatorConfig | None = N
     The initial amplitudes come from a least-squares fit at the given
     frequencies; everything after that is identical to estimate_spectrum
     (merging and pruning may still change the order; duplicate starts
-    fuse). More starts than samples raise Overdetermined.
+    fuse). The prune test needs fewer nodes than samples, so as many starts
+    as samples or more raise Overdetermined.
     """
     if cfg is None:
         cfg = EstimatorConfig()
@@ -146,7 +147,7 @@ def estimate_with_fixed_order(observed, omegas0, cfg: EstimatorConfig | None = N
     w0 = np.atleast_1d(np.asarray(omegas0, dtype=float))
     if not np.all(np.isfinite(w0)):
         raise DegenerateInput("initial frequencies must be finite")
-    if w0.size > y.size:
-        raise Overdetermined(f"{w0.size} initial frequencies exceed {y.size} samples")
+    if w0.size >= y.size:
+        raise Overdetermined(f"{w0.size} initial frequencies need more than {y.size} samples")
     w0 = np.sort(wrap_angle(w0))
     return _run_outer(y, NetworkState(w0, ls_amplitudes(w0, y)), cfg)

@@ -18,7 +18,7 @@ from linespec.fft_init import (
     periodogram_estimate,
     zero_padded_fft,
 )
-from linespec.signal_model import TWO_PI, Sinusoid, atom, design_matrix
+from linespec.signal_model import TWO_PI, Sinusoid, atom, atom_table, design_matrix
 
 
 def test_zero_padded_fft_matches_numpy_reference():
@@ -189,14 +189,14 @@ def test_initialize_pure_noise_low_gate_is_empty_or_small():
 
 
 def test_initialize_caps_nodes_at_signal_length(monkeypatch):
-    # No signal of N <= 16 has been seen to clear the 1e-9 gate with more
-    # than N / 3 peaks, so this gates nothing and prunes nothing: every
-    # local maximum becomes a candidate, then closest pairs collapse until
-    # at most N / 2 remain, and their companions make at most N nodes.
-    rng = np.random.default_rng(4)
-    n = 8
-    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    candidates, fitted = [], []
+    # The start holds fewer nodes than samples. No benchmark signal comes
+    # near the cap: the most gated peaks per sample are 0.156 on sep3
+    # (seeds 7000-7059), 0.113 on tones8 (8000-8019), 0.078 on cluster10
+    # (9000-9003) and 0.094 on acceptance 02's signals, and noiseless
+    # random scenes at N = 3-39 start with at most 0.4 nodes per sample.
+    # So here every local maximum passes the gate and the prune test, and
+    # the cap alone keeps the strongest (N - 1) // 2 of them.
+    candidates, fitted, heads = [], [], []
 
     def every_maximum(mag, noise_floor):
         candidates[:] = find_peaks(mag, 0.0)
@@ -206,11 +206,57 @@ def test_initialize_caps_nodes_at_signal_length(monkeypatch):
         fitted.append(m_nodes)
         return 0.0
 
+    def peak_table(omegas, n_samples):
+        # initialize's first table is the one of the peaks it fits
+        if not heads:
+            heads.append(np.array(omegas))
+        return atom_table(omegas, n_samples)
+
     monkeypatch.setattr(fft_init, "find_peaks", every_maximum)
     monkeypatch.setattr(fft_init, "prune_threshold", keep_all)
-    state = initialize(y)
-    assert 2 * len(candidates) > n >= 2 * fitted[0]
-    assert state.m_nodes == 2 * fitted[0]
+    monkeypatch.setattr(fft_init, "atom_table", peak_table)
+    capped = set()
+    for n in range(1, 17):
+        rng = np.random.default_rng([4, n])
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        fitted.clear()
+        heads.clear()
+        state = initialize(y)
+        cap = (n - 1) // 2
+        mag = np.abs(zero_padded_fft(y))
+        kept = [round(w * mag.size / TWO_PI) for w in (heads[0] if heads else [])]
+        dropped = sorted(set(candidates) - set(kept))
+        assert len(kept) == min(len(candidates), cap) and set(kept) <= set(candidates)
+        assert kept == sorted(kept)
+        assert fitted == ([len(kept)] if kept else [])
+        if kept and dropped:
+            assert mag[kept].min() >= mag[dropped].max()
+        if len(candidates) > cap:
+            capped.add(n)
+        assert state.m_nodes == 2 * len(kept) < n
+    assert capped == set(range(2, 17)) - {3}
+
+
+def test_initialize_cap_breaks_ties_toward_the_lower_bin(monkeypatch):
+    # N = 8 keeps 3 of these 5 peaks: bin 14, then 8 and 20 of the three
+    # tied at magnitude 2, in bin order.
+    n = 8
+    spectrum = np.zeros(L_FACTOR * n, dtype=complex)
+    spectrum[[2, 8, 14, 20, 26]] = [1.0, 2.0, 3.0, 2.0j, -2.0]
+    heads = []
+
+    def peak_table(omegas, n_samples):
+        if not heads:
+            heads.append(np.array(omegas))
+        return atom_table(omegas, n_samples)
+
+    monkeypatch.setattr(fft_init, "zero_padded_fft", lambda y: spectrum)
+    monkeypatch.setattr(fft_init, "find_peaks", lambda mag, floor: [2, 8, 14, 20, 26])
+    monkeypatch.setattr(fft_init, "prune_threshold", lambda n_samples, m_nodes, cfg: 0.0)
+    monkeypatch.setattr(fft_init, "atom_table", peak_table)
+    rng = np.random.default_rng(5)
+    initialize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    np.testing.assert_array_equal(heads[0], TWO_PI * np.array([8, 14, 20]) / spectrum.size)
 
 
 def test_initialize_empty_for_zero_signal():

@@ -1,4 +1,4 @@
-"""tools/kernel_crossover.py: one row per (N, M) and a range per N; timings unchecked."""
+"""tools/kernel_crossover.py: one row per (N, M) with its ratio quartiles and a range per N; timings unchecked."""
 
 import json
 import math
@@ -21,9 +21,9 @@ def test_prints_a_row_per_grid_point_and_the_ranges():
     *rows, last = [json.loads(line) for line in done.stdout.splitlines()]
     assert [(r["n"], r["m"]) for r in rows] == [(4, 1), (4, 3), (256, 1), (256, 3)]
     for r in rows:
-        assert set(r) == {"n", "m", "factored_us", "table_us", "ratio"}
+        assert set(r) == {"n", "m", "factored_us", "table_us", "ratio", "ratio_q1", "ratio_q3"}
         assert r["factored_us"] > 0 and r["table_us"] > 0
-        assert 0 < r["ratio"] < math.inf
+        assert 0 < r["ratio_q1"] <= r["ratio"] <= r["ratio_q3"] < math.inf
     assert last["blas_threads"] in (1, None)
     for n in (4, 256):
         ratios = [r["ratio"] for r in rows if r["n"] == n]

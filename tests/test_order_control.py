@@ -773,14 +773,16 @@ def test_apply_prunes_perfect_fit_keeps_all():
     assert np.all(report.keep_mask)
 
 
-def test_apply_prunes_overfull_model_warns_and_clamps():
+@pytest.mark.parametrize("extra", [0, 1], ids=["m_eq_n", "m_eq_n_plus_1"])
+def test_apply_prunes_overfull_model_raises(extra):
+    # The F(2, 2(N - M)) quantile exists only for M < N; no pass reaches
+    # M >= N, so a direct call with such a state fails loudly.
     n = 8
-    omegas = TWO_PI * np.arange(n) / n
-    st0 = NetworkState(omegas, np.ones(n))
+    omegas = TWO_PI * np.arange(n + extra) / (n + extra)
+    st0 = NetworkState(omegas, np.ones(n + extra))
     y = np.ones(n, dtype=complex) + 0.1 * _unit_noise(n, 13)
-    with pytest.warns(RuntimeWarning):
-        out, report = apply_prunes(st0, y, OrderConfig())
-    assert report.threshold == pytest.approx(prune_threshold(n, n - 1, OrderConfig()))
+    with pytest.raises(InvalidDimension, match=f"fewer nodes than samples: M = {n + extra}, N = {n}"):
+        apply_prunes(st0, y, OrderConfig())
 
 
 def test_apply_prunes_empty_state():

@@ -165,10 +165,19 @@ def test_fixed_order_non_finite_start_is_rejected(bad):
         estimate_with_fixed_order(y, [FREQS[0], bad])
 
 
-def test_fixed_order_more_starts_than_samples_is_rejected():
+@pytest.mark.parametrize("extra", [0, 8])
+def test_fixed_order_as_many_starts_as_samples_or_more_is_rejected(extra):
+    # The prune test needs fewer nodes than samples.
     y, _ = _noisy_signal()
     with pytest.raises(Overdetermined):
-        estimate_with_fixed_order(y, TWO_PI * np.arange(40) / 40)
+        estimate_with_fixed_order(y, TWO_PI * np.arange(N + extra) / (N + extra))
+
+
+def test_fixed_order_one_start_fewer_than_samples_runs():
+    # N - 1 starts is the largest model the prune test can judge.
+    y, _ = _noisy_signal()
+    report = estimate_with_fixed_order(y, TWO_PI * np.arange(N - 1) / (N - 1))
+    assert 0 < report.k_hat < N
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 Usage, from the root of a checkout::
 
     python3 tools/kernel_crossover.py
-    python3 tools/kernel_crossover.py --n 128 256 512 --m 8 16 --repeats 9
+    python3 tools/kernel_crossover.py --n 128 256 512 --m 8 16 --repeats 21
 
 Times one ``residual_j`` + ``gradient_sums`` call, the kernel's share of a
 training iteration, of ``optimizer._FactoredKernel`` and of
@@ -14,11 +14,13 @@ alternating order (the factored one first at even repeats). The ratio,
 factored over table (below 1, the factored kernel is faster), is the median
 over repeats of the two back-to-back batch times' ratio, so host speed
 drift between repeats divides out and a stall in one repeat does not
-count. This is the measurement behind ``optimizer._FACTORED_MIN_N``.
+count. ``ratio_q1`` and ``ratio_q3`` are the quartiles of those batch
+ratios: a row whose quartiles straddle 1 is a tie, whatever its median.
+This is the measurement behind ``optimizer._FACTORED_MIN_N``.
 
 Prints one JSON line per (N, M) with each kernel's median per-call time in
-microseconds and the ratio, then a last line with each N's ratio range over
-the M values.
+microseconds, the ratio and its quartiles, then a last line with each N's
+ratio range over the M values.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n", type=int, nargs="+", default=DEFAULT_N, help="signal lengths")
     ap.add_argument("--m", type=int, nargs="+", default=DEFAULT_M, help="node counts")
-    ap.add_argument("--repeats", type=int, default=9, help="alternating batches per kernel")
+    ap.add_argument("--repeats", type=int, default=21, help="alternating batches per kernel")
     ap.add_argument("--calls", type=int, default=100, help="calls per batch")
     args = ap.parse_args(argv)
     if min(args.n) < 1 or min(args.m) < 1 or args.repeats < 1 or args.calls < 1:
@@ -73,11 +75,11 @@ def main(argv=None) -> int:
     for n in args.n:
         for m in args.m:
             times = batch_times(optimizer, n, m, args.repeats, args.calls)
-            ratio = float(np.median(times["factored"] / times["table"]))
+            q1, ratio, q3 = (float(q) for q in np.percentile(times["factored"] / times["table"], [25, 50, 75]))
             lo, hi = ranges.get(n, (ratio, ratio))
             ranges[n] = (min(lo, ratio), max(hi, ratio))
             row = {f"{name}_us": 1e6 * float(np.median(t)) for name, t in times.items()}
-            print(json.dumps({"n": n, "m": m, **row, "ratio": ratio}), flush=True)
+            print(json.dumps({"n": n, "m": m, **row, "ratio": ratio, "ratio_q1": q1, "ratio_q3": q3}), flush=True)
     print(json.dumps({"blas_threads": run.blas_threads(), "ratio_range": {str(n): r for n, r in ranges.items()}}))
     return 0
 
