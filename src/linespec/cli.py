@@ -148,7 +148,11 @@ def _report_dict(report: RunReport, cfg: EstimatorConfig, seed) -> dict:
                 "keep_mask": pr.keep_mask,
             }
         )
-    events.sort(key=lambda e: (e["pass"], e["kind"] != "merge"))
+    for p, trace in report.polish_events:
+        events.append({"pass": p, "kind": "polish", **asdict(trace)})
+    # Within a pass: its polish, then its merges, then its prunes.
+    kinds = ("polish", "merge", "prune")
+    events.sort(key=lambda e: (e["pass"], kinds.index(e["kind"])))
     return {
         "estimates": [
             {

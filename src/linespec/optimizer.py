@@ -6,7 +6,9 @@ frequency omega and a complex amplitude alpha, and the output layer sums the
 node responses into the model signal x_hat. Training minimizes the squared
 residual C = ||y - x_hat||^2 by gradient descent with exponential moving
 average momentum, using the analytic complex (Wirtinger) gradient for the
-amplitudes and the real gradient for the frequencies.
+amplitudes and the real gradient for the frequencies. polish_frequencies
+minimizes the same cost at a fixed order by variable projection; the
+pipeline's look-ahead runs it on a copy of the state.
 """
 
 from __future__ import annotations
@@ -18,13 +20,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidDimension, NumericalDivergence
-from .signal_model import as_samples, atom_split
+from .signal_model import TWO_PI, as_samples, atom_split, atom_table, wrap_angle
 
 _DEFAULT_RATE_NUMERATOR = 0.5
 # Rising iterations in a row that trigger a safeguard halving, and
 # below-tolerance iterations in a row that end a pass.
 _SAFEGUARD_PATIENCE = 20
 _CONSEC_HITS = 3
+# polish_frequencies: at most this many cost evaluations, a first
+# Levenberg-Marquardt damping, and the step (rad) that counts as converged.
+_POLISH_STEPS = 20
+_POLISH_DAMPING = 1e-3
+_POLISH_TOL = 1e-12
 # Training at N >= this applies A through its factors (_FactoredKernel);
 # below it, building A (_Kernel) takes less time per iteration at M >= 8
 # (tools/kernel_crossover.py).
@@ -136,6 +143,9 @@ class CostTrace:
     change stayed below tolerance; also an empty state, whose cost cannot
     change), ``"exact_fit"`` (the cost reached exactly zero) or
     ``"max_iter"`` (the iteration limit, the one unconverged exit).
+    polish_frequencies returns one as well: an entry per cost evaluation,
+    each the lowest cost so far, ``iterations_run`` the evaluations,
+    ``halvings`` 0, and its own stopping rule's exit reason.
     """
 
     mean_costs: np.ndarray
@@ -464,3 +474,125 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         _, a, jw = bufs[best]
     out = NetworkState(jw.imag.copy(), a.copy())
     return out, CostTrace(np.asarray(trace), t, halvings, exit_reason)
+
+
+def _projected_fit(omegas: np.ndarray, y: np.ndarray):
+    """(cost, alphas, A, basis, residual) of the least-squares amplitudes at ``omegas``.
+
+    A = atom_table(omegas, N) = Q R by QR, and R = U S V^H by SVD, so the
+    columns of Q U are an orthonormal basis of A's range. Singular values
+    below 1e-12 of the largest count as zero, as in ls_amplitudes: the
+    amplitudes are the minimum-norm fit and ``basis`` keeps the columns of
+    the other singular values, so a rank-deficient A (near-duplicate
+    nodes) costs nothing more. The residual is y minus its projection.
+    """
+    A = atom_table(omegas, y.size)
+    q, r = np.linalg.qr(A)
+    u, s, vh = np.linalg.svd(r)
+    keep = s > 1e-12 * s[0]
+    basis = q @ u[:, keep]
+    c = basis.conj().T @ y
+    alphas = vh[keep].conj().T @ (c / s[keep])
+    residual = y - basis @ c
+    return float(np.vdot(residual, residual).real), alphas, A, basis, residual
+
+
+def polish_frequencies(observed, state: NetworkState) -> tuple[NetworkState, CostTrace]:
+    """Least-squares fit of the M frequencies, with the amplitudes solved out.
+
+    Variable projection (Golub & Pereyra 1973): at frequencies omega the
+    amplitudes are the least-squares fit (_projected_fit), so the cost is
+    the residual of y off the range of A. Levenberg-Marquardt steps the
+    frequencies along Kaufman's Jacobian (1975) of that residual,
+    -P (j n A) diag(alpha) with P the projector off A's range, on the
+    normal equations damped by their own diagonal. Only a step that lowers
+    the cost is taken. The damping follows Nielsen's rule (1999): a taken
+    step scales it by max(1/3, 1 - (2 rho - 1)^3), rho the ratio of the
+    cost's fall to the fall the linear model predicted, and each refused
+    step in a row raises it by a factor that doubles. No step moves
+    the frequencies by more than one bin, 2 pi / N, in all. The loop stops
+    at a step below 1e-12 rad ("tol"), a zero cost ("exact_fit") or after
+    _POLISH_STEPS = 20 cost evaluations ("max_iter").
+
+    The fit runs on y * 2^-k, k the binary exponent of max |y|, so no
+    product overflows at any signal scale; the amplitudes are scaled back
+    exactly. The state's amplitudes are not read. Returns the polished
+    state, wrapped and sorted, and a CostTrace of the mean cost C/N before
+    each evaluation and after the last, never rising, so the result never
+    costs more than the start's frequencies with their least-squares
+    amplitudes.
+    """
+    y = np.ascontiguousarray(as_samples(observed))
+    n_samples = y.size
+    if state.m_nodes == 0:
+        c0 = float(np.vdot(y, y).real) / n_samples
+        return state, CostTrace(np.array([c0]), 0, 0, "tol")
+    k = int(np.frexp(np.max(np.abs(y)))[1])
+    ys = np.ldexp(y.view(float), -k).view(np.complex128)
+    jn = 1j * np.arange(n_samples)
+    max_step = TWO_PI / n_samples
+
+    w = state.omegas.copy()
+    fit = _projected_fit(w, ys)
+    costs = [fit[0]]
+    damping = _POLISH_DAMPING
+    raise_by = 2.0
+    exit_reason = "max_iter"
+    evaluations = 0
+    fresh = True
+    while evaluations < _POLISH_STEPS:
+        c, alphas, A, basis, residual = fit
+        if c == 0.0:
+            exit_reason = "exact_fit"
+            break
+        if fresh:
+            # Kaufman's Jacobian is -P D; its gradient term -Re(D^H P r)
+            # is -Re(D^H r), since r is already off A's range.
+            D = jn[:, None] * A * alphas
+            PD = D - basis @ (basis.conj().T @ D)
+            h = (PD.conj().T @ PD).real
+            g = (D.conj().T @ residual).real
+            diag = np.diagonal(h)
+            if not diag.max() > 0.0:
+                exit_reason = "tol"
+                break
+            diag = np.maximum(diag, 1e-12 * diag.max())
+            fresh = False
+        # Damping lost to rounding can leave the system singular (exactly
+        # duplicated nodes); raising it as for a refused step cures that.
+        try:
+            step = np.linalg.solve(h + np.diag(damping * diag), g)
+            size = float(np.max(np.abs(step)))
+        except np.linalg.LinAlgError:
+            size = math.inf
+        if not size < math.inf:
+            damping *= raise_by
+            raise_by *= 2.0
+            continue
+        if size <= _POLISH_TOL:
+            exit_reason = "tol"
+            break
+        if size > max_step:
+            step *= max_step / size
+        trial = _projected_fit(w + step, ys)
+        evaluations += 1
+        if trial[0] < c:
+            # The linear model's fall, ||r||^2 - ||r - P D step||^2, is
+            # positive but for rounding; from rho = 1 on the rule gives 1/3.
+            predicted = float(2.0 * (step @ g) - step @ h @ step)
+            rho = min((c - trial[0]) / predicted, 1.0) if predicted > 0.0 else 1.0
+            damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            raise_by = 2.0
+            w = w + step
+            fit = trial
+            fresh = True
+        else:
+            damping *= raise_by
+            raise_by *= 2.0
+        costs.append(fit[0])
+
+    alphas = np.ldexp(fit[1].view(float), k).view(np.complex128)
+    w = wrap_angle(w)
+    order = np.argsort(w, kind="stable")
+    trace = np.ldexp(np.asarray(costs), 2 * k) / n_samples
+    return NetworkState(w[order], alphas[order]), CostTrace(trace, evaluations, 0, exit_reason)

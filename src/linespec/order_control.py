@@ -394,6 +394,11 @@ def _f2_upper_quantile(n_samples: int, m_nodes: int, cfg: OrderConfig):
 
 def prune_threshold(n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:
     """CFAR keep threshold (N / (N - M)) * F^{-1}_{2, 2(N-M)}(1 - epsilon_a)."""
+    return _keep_threshold(n_samples, m_nodes, cfg)
+
+
+def _keep_threshold(n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:
+    """prune_threshold's value, for order_changes, which must not call it."""
     q, _ = _f2_upper_quantile(n_samples, m_nodes, cfg)
     return n_samples / (n_samples - m_nodes) * q
 
@@ -418,6 +423,24 @@ def apply_prunes(state: NetworkState, observed, cfg: OrderConfig):
     keep = xi >= threshold
     kept = NetworkState(state.omegas[keep], state.alphas[keep])
     return kept, PruneReport(xi, float(threshold), keep)
+
+
+def order_changes(state: NetworkState, observed, cfg: OrderConfig) -> bool:
+    """Whether apply_merges, then apply_prunes on its result, would remove a node.
+
+    The pipeline's look-ahead asks this of a polished copy of its state,
+    which it drops when the answer is no. So the question is answered
+    without calling apply_prunes or prune_threshold: a run calls each of
+    those once per pass, and perfbench/spans.py counts them so.
+    """
+    y = as_samples(observed)
+    merged, events = apply_merges(state, y, cfg)
+    if events:
+        return True
+    if merged.m_nodes == 0:
+        return False
+    threshold = _keep_threshold(y.size, merged.m_nodes, cfg)
+    return bool(np.any(prune_statistics(merged, y) < threshold))
 
 
 def detection_prob(snr_linear: float, n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:

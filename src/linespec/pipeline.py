@@ -11,6 +11,15 @@ down to a floor so the surviving nodes converge to full precision: pass k
 exact power of ten or the floor itself. The loop exits when a floor pass
 makes no structural change, after MAX_PASSES passes, or when no node is
 left.
+
+Before a pass whose tolerance is within a decade of the floor, if the pass
+before it ran past its first chance to stop (min_iter + _CONSEC_HITS
+iterations), the loop looks ahead: it polishes a copy of the state with
+optimizer.polish_frequencies and asks whether one merge and prune pass on
+that copy would change the order. Only then does the pass train from the
+polished copy; otherwise the copy is dropped and the pass trains as if the
+look-ahead had not run. A node that gradient descent would drag toward its
+fate over thousands of iterations reaches it in one polish.
 """
 
 from __future__ import annotations
@@ -21,7 +30,15 @@ import numpy as np
 
 from .errors import DegenerateInput, InvalidDimension, NumericalDivergence, Overdetermined
 from .fft_init import initialize
-from .optimizer import NetworkState, TrainConfig, forward, train_inner
+from .optimizer import (
+    _CONSEC_HITS,
+    CostTrace,
+    NetworkState,
+    TrainConfig,
+    forward,
+    polish_frequencies,
+    train_inner,
+)
 from .order_control import (
     MergeEvent,
     OrderConfig,
@@ -29,6 +46,7 @@ from .order_control import (
     apply_merges,
     apply_prunes,
     estimate_noise_var,
+    order_changes,
 )
 from .signal_model import Sinusoid, as_samples, ls_amplitudes, wrap_angle
 
@@ -65,7 +83,9 @@ class RunReport:
     ``merge_events`` holds (outer_pass, MergeEvent) tuples and
     ``prune_events`` holds (outer_pass, PruneReport) tuples for passes that
     removed at least one node. ``cost_trace`` concatenates the per-pass
-    inner training traces.
+    inner training traces. ``polish_events`` holds (outer_pass, CostTrace)
+    tuples, the polisher's trace, for the passes that trained from the
+    look-ahead's polished state.
     """
 
     estimates: list[Sinusoid]
@@ -74,20 +94,21 @@ class RunReport:
     cost_trace: np.ndarray
     merge_events: list[tuple[int, MergeEvent]]
     prune_events: list[tuple[int, PruneReport]]
+    polish_events: list[tuple[int, CostTrace]] = field(default_factory=list)
 
     @property
     def k_hat(self) -> int:
         return len(self.estimates)
 
 
-def _build_report(y, state, outer, traces, merge_events, prune_events) -> RunReport:
+def _build_report(y, state, outer, traces, merge_events, prune_events, polish_events) -> RunReport:
     # A pass leaves its state wrapped and sorted, but for a lone node, which
     # apply_merges passes through as trained; Sinusoid wraps that one.
     estimates = [Sinusoid(a, w) for w, a in zip(state.omegas, state.alphas)]
     final = NetworkState([s.omega for s in estimates], [s.amplitude for s in estimates])
     sigma2 = estimate_noise_var(y, forward(final, y.size))
     trace = np.concatenate(traces) if traces else np.zeros(0)
-    return RunReport(estimates, sigma2, outer, trace, merge_events, prune_events)
+    return RunReport(estimates, sigma2, outer, trace, merge_events, prune_events, polish_events)
 
 
 def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunReport:
@@ -95,15 +116,24 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
     traces: list[np.ndarray] = []
     merge_events: list[tuple[int, MergeEvent]] = []
     prune_events: list[tuple[int, PruneReport]] = []
+    polish_events: list[tuple[int, CostTrace]] = []
+    first_stop = cfg.train.min_iter + _CONSEC_HITS
+    ran_on = False
     while outer < MAX_PASSES and state.m_nodes > 0:
         eps = max(10.0 ** -(EPS_START_DECADE + outer), cfg.train.eps_tol)
         outer += 1
         try:
+            if ran_on and eps <= 10.0 * cfg.train.eps_tol:
+                polished, polish_trace = polish_frequencies(y, state)
+                if order_changes(polished, y, cfg.order):
+                    state = polished
+                    polish_events.append((outer, polish_trace))
             state, trace = train_inner(y, state, replace(cfg.train, eps_tol=eps))
         except NumericalDivergence as exc:
-            exc.report = _build_report(y, state, outer, traces, merge_events, prune_events)
+            exc.report = _build_report(y, state, outer, traces, merge_events, prune_events, polish_events)
             raise
         traces.append(trace.mean_costs)
+        ran_on = trace.iterations_run > first_stop
         state, merged = apply_merges(state, y, cfg.order)
         merge_events.extend((outer, e) for e in merged)
         state, prune_report = apply_prunes(state, y, cfg.order)
@@ -112,7 +142,7 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
             prune_events.append((outer, prune_report))
         if not (merged or pruned) and eps == cfg.train.eps_tol:
             break
-    return _build_report(y, state, outer, traces, merge_events, prune_events)
+    return _build_report(y, state, outer, traces, merge_events, prune_events, polish_events)
 
 
 def estimate_spectrum(observed, cfg: EstimatorConfig | None = None) -> RunReport:
@@ -128,7 +158,7 @@ def estimate_spectrum(observed, cfg: EstimatorConfig | None = None) -> RunReport
     y = as_samples(observed)
     state = initialize(y, cfg.order)
     if state.m_nodes == 0:
-        return _build_report(y, state, 0, [], [], [])
+        return _build_report(y, state, 0, [], [], [], [])
     return _run_outer(y, state, cfg)
 
 

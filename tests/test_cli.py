@@ -62,8 +62,30 @@ def test_simulate_estimate_round_trip(tmp_path, capsys):
     assert len(data["cost_trace"]) > 0
     assert data["config"] == asdict(EstimatorConfig())
     for event in data["events"]:
-        assert event["kind"] in ("merge", "prune")
+        assert event["kind"] in ("polish", "merge", "prune")
         assert event["pass"] >= 1
+
+
+def test_estimate_report_lists_a_polish_before_its_pass_prune(tmp_path, capsys):
+    # README's three tones at seed 0: the look-ahead before pass 8 polishes
+    # the split tone at 0.37, and pass 8 prunes one of its two nodes.
+    comp = tmp_path / "tones.json"
+    comp.write_text(json.dumps([
+        {"re": 1.0, "im": 0.5, "normalized_freq": 0.10},
+        {"re": -0.7, "im": 0.2, "normalized_freq": 0.22},
+        {"re": 0.3, "im": -1.1, "normalized_freq": 0.37},
+    ]))
+    sig, rep = str(tmp_path / "signal.csv"), tmp_path / "report.json"
+    assert main(["simulate", "--n", "32", "--components", str(comp), "--snr-db", "20", "--seed", "0", "--out", sig]) == 0
+    assert main(["estimate", "--in", sig, "--report", str(rep)]) == 0
+    capsys.readouterr()
+    data = json.loads(rep.read_text())
+    assert data["k_hat"] == 3
+    (polish,) = [e for e in data["events"] if e["kind"] == "polish"]
+    assert {"mean_costs", "iterations_run", "halvings", "exit_reason"} <= polish.keys()
+    assert len(polish["mean_costs"]) == polish["iterations_run"] + 1
+    same_pass = [e["kind"] for e in data["events"] if e["pass"] == polish["pass"]]
+    assert same_pass == ["polish", "prune"]
 
 
 def test_noiseless_round_trip_finds_true_tones(tmp_path, capsys):

@@ -2,12 +2,13 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from linespec import optimizer
+from linespec import optimizer, pipeline
 from linespec.errors import InvalidDimension, NumericalDivergence
 from linespec.experiments import _draw_signal
 from linespec.fft_init import initialize
@@ -21,6 +22,7 @@ from linespec.optimizer import (
     forward,
     grad_alpha,
     grad_omega,
+    polish_frequencies,
     train_inner,
 )
 from linespec.signal_model import TWO_PI, atom, design_matrix
@@ -790,3 +792,105 @@ def test_an_oscillating_call_returns_its_best_state_not_its_last():
     final = cost(y, forward(out, 32)) / 32
     assert final == pytest.approx(trace.mean_costs.min(), rel=1e-12)
     assert final <= trace.mean_costs[0]
+
+
+def _polish_cost(y, state):
+    return cost(y, forward(state, y.size)) / y.size
+
+
+@pytest.mark.parametrize("n", [32, 64, 512])
+def test_polish_recovers_noiseless_tones_a_third_of_a_bin_apart(n):
+    # Two tones 0.3 bin apart, each started 0.1 bin off: the least-squares
+    # optimum is the truth, reached to 1e-9 rad in either node order.
+    bin_ = TWO_PI / n
+    truth = np.array([1.0, 1.0 + 0.3 * bin_])
+    amps = np.array([1.0 + 0.2j, -0.5 + 0.7j])
+    y = design_matrix(truth, n) @ amps
+    starts = [1.0 - 0.1 * bin_, 1.0 + 0.4 * bin_]
+    results = []
+    for order in (starts, starts[::-1]):
+        out, trace = polish_frequencies(y, NetworkState(order, np.zeros(2)))
+        assert trace.exit_reason == "tol" and trace.iterations_run <= optimizer._POLISH_STEPS
+        assert np.max(np.abs(out.omegas - truth)) < 1e-9
+        assert np.max(np.abs(out.alphas - amps)) < 1e-8
+        results.append(out)
+    np.testing.assert_allclose(results[0].omegas, results[1].omegas, rtol=0, atol=1e-12)
+
+
+def test_polish_trace_never_rises_and_ends_at_the_returned_state():
+    freqs = TWO_PI * np.array([0.1, 0.22, 0.37])
+    y, _, _ = _draw_signal(freqs, np.ones(3), 32, 20.0, np.random.default_rng(7003))
+    start = NetworkState(freqs + 0.02, np.zeros(3))
+    out, trace = polish_frequencies(y, start)
+    assert np.all(np.diff(trace.mean_costs) <= 0.0)
+    assert trace.mean_costs.size == trace.iterations_run + 1
+    assert _polish_cost(y, out) == pytest.approx(trace.mean_costs[-1], rel=1e-12)
+    assert np.all((0.0 <= out.omegas) & (out.omegas < TWO_PI)) and np.all(np.diff(out.omegas) > 0)
+
+
+def test_polish_wraps_and_sorts_its_output():
+    n = 32
+    y = design_matrix([0.05, 3.0], n) @ np.array([1.0, 0.5j])
+    out, _ = polish_frequencies(y, NetworkState([3.01, 0.04 - TWO_PI], np.zeros(2)))
+    np.testing.assert_allclose(out.omegas, [0.05, 3.0], atol=1e-9)
+    np.testing.assert_allclose(out.alphas, [1.0, 0.5j], atol=1e-8)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-13, 1e-7])
+def test_polish_of_a_cancelling_near_duplicate_start_stays_finite(gap):
+    # A is rank deficient at the start: two nodes at (nearly) one frequency,
+    # started with large cancelling amplitudes, which the polish ignores.
+    n = 32
+    y = design_matrix([1.0], n) @ np.array([1.0 + 0.0j])
+    start = NetworkState([1.1, 1.1 + gap], [1e3, -1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, trace = polish_frequencies(y, start)
+    assert np.all(np.isfinite(out.omegas)) and np.all(np.isfinite(out.alphas))
+    assert np.all(np.isfinite(trace.mean_costs))
+    assert trace.mean_costs[-1] <= trace.mean_costs[0]
+    assert _polish_cost(y, out) <= trace.mean_costs[0] * (1 + 1e-12)
+
+
+def test_polish_of_an_empty_state_is_a_noop():
+    y = np.ones(8, dtype=complex)
+    out, trace = polish_frequencies(y, NetworkState.empty())
+    assert out.m_nodes == 0
+    assert (trace.iterations_run, trace.exit_reason) == (0, "tol")
+    assert trace.mean_costs.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("scale", [2.0**-1000, 1.0, 2.0**508])
+def test_polish_is_scale_safe(scale):
+    # The fit runs on y * 2^-k, so at a power-of-two scale the steps are
+    # those of y at unit scale, and no square overflows or underflows.
+    n = 8
+    y = design_matrix([0.3], n) @ np.array([1.0 + 0.0j])
+    start = NetworkState([0.5, 0.8], np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unit, unit_trace = polish_frequencies(y, start)
+        out, trace = polish_frequencies(scale * y, start)
+    np.testing.assert_array_equal(out.omegas, unit.omegas)
+    assert trace.iterations_run == unit_trace.iterations_run
+    np.testing.assert_allclose(out.alphas / scale, unit.alphas, rtol=0, atol=1e-15)
+    assert np.all(trace.mean_costs <= trace.mean_costs[0])
+
+
+def test_estimate_of_a_1e153_tone_runs_the_polish_without_a_warning(monkeypatch):
+    # The one-tone N = 8 signal at 1e153: every pass runs to max_iter, so
+    # the last two passes look ahead, and the polish sees squares near 1e306.
+    calls = []
+
+    def counted(observed, state):
+        calls.append(state.m_nodes)
+        return polish_frequencies(observed, state)
+
+    monkeypatch.setattr(pipeline, "polish_frequencies", counted)
+    y = 1e153 * np.exp(0.3j * np.arange(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = pipeline.estimate_spectrum(y)
+    assert calls
+    assert report.k_hat == 2
+    assert all(math.isfinite(s.omega) for s in report.estimates)

@@ -23,6 +23,7 @@ from linespec.pipeline import (
     estimate_spectrum,
     estimate_with_fixed_order,
 )
+from linespec.experiments import _draw_signal
 from linespec.signal_model import TWO_PI, Sinusoid, design_matrix
 
 N = 32
@@ -329,3 +330,58 @@ def test_merged_nodes_are_refit_before_prune():
     assert rep.k_hat == 3
     west = np.array([s.omega for s in rep.estimates])
     assert np.min(np.abs(west - freqs[2])) < 0.05
+
+
+def _sep3(seed):
+    """The sep3_n32 benchmark scene of this seed (perfbench/scenes.py draws it so)."""
+    y, _, _ = _draw_signal(FREQS, np.ones(3), N, 20.0, np.random.default_rng(seed))
+    return y
+
+
+def _inner_iterations(report):
+    return report.cost_trace.size - report.outer_iterations  # one initial cost per pass
+
+
+def test_passes_that_stop_at_their_first_chance_never_look_ahead(monkeypatch):
+    # Seed 7000's passes all stop at min_iter + 3 = 33 iterations, so no
+    # pass gives the look-ahead a reason to run, and it costs nothing.
+    def fail(*args):
+        raise AssertionError("the look-ahead ran")
+
+    monkeypatch.setattr(pipeline, "polish_frequencies", fail)
+    report = estimate_spectrum(_sep3(7000))
+    assert report.k_hat == 3
+    assert _inner_iterations(report) == 33 * report.outer_iterations
+    assert report.polish_events == []
+
+
+def test_a_drifting_spare_node_is_settled_by_the_look_ahead():
+    # Seed 7003 starts its last passes with four nodes against three tones.
+    # Gradient descent drags the spare node for 20 000 iterations (its 1e-9
+    # pass runs to max_iter) before the prune test removes it: 20 646 inner
+    # iterations in all. The polish takes it to the least-squares optimum,
+    # where the prune test removes it at once.
+    report = estimate_spectrum(_sep3(7003))
+    assert report.k_hat == 3
+    assert _inner_iterations(report) < 2000
+    assert [p for p, _ in report.polish_events] == [p for p, _ in report.prune_events]
+    (trace,) = [t for _, t in report.polish_events]
+    assert trace.mean_costs[-1] < trace.mean_costs[0]
+
+
+def test_a_look_ahead_that_keeps_the_order_leaves_the_run_as_it_was(monkeypatch):
+    # The look-ahead runs on seed 7003 but is told the order stays: the
+    # polished copy is dropped, and the run keeps the bits of a run with no
+    # look-ahead at all (a trigger no pass can meet).
+    y = _sep3(7003)
+    polished = []
+    monkeypatch.setattr(pipeline, "order_changes", lambda state, *args: polished.append(state) or False)
+    kept = estimate_spectrum(y)
+    assert polished
+    monkeypatch.setattr(pipeline, "_CONSEC_HITS", 10**9)
+    plain = estimate_spectrum(y)
+    assert kept.polish_events == []
+    assert [s.omega for s in kept.estimates] == [s.omega for s in plain.estimates]
+    assert [s.amplitude for s in kept.estimates] == [s.amplitude for s in plain.estimates]
+    assert np.array_equal(kept.cost_trace, plain.cost_trace)
+    assert _inner_iterations(plain) == 20646

@@ -34,15 +34,17 @@ def test_readme_python_block_runs(index):
 
 
 def test_library_example_prints_the_documented_order():
-    # At seed 0 the example prints k_hat = 4, not the true 3: the tone at
-    # 0.37 comes back as two nodes (0.3621 and 0.3711) that the merge test
-    # does not fuse. The README's comment says 4; both change together
-    # once split tones are mended.
+    # At seed 0 the example prints the true order, 3. Without the pipeline's
+    # look-ahead it printed 4: the tone at 0.37 came back as two nodes
+    # (0.3621 and 0.3711) that the merge test does not fuse; polished, one
+    # of them fails the prune test. The README's comment and the paragraph
+    # under the example say 3 and name the three frequencies.
     (block,) = [b for b in BLOCKS if "estimate_spectrum(" in b]
     lines = _run(block).splitlines()
-    assert lines[0] == "4"
-    assert "print(report.k_hat)                  # 4:" in block
-    assert [line.split()[0] for line in lines[1:5]] == ["0.0995", "0.2201", "0.3621", "0.3711"]
+    assert lines[0] == "3"
+    assert "print(report.k_hat)                  # 3\n" in block
+    assert [line.split()[0] for line in lines[1:4]] == ["0.0995", "0.2202", "0.3701"]
+    assert "at 0.0995, 0.2202 and\n0.3701" in README.read_text()
 
 
 def test_readme_shell_examples_run(tmp_path, monkeypatch, capsys):

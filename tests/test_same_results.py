@@ -38,6 +38,14 @@ def test_a_second_run_matches_the_saved_one(tmp_path):
     assert second.returncode == 0, second.stderr
     lines = second.stdout.splitlines()
     assert lines[:3] == first.stdout.splitlines()[:3]
+    # No seed moved, so only the totals line stands between the rows and the diff.
+    assert json.loads(lines[-2]) == {
+        "seeds": 2,
+        "order_correct_before": 2,
+        "order_correct_after": 2,
+        "iterations_before": rows[0]["iterations"] + rows[1]["iterations"],
+        "iterations_after": rows[0]["iterations"] + rows[1]["iterations"],
+    }
     diff = json.loads(lines[-1])
     assert diff["counts_differ"] == diff["digests_differ"] == []
     assert diff["same_results"] is True
@@ -136,3 +144,32 @@ def test_perturbed_copies_are_seeded_and_at_1e_15_of_the_rms():
         np.testing.assert_array_equal(copy, again)
         assert 0.8e-15 < np.sqrt(np.mean(np.abs(copy - y) ** 2)) / 2.0 < 1.2e-15
     assert not np.array_equal(seen[0], seen[1])
+
+
+def test_moved_lists_each_seed_whose_counts_changed_and_both_sides_totals():
+    tool = _load_tool()
+    counts = dict.fromkeys(tool.run.COUNT_KEYS, 1)
+    old = [
+        {"seed": 1, "true_k": 3, **counts, "k_hat": 4, "iterations": 20000, "passes": 9},
+        {"seed": 2, "true_k": 3, **counts, "k_hat": 3, "iterations": 264, "passes": 8},
+        {"seed": 3, "true_k": 3, **counts, "k_hat": 3, "iterations": 300, "passes": 8},
+    ]
+    new = [
+        {**old[0], "k_hat": 3, "iterations": 500, "prunes": 2},
+        {**old[1], "merges": 2},
+        old[2],
+        {**old[2], "seed": 4},
+    ]
+    lines, totals = tool.moved(new, old)
+    assert lines == [
+        {"seed": 1, "true_k": 3, "k_hat": [4, 3], "iterations": [20000, 500], "passes": [9, 9]},
+        {"seed": 2, "true_k": 3, "k_hat": [3, 3], "iterations": [264, 264], "passes": [8, 8]},
+    ]
+    # Seed 4 is not in the old file, so neither side counts it.
+    assert totals == {
+        "seeds": 3,
+        "order_correct_before": 2,
+        "order_correct_after": 3,
+        "iterations_before": 20564,
+        "iterations_after": 1064,
+    }

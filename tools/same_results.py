@@ -16,13 +16,17 @@ that order, as raw float64 / complex128 / int64 bytes. A last line gives
 the sha256 over every seed's digest.
 
 ``--out F`` also writes the rows, estimates included, to F as JSON.
-``--against F`` compares with such a file: it prints the largest
-|delta omega| (rad), |delta alpha| and relative |delta sigma2_hat| over
-the seeds whose k_hat agree, the seeds whose counts differ and the seeds
-whose digests differ. Its ``same_results`` is false when some seed's
-counts differ, some seed of the run is not in F, or the largest
-|delta omega| exceeds OMEGA_BOUND = 1e-12 rad, the bound of README's
-same-results rule.
+``--against F`` compares with such a file. It prints one line per seed
+whose counts moved, with k_hat, iterations and passes as [in F, now] and
+the scene's true order, then one line of totals over the seeds in both:
+how many end at the true order, and the inner iterations, on each side.
+So a change that moves results on purpose can paste its table. The last
+line gives the largest |delta omega| (rad), |delta alpha| and relative
+|delta sigma2_hat| over the seeds whose k_hat agree, the seeds whose
+counts differ and the seeds whose digests differ. Its ``same_results`` is
+false when some seed's counts differ, some seed of the run is not in F,
+or the largest |delta omega| exceeds OMEGA_BOUND = 1e-12 rad, the bound
+of README's same-results rule.
 
 ``--perturb K`` also estimates each seed from K copies of y + d, d
 complex white Gaussian noise with rms 1e-15 rms(y), the copy seeded by
@@ -62,6 +66,7 @@ def seed_row(linespec, scene) -> dict:
         h.update(np.ascontiguousarray(part).tobytes())
     return {
         "seed": scene.seed,
+        "true_k": int(scene.freqs.size),
         **dict(zip(run.COUNT_KEYS, counts)),
         "sha256": h.hexdigest(),
         "omegas": w.tolist(),
@@ -113,6 +118,29 @@ def compare(rows: list[dict], old: list[dict]) -> dict:
     }
 
 
+def moved(rows: list[dict], old: list[dict]) -> tuple[list[dict], dict]:
+    """The seeds whose counts moved, and the correct-order and iteration totals of both sides.
+
+    Each moved seed gives k_hat, iterations and passes as [old, new] next
+    to its true order; the totals count the seeds present in both.
+    """
+    old_by_seed = {r["seed"]: r for r in old}
+    pairs = [(o, r) for r in rows if (o := old_by_seed.get(r["seed"])) is not None]
+    lines = [
+        {"seed": r["seed"], "true_k": r["true_k"], **{k: [o[k], r[k]] for k in ("k_hat", "iterations", "passes")}}
+        for o, r in pairs
+        if any(r[k] != o[k] for k in run.COUNT_KEYS)
+    ]
+    totals = {
+        "seeds": len(pairs),
+        "order_correct_before": sum(o["k_hat"] == r["true_k"] for o, r in pairs),
+        "order_correct_after": sum(r["k_hat"] == r["true_k"] for o, r in pairs),
+        "iterations_before": sum(o["iterations"] for o, r in pairs),
+        "iterations_after": sum(r["iterations"] for o, r in pairs),
+    }
+    return lines, totals
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload")
@@ -149,6 +177,10 @@ def main(argv=None) -> int:
         print(json.dumps({"perturb": args.perturb, "flips": flips}))
         failed = bool(flips)
     if old is not None:
+        lines, totals = moved(rows, old)
+        for line in lines:
+            print(json.dumps(line))
+        print(json.dumps(totals))
         diff = compare(rows, old)
         print(json.dumps(diff))
         failed = failed or not diff["same_results"]
