@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularInformation
 from .fft_init import L_FACTOR, find_peaks, initialize, zero_padded_fft
-from .optimizer import NetworkState, cost, sum_n_squared, train_inner
+from .optimizer import NetworkState, cost, train_inner
 from .order_control import OrderConfig, apply_prunes, detection_prob
 from .pipeline import (
     EstimatorConfig,
@@ -572,12 +572,6 @@ def _cluster_init(y: np.ndarray) -> np.ndarray:
     return np.sort(TWO_PI * np.array(sorted(bins)) / L)
 
 
-def _cluster_estimator() -> EstimatorConfig:
-    gamma_omega = 1.0 / sum_n_squared(_CLUSTER_N)
-    train = replace(EstimatorConfig().train, gamma_omega=gamma_omega, min_iter=3000)
-    return EstimatorConfig(train=train, order=OrderConfig(epsilon_f=1e-12))
-
-
 @dataclass
 class ClusterCaseResult:
     """Outcome of one closely-spaced-clusters trial."""
@@ -594,16 +588,16 @@ def cluster_case(seed: int) -> ClusterCaseResult:
     """Estimate ten sub-resolution tones in two clusters from a 12-node start.
 
     N = 128, SNR 20 dB, unit magnitudes with seeded random phases. The run
-    starts from the bracketed 12-node initializer, trains each pass to a long
-    patient schedule with a doubled frequency rate, and merges under a strict
-    1e-12 false-merge level. freq_errors is per-truth squared circular error
-    when the estimated order is exactly ten, else None.
+    starts from the bracketed 12-node initializer and is otherwise the
+    default estimator: estimate_with_fixed_order with EstimatorConfig().
+    freq_errors is per-truth squared circular error when the estimated
+    order is exactly ten, else None.
     """
     freqs = cluster_frequencies()
     rng = np.random.default_rng(seed)
     y, sigma2, amps = _draw_signal(freqs, np.ones(freqs.size), _CLUSTER_N, _CLUSTER_SNR_DB, rng)
     start = _cluster_init(y)
-    report = estimate_with_fixed_order(y, start, _cluster_estimator())
+    report = estimate_with_fixed_order(y, start)
     truth = [Sinusoid(amps[i], freqs[i]) for i in range(freqs.size)]
     crb = general_crb(truth, _CLUSTER_N, sigma2)[2::3]
     matched = _matched_errors(report, freqs)
@@ -645,7 +639,7 @@ def mc_cluster(trials: int, base_seed: int) -> SweepResult:
             "n_samples": _CLUSTER_N,
             "snr_db": _CLUSTER_SNR_DB,
             "truth_freqs": list(cluster_frequencies()),
-            "estimator": _cluster_estimator(),
+            "estimator": EstimatorConfig(),
         },
         seeds={"base_seed": base_seed, "trials": trials},
     )

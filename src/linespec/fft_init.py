@@ -74,8 +74,8 @@ def find_peaks(spectrum_mag, noise_floor: float) -> list[int]:
     return [int(k) for k in np.nonzero(keep)[0]]
 
 
-def initialize(observed, order: OrderConfig | None = None) -> NetworkState:
-    """Seed a network state from the zero-padded spectrum.
+def _kept_peaks(y: np.ndarray, order: OrderConfig):
+    """The start's first stage: (|spectrum|, kept peak bins, their atoms, amplitudes).
 
     The gated peaks enter one least-squares fit, at most (N - 1) // 2 of
     them so that peaks and companions stay fewer than the N samples (see
@@ -83,9 +83,26 @@ def initialize(observed, order: OrderConfig | None = None) -> NetworkState:
     kept in bin order. A sidelobe peak is leakage of a stronger tone, so
     the fit gives it almost no amplitude and the prune test drops it: the
     test each outer pass runs (prune_statistics against prune_threshold),
-    applied to a fitted model of the peaks alone.
+    applied to a fitted model of the peaks alone. The kept peaks are fitted
+    again, jointly; none kept gives empty arrays.
+    """
+    n = y.size
+    mag = np.abs(zero_padded_fft(y))
+    bins = np.array(find_peaks(mag, noise_floor_estimate(mag, n)), dtype=int)
+    bins = np.sort(bins[np.argsort(-mag[bins], kind="stable")[: (n - 1) // 2]])
+    A = atom_table(TWO_PI * bins / mag.size, n)
+    if bins.size:
+        keep = _prune_statistics(y, A, _ls_solve(A, y)) >= prune_threshold(n, bins.size, order)
+        # A column of atom_table does not depend on the others, so the kept
+        # columns are the table of the kept peaks.
+        bins, A = bins[keep], np.ascontiguousarray(A[:, keep])
+    return mag, bins, A, _ls_solve(A, y)
 
-    Each surviving peak bin gets a companion node on the side of its
+
+def initialize(observed, order: OrderConfig | None = None) -> NetworkState:
+    """Seed a network state from the zero-padded spectrum.
+
+    Each peak bin _kept_peaks keeps gets a companion node on the side of its
     stronger neighbor bin (the upper one on a tie, so an on-grid peak is
     deterministic), one padded bin away or, if closer, at merge_radius: the
     spacing up to which the merge test of ``order`` fuses the peak's
@@ -104,21 +121,11 @@ def initialize(observed, order: OrderConfig | None = None) -> NetworkState:
         order = OrderConfig()
     y = as_samples(observed)
     n = y.size
-    mag = np.abs(zero_padded_fft(y))
-    big_l = mag.size
-    bins = np.array(find_peaks(mag, noise_floor_estimate(mag, n)), dtype=int)
-    bins = np.sort(bins[np.argsort(-mag[bins], kind="stable")[: (n - 1) // 2]])
+    mag, bins, A, alphas = _kept_peaks(y, order)
     if not bins.size:
         return NetworkState.empty()
-    A = atom_table(TWO_PI * bins / big_l, n)
-    keep = _prune_statistics(y, A, _ls_solve(A, y)) >= prune_threshold(n, bins.size, order)
-    if not keep.any():
-        return NetworkState.empty()
-    # A column of atom_table does not depend on the others, so the kept
-    # columns are the table of the kept peaks.
-    bins, A = bins[keep], np.ascontiguousarray(A[:, keep])
+    big_l = mag.size
     heads = TWO_PI * bins / big_l
-    alphas = _ls_solve(A, y)
     residual = y - A @ alphas
     sigma2 = float(np.vdot(residual, residual).real) / n
     sides = np.where(mag[(bins + 1) % big_l] >= mag[(bins - 1) % big_l], 1.0, -1.0)
@@ -134,10 +141,9 @@ def initialize(observed, order: OrderConfig | None = None) -> NetworkState:
 
 
 def periodogram_estimate(observed) -> list[Sinusoid]:
-    """Plain FFT estimator: gated peak bins with amplitudes y^f_k / N."""
+    """Plain FFT estimator: the peaks initialize keeps (_kept_peaks, default
+    OrderConfig) at their padded-bin frequencies, with their joint
+    least-squares amplitudes."""
     y = as_samples(observed)
-    spectrum = zero_padded_fft(y)
-    mag = np.abs(spectrum)
-    peaks = find_peaks(mag, noise_floor_estimate(mag, y.size))
-    big_l = mag.size
-    return [Sinusoid(spectrum[k] / y.size, TWO_PI * k / big_l) for k in peaks]
+    mag, bins, _, alphas = _kept_peaks(y, OrderConfig())
+    return [Sinusoid(a, TWO_PI * k / mag.size) for k, a in zip(bins, alphas)]

@@ -357,7 +357,7 @@ def prune_statistics(state: NetworkState, observed) -> np.ndarray:
     test assumes only for a fitted state; for atoms orthogonal to the other
     nodes' atoms it equals |a_i^H y|^2 / ||r||^2. The atoms come from
     atom_table, the model forward() evaluates. A zero residual (perfect
-    fit) gives inf for every node.
+    fit) gives inf, or 0 for a node that adds no power (zero amplitude).
     """
     y = as_samples(observed)
     return _prune_statistics(y, atom_table(state.omegas, y.size), state.alphas)
@@ -367,13 +367,12 @@ def _prune_statistics(y: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.nd
     """prune_statistics for a design matrix the caller has already built."""
     residual = y - A @ alphas
     den = float(np.vdot(residual, residual).real)
-    if den == 0.0:
-        return np.full(alphas.size, math.inf)
-    return np.abs(A.conj().T @ residual + y.size * alphas) ** 2 / den
+    power = np.abs(A.conj().T @ residual + y.size * alphas) ** 2
+    return power / den if den != 0.0 else np.where(power > 0.0, math.inf, 0.0)
 
 
 def prune_statistic(node_index: int, state: NetworkState, observed) -> float:
-    """prune_statistics of one node; raises DegenerateResidual on a perfect fit."""
+    """prune_statistics of one node; raises DegenerateResidual where it is inf (a perfect fit)."""
     if not 0 <= node_index < state.m_nodes:
         raise InvalidDimension("node index out of range")
     xi = float(prune_statistics(state, observed)[node_index])
@@ -409,8 +408,8 @@ def apply_prunes(state: NetworkState, observed, cfg: OrderConfig):
     All nodes are evaluated simultaneously against one threshold for the
     current (N, M), each on the power it adds (see prune_statistics); the
     state should be fitted, since the statistic is read off its residual.
-    An M = 0 result is legal. A zero residual (perfect fit)
-    keeps every node. The test needs fewer nodes than samples: the start
+    An M = 0 result is legal. A zero residual (perfect fit) keeps every
+    node that adds power. The test needs fewer nodes than samples: the start
     and estimate_with_fixed_order admit fewer than N nodes and no pass adds
     one, and a state of M >= N nodes raises InvalidDimension (from
     prune_threshold). Returns (new state, PruneReport).

@@ -36,7 +36,7 @@ from linespec.experiments import (
 )
 from linespec.fft_init import L_FACTOR
 from linespec.optimizer import NetworkState, grad_alpha, grad_omega
-from linespec.pipeline import EstimatorConfig
+from linespec.pipeline import EstimatorConfig, estimate_with_fixed_order
 from linespec.signal_model import TWO_PI, Sinusoid
 
 
@@ -392,6 +392,23 @@ def test_cluster_frequencies_are_sub_resolution():
         # widest designed within-cluster gap is 1.2 bins
         assert np.all(np.diff(cluster) <= 1.2 * bin_width * (1 + 1e-12))
         assert cluster[-1] - cluster[0] <= 4 * bin_width * (1 + 1e-12)
+
+
+def test_mc_cluster_records_the_default_estimator():
+    result = experiments.mc_cluster(trials=1, base_seed=9000)
+    assert result.config["estimator"] == EstimatorConfig()
+
+
+def test_cluster_case_is_the_default_estimator_from_the_12_node_start():
+    # The cluster scene has its own start and nothing else of its own.
+    seed = 9001
+    res = cluster_case(seed)
+    rng = np.random.default_rng(seed)
+    freqs = cluster_frequencies()
+    y, _, _ = experiments._draw_signal(freqs, np.ones(freqs.size), 128, 20.0, rng)
+    ref = estimate_with_fixed_order(y, experiments._cluster_init(y))
+    assert res.report.k_hat == ref.k_hat
+    assert [s.omega for s in res.report.estimates] == [s.omega for s in ref.estimates]
 
 
 def test_cluster_case_structure():

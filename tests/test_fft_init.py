@@ -18,7 +18,8 @@ from linespec.fft_init import (
     periodogram_estimate,
     zero_padded_fft,
 )
-from linespec.signal_model import TWO_PI, Sinusoid, atom, atom_table, design_matrix
+from linespec.experiments import _draw_signal, sample_well_separated
+from linespec.signal_model import TWO_PI, Sinusoid, atom, atom_table, design_matrix, ls_amplitudes
 
 
 def test_zero_padded_fft_matches_numpy_reference():
@@ -277,6 +278,24 @@ def test_periodogram_estimate_two_tones():
     for t, e in zip(truth, est):
         assert abs(e.omega - t.omega) < 1e-12  # on-grid tones hit their bin
         assert abs(e.amplitude - t.amplitude) < 0.2
+
+
+def test_periodogram_estimate_is_the_starts_peaks_on_a_tones8_scene():
+    # Eight separated tones at N = 512 and 20 dB, drawn as the tones8
+    # benchmark scene 8000: some 40 sidelobe peaks clear the gate, and the
+    # prune test of their joint fit keeps one per tone, as initialize does.
+    n = 512
+    rng = np.random.default_rng(8000)
+    freqs = np.sort(sample_well_separated(rng, 8, 8 * TWO_PI / n))
+    y, _, _ = _draw_signal(freqs, np.ones(8), n, 20.0, rng)
+    mag = np.abs(zero_padded_fft(y))
+    assert len(find_peaks(mag, noise_floor_estimate(mag, n))) > 30
+    est = periodogram_estimate(y)
+    state = initialize(y)
+    assert len(est) == state.m_nodes // 2 == 8
+    assert set(e.omega for e in est) <= set(state.omegas.tolist())
+    omegas = [e.omega for e in est]
+    np.testing.assert_allclose([e.amplitude for e in est], ls_amplitudes(omegas, y), rtol=1e-12)
 
 
 def test_atom_consistency_between_modules():

@@ -699,6 +699,23 @@ def test_prune_statistic_perfect_fit_raises():
         prune_statistic(0, st0, y)
 
 
+def test_prune_statistics_of_an_exact_fit_drop_only_nodes_that_add_no_power():
+    # y is the state's own model, so the residual is exactly zero. The node
+    # with amplitude 1 adds power: xi is inf and prune_statistic raises. The
+    # zero-amplitude node adds none: xi is 0, and apply_prunes drops it.
+    n = 16
+    state = NetworkState([1.0, 2.5], [1.0 + 0.5j, 0j])
+    y = forward(state, n)
+    xi = prune_statistics(state, y)
+    assert xi[0] == math.inf and xi[1] == 0.0
+    with pytest.raises(DegenerateResidual):
+        prune_statistic(0, state, y)
+    assert prune_statistic(1, state, y) == 0.0
+    kept, report = apply_prunes(state, y, OrderConfig())
+    assert report.keep_mask.tolist() == [True, False]
+    assert kept.omegas.tolist() == [1.0]
+
+
 def test_prune_threshold_equals_the_scipy_quantile():
     # For F ~ F(2, d2), v = d2 / (2F + d2) ~ Beta(d2/2, 1), so the upper
     # quantile is (d2/2)(1 - v)/v with v = betaincinv(d2/2, 1, epsilon_a), and

@@ -281,6 +281,15 @@ def test_fixed_order_on_noise_prunes_to_zero():
     assert len(rep.prune_events) == 1
 
 
+def test_fixed_order_on_a_zero_signal_keeps_no_zero_amplitude_node():
+    # Zero data are fitted exactly by nodes of zero amplitude. Such a node
+    # adds no power, so the prune test drops it instead of keeping it on an
+    # unbounded statistic.
+    rep = estimate_with_fixed_order(np.zeros(16), [0.3, 2.0])
+    assert rep.k_hat == 0
+    assert rep.estimates == []
+
+
 def test_fixed_order_empty_initialization():
     y, _ = _noisy_signal()
     rep = estimate_with_fixed_order(y, [])

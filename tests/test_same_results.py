@@ -8,6 +8,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "same_results.py"
 
@@ -173,3 +174,18 @@ def test_moved_lists_each_seed_whose_counts_changed_and_both_sides_totals():
         "iterations_before": 20564,
         "iterations_after": 1064,
     }
+
+
+def test_an_empty_seed_range_exits_2_before_estimating(tmp_path, capsys):
+    # [START, STOP) with STOP <= START runs no seed, so a comparison over it
+    # would print "same_results": true having compared nothing.
+    tool = _load_tool()
+    saved = tmp_path / "before.json"
+    saved.write_text(json.dumps({"workload": "sep3_n32", "rows": []}))
+    for start, stop in (("7060", "7000"), ("7005", "7005")):
+        with pytest.raises(SystemExit) as exc:
+            tool.main(["sep3_n32", start, stop, "--against", str(saved)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "STOP must be above START" in captured.err

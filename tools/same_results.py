@@ -35,7 +35,8 @@ the seeds where one of them differs from the unperturbed k_hat. An order
 that such a last-bit change flips is one no refactor can be held to.
 
 Exits 1 when ``same_results`` is false under --against or some seed
-flips under --perturb, else 0.
+flips under --perturb, else 0; exits 2 on an empty range (STOP <= START),
+which would compare nothing.
 """
 
 from __future__ import annotations
@@ -153,6 +154,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.perturb < 0:
         ap.error("--perturb must be at least 0")
+    if args.stop <= args.start:
+        ap.error("STOP must be above START: the range [START, STOP) holds no seed")
 
     linespec = run.load_linespec()
     import scenes
