@@ -385,7 +385,9 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     jw[:] = _j_omegas(state.omegas)
     # The real slots of the frequency block get rate 0 and scale 0: their
     # momentum stays +0.0 and their parameters -0.0.
-    rates = np.concatenate((np.full(2 * m, cfg.gamma_alpha), np.tile([0.0, cfg.gamma_omega], m)))
+    rates = np.zeros(4 * m)
+    rates[: 2 * m] = cfg.gamma_alpha
+    rates[2 * m + 1 :: 2] = cfg.gamma_omega
     d = np.zeros(4 * m)
     step = np.empty(4 * m)
     lam = np.full(4 * m, cfg.momentum)
@@ -394,7 +396,10 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     # conj(s[0]) * mix is (re, im) * [mix, -mix], and -2 Im{s[1]} * mix is
     # Im{s[1]} * (-2 mix).
     mix = 1.0 - cfg.momentum
-    scale = np.concatenate((np.tile([mix, -mix], m), np.tile([0.0, -2.0 * mix], m)))
+    scale = np.zeros(4 * m)
+    scale[: 2 * m : 2] = mix
+    scale[1 : 2 * m : 2] = -mix
+    scale[2 * m + 1 :: 2] = -2.0 * mix
     s = kernel.s
     s_pairs = s.reshape(2 * m).view(float)
     s_w = s[1]

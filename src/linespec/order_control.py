@@ -296,6 +296,8 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     w_next = np.append(w[1:], w[0] + TWO_PI)
     delta, _, _ = _pair_bound(a, np.append(a[1:], a[0]), w, w_next, sigma2, n_samples)
     adjacent = merge_test(w, w_next, delta, cfg)
+    if not adjacent.any():
+        return NetworkState(w, a), []
 
     ws, am, fused, origin = list(w), list(a), [False] * w.size, list(range(w.size))
     events: list[MergeEvent] = []
@@ -412,7 +414,8 @@ def apply_prunes(state: NetworkState, observed, cfg: OrderConfig):
     node that adds power. The test needs fewer nodes than samples: the start
     and estimate_with_fixed_order admit fewer than N nodes and no pass adds
     one, and a state of M >= N nodes raises InvalidDimension (from
-    prune_threshold). Returns (new state, PruneReport).
+    prune_threshold). Returns (new state, PruneReport); the new state is the
+    given one when every node is kept.
     """
     y = as_samples(observed)
     if state.m_nodes == 0:
@@ -420,7 +423,7 @@ def apply_prunes(state: NetworkState, observed, cfg: OrderConfig):
     threshold = prune_threshold(y.size, state.m_nodes, cfg)
     xi = prune_statistics(state, y)
     keep = xi >= threshold
-    kept = NetworkState(state.omegas[keep], state.alphas[keep])
+    kept = state if keep.all() else NetworkState(state.omegas[keep], state.alphas[keep])
     return kept, PruneReport(xi, float(threshold), keep)
 
 
