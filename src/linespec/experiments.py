@@ -572,6 +572,13 @@ def _cluster_init(y: np.ndarray) -> np.ndarray:
     return np.sort(TWO_PI * np.array(sorted(bins)) / L)
 
 
+def _cluster_draw(seed: int):
+    """cluster_case's signal for a seed: (y, sigma2, amps) at cluster_frequencies()."""
+    freqs = cluster_frequencies()
+    rng = np.random.default_rng(seed)
+    return _draw_signal(freqs, np.ones(freqs.size), _CLUSTER_N, _CLUSTER_SNR_DB, rng)
+
+
 @dataclass
 class ClusterCaseResult:
     """Outcome of one closely-spaced-clusters trial."""
@@ -594,8 +601,7 @@ def cluster_case(seed: int) -> ClusterCaseResult:
     order is exactly ten, else None.
     """
     freqs = cluster_frequencies()
-    rng = np.random.default_rng(seed)
-    y, sigma2, amps = _draw_signal(freqs, np.ones(freqs.size), _CLUSTER_N, _CLUSTER_SNR_DB, rng)
+    y, sigma2, amps = _cluster_draw(seed)
     start = _cluster_init(y)
     report = estimate_with_fixed_order(y, start)
     truth = [Sinusoid(amps[i], freqs[i]) for i in range(freqs.size)]

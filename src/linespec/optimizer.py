@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,10 +54,17 @@ def _set_integer(cfg, name: str) -> None:
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Hidden-layer weights: one frequency and one complex amplitude per node."""
+    """Hidden-layer weights: one frequency and one complex amplitude per node.
+
+    ``velocity`` is the momentum buffer of the descent that produced the
+    state, in train_inner's private layout (4 floats per node), or None for
+    a state at rest. train_inner hands back its own and continues from the
+    one it is given; any other stage builds states at rest.
+    """
 
     omegas: np.ndarray
     alphas: np.ndarray
+    velocity: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.omegas, dtype=float))
@@ -72,6 +79,11 @@ class NetworkState:
             raise NumericalDivergence("state contains non-finite amplitudes")
         object.__setattr__(self, "omegas", w)
         object.__setattr__(self, "alphas", a)
+        if self.velocity is not None:
+            v = np.asarray(self.velocity, dtype=float)
+            if v.shape != (4 * w.size,):
+                raise InvalidDimension("velocity must hold 4 floats per node")
+            object.__setattr__(self, "velocity", v)
 
     @classmethod
     def empty(cls) -> "NetworkState":
@@ -94,8 +106,10 @@ class TrainConfig:
     sizes; a set rate must be finite and positive. ``momentum`` is the
     exponential moving average coefficient of the momentum buffers. The
     loop stops once the mean cost change |dC/N| stays below ``eps_tol`` for
-    three consecutive iterations after at least ``min_iter`` iterations, so
-    a momentary flat spot of the cost does not end it.
+    three consecutive iterations. A descent from rest must first run
+    ``min_iter`` iterations, so the flat start of a restarted descent does
+    not end it; one that continues with the momentum it was handed may stop
+    at its first three hits.
     """
 
     gamma_alpha: float | None = None
@@ -348,13 +362,16 @@ def grad_omega(state: NetworkState, observed) -> np.ndarray:
 def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     """Gradient descent with momentum until the mean cost change is below tolerance.
 
-    Returns (final state, CostTrace). The momentum buffer lives only inside
-    one call and starts from zero. If the cost rises for 20 consecutive
+    Returns (final state, CostTrace). The momentum buffer starts from the
+    state's ``velocity``, or from zero for a state at rest; only a descent
+    from rest is held to ``min_iter``. If the cost rises for 20 consecutive
     iterations, both learning rates are halved, the buffer is zeroed, and
     the best state seen so far is restored before continuing. The final
-    state is the last iterate, or the best state seen when the last
-    iterate costs more than the starting state (an oscillation that never
-    rises 20 times in a row can end there). From N = _FACTORED_MIN_N = 128
+    state is the last iterate, carrying the buffer as its ``velocity``, so
+    training it again continues the descent bit for bit; or, when the last
+    iterate costs more than the starting state, the best state seen, at
+    rest (an oscillation that never rises 20 times in a row can end
+    there). From N = _FACTORED_MIN_N = 128
     samples the model and gradient sums go through _FactoredKernel, below
     it through _Kernel.
     """
@@ -388,7 +405,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     rates = np.zeros(4 * m)
     rates[: 2 * m] = cfg.gamma_alpha
     rates[2 * m + 1 :: 2] = cfg.gamma_omega
-    d = np.zeros(4 * m)
+    d = np.zeros(4 * m) if state.velocity is None else state.velocity.copy()
     step = np.empty(4 * m)
     lam = np.full(4 * m, cfg.momentum)
     # The gradient scaled by mix = 1 - lambda in one multiply of the sums
@@ -424,7 +441,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     isfinite = math.isfinite
     append = trace.append
     eps_tol = cfg.eps_tol
-    min_iter = cfg.min_iter
+    min_iter = cfg.min_iter if state.velocity is None else 0
     hits_to_stop = _CONSEC_HITS
     patience = _SAFEGUARD_PATIENCE
 
@@ -475,9 +492,11 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
             hits = 0
         cbar = c
 
+    velocity = d
     if c > trace[0]:
         _, a, jw = bufs[best]
-    out = NetworkState(jw.imag.copy(), a.copy())
+        velocity = None
+    out = NetworkState(jw.imag.copy(), a.copy(), velocity)
     return out, CostTrace(np.asarray(trace), t, halvings, exit_reason)
 
 

@@ -12,6 +12,14 @@ exact power of ten or the floor itself. The loop exits when a floor pass
 makes no structural change, after MAX_PASSES passes, or when no node is
 left.
 
+A pass that merged and pruned nothing, halved no rate, returned its last
+iterate and kept its node order through apply_merges' sort hands its
+momentum (NetworkState.velocity) to the next pass, which continues the
+descent instead of restarting it, and so skips the min_iter wait of a
+start from rest. Every other pass starts from rest, and so does the first
+pass within a decade of the floor, so that a drifting node runs long
+enough there to trigger the look-ahead.
+
 Before a pass whose tolerance is within a decade of the floor, if the pass
 before it ran past its first chance to stop (min_iter + _CONSEC_HITS
 iterations), the loop looks ahead: it polishes a copy of the state with
@@ -118,30 +126,40 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
     prune_events: list[tuple[int, PruneReport]] = []
     polish_events: list[tuple[int, CostTrace]] = []
     first_stop = cfg.train.min_iter + _CONSEC_HITS
+    zone = 10.0 * cfg.train.eps_tol
     ran_on = False
+    prev_eps = np.inf
     while outer < MAX_PASSES and state.m_nodes > 0:
         eps = max(10.0 ** -(EPS_START_DECADE + outer), cfg.train.eps_tol)
         outer += 1
+        if eps <= zone < prev_eps:
+            state = replace(state, velocity=None)
+        prev_eps = eps
         try:
-            if ran_on and eps <= 10.0 * cfg.train.eps_tol:
+            if ran_on and eps <= zone:
                 polished, polish_trace = polish_frequencies(y, state)
                 if order_changes(polished, y, cfg.order):
                     state = polished
                     polish_events.append((outer, polish_trace))
-            state, trace = train_inner(y, state, replace(cfg.train, eps_tol=eps))
+            trained, trace = train_inner(y, state, replace(cfg.train, eps_tol=eps))
         except NumericalDivergence as exc:
             exc.report = _build_report(y, state, outer, traces, merge_events, prune_events, polish_events)
             raise
         traces.append(trace.mean_costs)
         ran_on = trace.iterations_run > first_stop
-        state, merged = apply_merges(state, y, cfg.order)
+        state, merged = apply_merges(trained, y, cfg.order)
         merge_events.extend((outer, e) for e in merged)
         state, prune_report = apply_prunes(state, y, cfg.order)
         pruned = not bool(np.all(prune_report.keep_mask))
         if pruned:
             prune_events.append((outer, prune_report))
-        if not (merged or pruned) and eps == cfg.train.eps_tol:
-            break
+        if not (merged or pruned):
+            if eps == cfg.train.eps_tol:
+                break
+            # Nothing changed, and merging kept the trained node order: the
+            # next pass continues this descent rather than restarting it.
+            if trace.halvings == 0 and np.all(np.diff(wrap_angle(trained.omegas)) >= 0):
+                state = replace(state, velocity=trained.velocity)
     return _build_report(y, state, outer, traces, merge_events, prune_events, polish_events)
 
 

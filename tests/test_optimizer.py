@@ -262,6 +262,8 @@ def test_network_state_validation():
         NetworkState([1.0], [complex("inf")])
     with pytest.raises(NumericalDivergence):
         NetworkState([1.0, 2.0], np.array([1.0, 2.0, complex(3.0, np.nan), 4.0])[::2])
+    with pytest.raises(InvalidDimension, match="velocity"):
+        NetworkState([1.0, 2.0], [1.0, 2.0], np.zeros(4))
 
 
 def test_network_state_accepts_strided_amplitudes():
@@ -734,6 +736,42 @@ def test_a_pass_stops_at_the_first_three_consecutive_hits():
     assert sum(hit[: first_run - 2]) >= 3
 
 
+@pytest.mark.parametrize("n", [32, 256])
+def test_a_call_continued_from_its_velocity_equals_one_longer_call(n):
+    # 40 iterations (past min_iter), then 25 more from the returned state
+    # and its velocity, against one call of 65: a tolerance no iteration
+    # meets, no halving, and a falling cost, so both parts return their
+    # last iterate. Both kernels (N = 32 and 256).
+    y = _noisy_tones(n, [1.0, 2.2], 3)
+    start = NetworkState([1.0 + 3.0 / n, 2.2 - 2.0 / n], [0.6 + 0.2j, -0.3 + 0.7j])
+    cfg = TrainConfig(eps_tol=1e-300)
+    whole, trace = train_inner(y, start, replace(cfg, max_iter=65))
+    first, trace1 = train_inner(y, start, replace(cfg, max_iter=40))
+    second, trace2 = train_inner(y, first, replace(cfg, max_iter=25))
+    assert trace.halvings == trace1.halvings == trace2.halvings == 0
+    assert trace2.mean_costs[-1] < trace2.mean_costs[0] < trace1.mean_costs[0]
+    np.testing.assert_array_equal(second.omegas, whole.omegas)
+    np.testing.assert_array_equal(second.alphas, whole.alphas)
+    np.testing.assert_array_equal(second.velocity, whole.velocity)
+    np.testing.assert_array_equal(np.concatenate((trace1.mean_costs, trace2.mean_costs[1:])), trace.mean_costs)
+
+
+def test_only_a_descent_from_rest_waits_for_min_iter():
+    # At this tolerance every step of the descent hits. From rest the call
+    # still runs min_iter iterations before its three hits; continued with
+    # the velocity it returned, the next call stops at its first three, and
+    # the same state at rest waits again.
+    y = _noisy_tones(16, [1.0], 2)
+    state = NetworkState([1.05], [np.vdot(atom(1.05, 16), y) / 16])
+    cfg = TrainConfig(eps_tol=1e-3)
+    moving, from_rest = train_inner(y, state, cfg)
+    assert from_rest.iterations_run == cfg.min_iter + 3
+    _, continued = train_inner(y, moving, cfg)
+    assert continued.iterations_run == 3
+    _, restarted = train_inner(y, NetworkState(moving.omegas, moving.alphas), cfg)
+    assert restarted.iterations_run == cfg.min_iter + 3
+
+
 def test_empty_state_is_a_converged_noop():
     y = np.ones(8, dtype=complex)
     out, trace = train_inner(y, NetworkState.empty(), TrainConfig())
@@ -792,6 +830,7 @@ def test_an_oscillating_call_returns_its_best_state_not_its_last():
     final = cost(y, forward(out, 32)) / 32
     assert final == pytest.approx(trace.mean_costs.min(), rel=1e-12)
     assert final <= trace.mean_costs[0]
+    assert out.velocity is None  # the best state is not where the descent's momentum was
 
 
 def _polish_cost(y, state):

@@ -352,16 +352,42 @@ def _inner_iterations(report):
 
 
 def test_passes_that_stop_at_their_first_chance_never_look_ahead(monkeypatch):
-    # Seed 7000's passes all stop at min_iter + 3 = 33 iterations, so no
-    # pass gives the look-ahead a reason to run, and it costs nothing.
+    # Seed 7000's passes all stop at their first chance: min_iter + 3 = 33
+    # iterations from rest, fewer (3, 21, 6 and 3) where a pass continues
+    # the descent of one that changed nothing. So no pass gives the
+    # look-ahead a reason to run, and it costs nothing.
     def fail(*args):
         raise AssertionError("the look-ahead ran")
 
     monkeypatch.setattr(pipeline, "polish_frequencies", fail)
     report = estimate_spectrum(_sep3(7000))
     assert report.k_hat == 3
-    assert _inner_iterations(report) == 33 * report.outer_iterations
+    assert _inner_iterations(report) == 4 * 33 + 3 + 21 + 6 + 3
     assert report.polish_events == []
+
+
+def test_a_pass_continues_the_descent_only_after_a_pass_that_changed_nothing(monkeypatch):
+    # A pass starts with a velocity only when the pass before it merged and
+    # pruned nothing, it trains no polished copy, and it is not the first
+    # look-ahead pass (1e-8), which restarts.
+    seen: list[tuple[float, bool]] = []
+
+    def recording(y, state, cfg):
+        seen.append((cfg.eps_tol, state.velocity is not None))
+        return train_inner(y, state, cfg)
+
+    monkeypatch.setattr(pipeline, "train_inner", recording)
+    continued = 0
+    for seed in range(7000, 7010):
+        seen.clear()
+        report = estimate_spectrum(_sep3(seed))
+        changed = {p for p, _ in report.merge_events + report.prune_events}
+        polished = {p for p, _ in report.polish_events}
+        for k, (eps, moving) in enumerate(seen, start=1):
+            if moving:
+                assert k > 1 and k - 1 not in changed and k not in polished and eps != 1e-8, (seed, k)
+                continued += 1
+    assert continued > 0
 
 
 def test_a_drifting_spare_node_is_settled_by_the_look_ahead():
@@ -393,4 +419,4 @@ def test_a_look_ahead_that_keeps_the_order_leaves_the_run_as_it_was(monkeypatch)
     assert [s.omega for s in kept.estimates] == [s.omega for s in plain.estimates]
     assert [s.amplitude for s in kept.estimates] == [s.amplitude for s in plain.estimates]
     assert np.array_equal(kept.cost_trace, plain.cost_trace)
-    assert _inner_iterations(plain) == 20646
+    assert _inner_iterations(plain) == 20616

@@ -189,3 +189,33 @@ def test_an_empty_seed_range_exits_2_before_estimating(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "STOP must be above START" in captured.err
+
+
+def test_the_cluster_scene_runs_acceptance_08s_estimator(tmp_path):
+    # --scene cluster takes no workload. Its row for a seed is
+    # experiments.cluster_case's run: the same estimates and counts, with
+    # the bracketed start's size as nodes_out.
+    from linespec.experiments import cluster_case
+
+    saved = tmp_path / "cluster.json"
+    args = [sys.executable, str(TOOL), "--scene", "cluster", "9001", "9002"]
+    first = subprocess.run([*args, "--out", str(saved)], capture_output=True, text=True, timeout=300)
+    assert first.returncode == 0, first.stderr
+    (row,) = json.loads(saved.read_text())["rows"]
+    case = cluster_case(9001)
+    report = case.report
+    assert (row["true_k"], row["k_hat"], row["nodes_out"]) == (10, report.k_hat, case.initial_m)
+    assert row["iterations"] == report.cost_trace.size - report.outer_iterations
+    assert row["omegas"] == [s.omega for s in report.estimates]
+    again = subprocess.run([*args, "--against", str(saved)], capture_output=True, text=True, timeout=300)
+    assert again.returncode == 0, again.stdout + again.stderr
+    assert json.loads(again.stdout.splitlines()[-1])["same_results"] is True
+
+
+@pytest.mark.parametrize("argv", [["7000", "7001"], ["sep3_n32", "7000", "7001", "--scene", "cluster"]])
+def test_a_run_names_a_workload_or_the_cluster_scene_but_not_both(argv, capsys):
+    tool = _load_tool()
+    with pytest.raises(SystemExit) as exc:
+        tool.main(argv)
+    assert exc.value.code == 2
+    assert "--scene cluster" in capsys.readouterr().err

@@ -5,10 +5,14 @@ Usage, from the root of a checkout::
     python3 tools/same_results.py tones8_n512 8000 8020 --out before.json
     python3 tools/same_results.py tones8_n512 8000 8020 --against before.json
     python3 tools/same_results.py tones8_n512 8000 8020 --perturb 3
+    python3 tools/same_results.py --scene cluster 9000 9020 --perturb 3
 
 Runs ``estimate_spectrum`` once per seed in [START, STOP) on the scenes of
 ``perfbench/scenes.py`` (any seed, not only the workload's benchmark set),
-with one OpenBLAS thread as the benchmark runs it. Prints one JSON line per
+with one OpenBLAS thread as the benchmark runs it. ``--scene cluster``
+takes no workload: it runs acceptance 08's estimator on
+``experiments.cluster_case``'s draws instead (see ClusterScenes), and
+nodes_out is the size of its start. Prints one JSON line per
 seed: the counts ``perfbench/run.py`` checks (k_hat, nodes_out,
 iterations, passes, merges, prunes) and the sha256 of the estimated
 frequencies, amplitudes, noise variance, cost trace and pass count, in
@@ -54,6 +58,36 @@ import run  # noqa: E402  (sets OPENBLAS_NUM_THREADS before numpy loads)
 import numpy as np  # noqa: E402
 
 OMEGA_BOUND = 1e-12
+
+
+class ClusterScenes:
+    """Acceptance 08's scenes and estimator, in place of a workload and of linespec.
+
+    scene(seed) is experiments.cluster_case's draw. initialize(y) is its
+    bracketed start, experiments._cluster_init, with least-squares
+    amplitudes, and estimate_spectrum(y) runs estimate_with_fixed_order
+    from those frequencies, with the default configuration, as
+    cluster_case does.
+    """
+
+    def __init__(self, linespec):
+        from linespec import experiments
+        from scenes import Scene
+
+        self._linespec = linespec
+        self._experiments = experiments
+        self._scene = Scene
+
+    def scene(self, seed: int):
+        y, sigma2, amps = self._experiments._cluster_draw(seed)
+        return self._scene(seed, y, self._experiments.cluster_frequencies(), amps, sigma2)
+
+    def initialize(self, y):
+        w0 = self._experiments._cluster_init(y)
+        return self._linespec.NetworkState(w0, self._linespec.ls_amplitudes(w0, y))
+
+    def estimate_spectrum(self, y):
+        return self._linespec.estimate_with_fixed_order(y, self._experiments._cluster_init(y))
 
 
 def seed_row(linespec, scene) -> dict:
@@ -144,14 +178,22 @@ def moved(rows: list[dict], old: list[dict]) -> tuple[list[dict], dict]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("workload")
+    ap.add_argument("workload", nargs="?", help="a perfbench workload; omitted with --scene cluster")
     ap.add_argument("start", type=int)
     ap.add_argument("stop", type=int)
     out = ap.add_mutually_exclusive_group()
     out.add_argument("--out", type=Path, help="write the rows, estimates included, to this JSON file")
     out.add_argument("--against", type=Path, help="compare with a file written by --out")
     ap.add_argument("--perturb", type=int, default=0, metavar="K", help="also estimate K perturbed copies of each seed")
+    ap.add_argument(
+        "--scene",
+        choices=("workload", "cluster"),
+        default="workload",
+        help="cluster: acceptance 08's draws and estimator instead of a workload's scenes",
+    )
     args = ap.parse_args(argv)
+    if (args.workload is None) != (args.scene == "cluster"):
+        ap.error("give a workload, or --scene cluster without one")
     if args.perturb < 0:
         ap.error("--perturb must be at least 0")
     if args.stop <= args.start:
@@ -160,7 +202,11 @@ def main(argv=None) -> int:
     linespec = run.load_linespec()
     import scenes
 
-    workload = scenes.WORKLOADS[args.workload]
+    if args.scene == "cluster":
+        workload = linespec = ClusterScenes(linespec)
+        args.workload = "cluster"
+    else:
+        workload = scenes.WORKLOADS[args.workload]
     old = json.loads(args.against.read_text())["rows"] if args.against else None
     rows = []
     shown_keys = ("seed", *run.COUNT_KEYS, "sha256") + (("perturbed_k_hat",) if args.perturb else ())
