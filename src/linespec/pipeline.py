@@ -133,6 +133,8 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
         eps = max(10.0 ** -(EPS_START_DECADE + outer), cfg.train.eps_tol)
         outer += 1
         if eps <= zone < prev_eps:
+            # Continued, the first pass in the look-ahead zone can stop
+            # before a drifting node shows, and no look-ahead would follow.
             state = replace(state, velocity=None)
         prev_eps = eps
         try:
