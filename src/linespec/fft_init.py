@@ -92,7 +92,8 @@ def _kept_peaks(y: np.ndarray, order: OrderConfig):
     bins = np.sort(bins[np.argsort(-mag[bins], kind="stable")[: (n - 1) // 2]])
     A = atom_table(TWO_PI * bins / mag.size, n)
     if bins.size:
-        keep = _prune_statistics(y, A, _ls_solve(A, y)) >= prune_threshold(n, bins.size, order)
+        alphas = _ls_solve(A, y)
+        keep = _prune_statistics(y, A, y - A @ alphas, alphas) >= prune_threshold(n, bins.size, order)
         # A column of atom_table does not depend on the others, so the kept
         # columns are the table of the kept peaks.
         bins, A = bins[keep], np.ascontiguousarray(A[:, keep])

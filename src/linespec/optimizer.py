@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,11 +61,15 @@ class NetworkState:
     state, in train_inner's private layout (4 floats per node), or None for
     a state at rest. train_inner hands back its own and continues from the
     one it is given; any other stage builds states at rest.
+    ``_fit`` is (y, A, y - A alpha) on the samples array y, which a merge that
+    fuses nothing hands to the prune statistics; no constructor or replace
+    carries it, and a state that has one has read-only arrays.
     """
 
     omegas: np.ndarray
     alphas: np.ndarray
     velocity: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _fit: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         w = np.atleast_1d(np.asarray(self.omegas, dtype=float))
@@ -84,6 +89,16 @@ class NetworkState:
             if v.shape != (4 * w.size,):
                 raise InvalidDimension("velocity must hold 4 floats per node")
             object.__setattr__(self, "velocity", v)
+
+    @classmethod
+    def _of(cls, omegas, alphas, velocity=None, fit=None) -> "NetworkState":
+        """A state built without the checks, of nodes taken from a checked
+        state or of train_inner's iterates, whose cost it checked finite."""
+        state = object.__new__(cls)
+        state.__dict__.update(omegas=omegas, alphas=alphas, velocity=velocity, _fit=fit)
+        if fit is not None:
+            omegas.flags.writeable = alphas.flags.writeable = False
+        return state
 
     @classmethod
     def empty(cls) -> "NetworkState":
@@ -133,8 +148,9 @@ class TrainConfig:
         if self.max_iter < 1 or self.min_iter < 0:
             raise InvalidDimension("iteration limits out of range")
 
+    @lru_cache(maxsize=64)
     def resolve(self, n_samples: int) -> "TrainConfig":
-        """Fill in the per-N default learning rates."""
+        """Fill in the per-N default learning rates (computed once per config and N)."""
         ga = self.gamma_alpha
         gw = self.gamma_omega
         if ga is None:
@@ -377,14 +393,12 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     """
     y = as_samples(observed)
     n_samples = y.size
-    if cfg is None:
-        cfg = TrainConfig()
-    cfg = cfg.resolve(n_samples)
     m = state.m_nodes
     if m == 0:
         c0 = float(np.vdot(y, y).real) / n_samples
         return state, CostTrace(np.array([c0]), 0, 0, "tol")
 
+    cfg = (TrainConfig() if cfg is None else cfg).resolve(n_samples)
     kernel = (_FactoredKernel if n_samples >= _FACTORED_MIN_N else _Kernel)(y, m)
     # Parameters, momentum, rates and steps share one flat float layout:
     # the complex slots [alpha; j*omega] as (re, im) pairs, each frequency
@@ -496,7 +510,8 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     if c > trace[0]:
         _, a, jw = bufs[best]
         velocity = None
-    out = NetworkState(jw.imag.copy(), a.copy(), velocity)
+    # Every iterate's cost was checked finite, and so are its parameters.
+    out = NetworkState._of(jw.imag.copy(), a.copy(), velocity)
     return out, CostTrace(np.asarray(trace), t, halvings, exit_reason)
 
 

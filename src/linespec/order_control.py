@@ -92,7 +92,7 @@ def rho(omega_i, omega_j, n_samples: int):
     if n_samples < 2:
         raise InvalidDimension("rho needs at least two samples")
     gap = np.subtract(omega_j, omega_i)
-    n2 = np.arange(n_samples, dtype=float) ** 2
+    n2 = _radius_sums(n_samples)[0][1]
     rows = np.multiply(atom_table(gap, n_samples).T, n2, order="C")
     rho2 = rows.sum(axis=-1).reshape(gap.shape)
     return sum_n_squared(n_samples), complex(rho2) if rho2.ndim == 0 else rho2
@@ -154,6 +154,9 @@ def crb_pair(
     return CrbPair(matrix[..., 0], float(delta[0]))
 
 
+_normal_quantile = lru_cache(maxsize=16)(std_normal_inv_cdf)  # Phi^{-1}(epsilon_f)
+
+
 def merge_test(omega_lo, omega_hi, crb_delta, cfg: OrderConfig):
     """True when the gap is too small to be a resolvable pair.
 
@@ -163,7 +166,7 @@ def merge_test(omega_lo, omega_hi, crb_delta, cfg: OrderConfig):
     pair, see _pair_bound) fuses. Arrays give one decision per pair, a
     scalar a bool.
     """
-    bound = -np.sqrt(crb_delta) * std_normal_inv_cdf(cfg.epsilon_f)
+    bound = -np.sqrt(crb_delta) * _normal_quantile(cfg.epsilon_f)
     fuses = np.subtract(omega_hi, omega_lo) < bound
     return bool(fuses) if fuses.ndim == 0 else fuses
 
@@ -242,7 +245,7 @@ def merge_radius(alpha, sigma2: float, n_samples: int, cfg: OrderConfig, limit: 
         # sqrt(t), capped at 2 (2 pi / N) sqrt(rho1): F(limit) <= 2 limit^2 rho1
         # lies below that cap squared, so such a pair fuses at the limit
         # either way, and the cap keeps t finite.
-        scale = math.sqrt(sigma2) * -std_normal_inv_cdf(cfg.epsilon_f)
+        scale = math.sqrt(sigma2) * -_normal_quantile(cfg.epsilon_f)
         root_t = scale / np.maximum(np.abs(half.ravel()), scale / (2.0 * TWO_PI / n_samples * math.sqrt(rho1)))
         split = _flip_terms(np.array([limit]), root_t, n_samples)[0] <= 1.0  # F(limit) >= t
         root_t = root_t[split]
@@ -280,7 +283,9 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     wrap-around pair ends the walk. Every fused node then gets
     least-squares amplitudes (refit_amplitudes), so the result is a fitted
     model, wrapped and sorted; a state of fewer than two nodes is returned
-    as it is. Returns (new state, list of MergeEvent).
+    as it is. Returns (new state, list of MergeEvent). A walk that fuses
+    nothing hands the table and residual of its noise estimate, on the new
+    state, to apply_prunes.
     """
     y = as_samples(observed)
     n_samples = y.size
@@ -289,15 +294,18 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     w = wrap_angle(state.omegas)
     order = np.argsort(w, kind="stable")
     w, a = w[order], state.alphas[order]
-    sigma2 = estimate_noise_var(y, atom_table(w, n_samples) @ a)
+    A = atom_table(w, n_samples)
+    residual = y - A @ a
+    sigma2 = float(np.vdot(residual, residual).real) / n_samples
     # Pair k is (k, k + 1 mod M). Until a node fuses, its next neighbor in
     # the walk is its next neighbor here, so only pairs that hold a fused
     # node need a new test.
-    w_next = np.append(w[1:], w[0] + TWO_PI)
-    delta, _, _ = _pair_bound(a, np.append(a[1:], a[0]), w, w_next, sigma2, n_samples)
+    w_next = np.concatenate((w[1:], w[:1] + TWO_PI))
+    delta, _, _ = _pair_bound(a, np.concatenate((a[1:], a[:1])), w, w_next, sigma2, n_samples)
     adjacent = merge_test(w, w_next, delta, cfg)
     if not adjacent.any():
-        return NetworkState(w, a), []
+        # apply_prunes reads its statistics off this table and residual.
+        return NetworkState._of(w, a, fit=(y, A, residual)), []
 
     ws, am, fused, origin = list(w), list(a), [False] * w.size, list(range(w.size))
     events: list[MergeEvent] = []
@@ -322,7 +330,7 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     w = np.array(ws)
     order = np.argsort(w, kind="stable")
     merged_state = NetworkState(w[order], np.array(am, dtype=np.complex128)[order])
-    return refit_amplitudes(merged_state, y, np.array(fused)[order]), events
+    return refit_amplitudes(merged_state, observed, np.array(fused)[order]), events
 
 
 def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
@@ -362,12 +370,14 @@ def prune_statistics(state: NetworkState, observed) -> np.ndarray:
     fit) gives inf, or 0 for a node that adds no power (zero amplitude).
     """
     y = as_samples(observed)
-    return _prune_statistics(y, atom_table(state.omegas, y.size), state.alphas)
+    if state._fit is not None and state._fit[0] is y:
+        return _prune_statistics(y, *state._fit[1:], state.alphas)
+    A = atom_table(state.omegas, y.size)
+    return _prune_statistics(y, A, y - A @ state.alphas, state.alphas)
 
 
-def _prune_statistics(y: np.ndarray, A: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """prune_statistics for a design matrix the caller has already built."""
-    residual = y - A @ alphas
+def _prune_statistics(y: np.ndarray, A: np.ndarray, residual: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """prune_statistics for a design matrix and residual the caller has already built."""
     den = float(np.vdot(residual, residual).real)
     power = np.abs(A.conj().T @ residual + y.size * alphas) ** 2
     return power / den if den != 0.0 else np.where(power > 0.0, math.inf, 0.0)
@@ -421,9 +431,9 @@ def apply_prunes(state: NetworkState, observed, cfg: OrderConfig):
     if state.m_nodes == 0:
         return state, PruneReport(np.zeros(0), math.inf, np.zeros(0, dtype=bool))
     threshold = prune_threshold(y.size, state.m_nodes, cfg)
-    xi = prune_statistics(state, y)
+    xi = prune_statistics(state, observed)
     keep = xi >= threshold
-    kept = state if keep.all() else NetworkState(state.omegas[keep], state.alphas[keep])
+    kept = state if keep.all() else NetworkState._of(state.omegas[keep], state.alphas[keep])
     return kept, PruneReport(xi, float(threshold), keep)
 
 
@@ -435,14 +445,13 @@ def order_changes(state: NetworkState, observed, cfg: OrderConfig) -> bool:
     without calling apply_prunes or prune_threshold: a run calls each of
     those once per pass, and perfbench/spans.py counts them so.
     """
-    y = as_samples(observed)
-    merged, events = apply_merges(state, y, cfg)
+    merged, events = apply_merges(state, observed, cfg)
     if events:
         return True
     if merged.m_nodes == 0:
         return False
-    threshold = _keep_threshold(y.size, merged.m_nodes, cfg)
-    return bool(np.any(prune_statistics(merged, y) < threshold))
+    threshold = _keep_threshold(as_samples(observed).size, merged.m_nodes, cfg)
+    return bool(np.any(prune_statistics(merged, observed) < threshold))
 
 
 def detection_prob(snr_linear: float, n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:

@@ -33,6 +33,7 @@ fate over thousands of iterations reaches it in one polish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .order_control import (
     estimate_noise_var,
     order_changes,
 )
-from .signal_model import Sinusoid, as_samples, ls_amplitudes, wrap_angle
+from .signal_model import Signal, Sinusoid, ls_amplitudes, wrap_angle
 
 
 EPS_START_DECADE = 2
@@ -109,17 +110,21 @@ class RunReport:
         return len(self.estimates)
 
 
-def _build_report(y, state, outer, traces, merge_events, prune_events, polish_events) -> RunReport:
+def _build_report(signal, state, outer, traces, merge_events, prune_events, polish_events) -> RunReport:
     # A pass leaves its state wrapped and sorted, but for a lone node, which
     # apply_merges passes through as trained; Sinusoid wraps that one.
     estimates = [Sinusoid(a, w) for w, a in zip(state.omegas, state.alphas)]
     final = NetworkState([s.omega for s in estimates], [s.amplitude for s in estimates])
-    sigma2 = estimate_noise_var(y, forward(final, y.size))
+    sigma2 = estimate_noise_var(signal, forward(final, signal.n_samples))
     trace = np.concatenate(traces) if traces else np.zeros(0)
     return RunReport(estimates, sigma2, outer, trace, merge_events, prune_events, polish_events)
 
 
-def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunReport:
+_pass_config = lru_cache(maxsize=64)(replace)  # one TrainConfig per (train, eps)
+
+
+def _run_outer(signal: Signal, state: NetworkState, cfg: EstimatorConfig) -> RunReport:
+    # Every stage takes the Signal, so the samples are checked once a run.
     outer = 0
     traces: list[np.ndarray] = []
     merge_events: list[tuple[int, MergeEvent]] = []
@@ -135,24 +140,24 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
         if eps <= zone < prev_eps:
             # Continued, the first pass in the look-ahead zone can stop
             # before a drifting node shows, and no look-ahead would follow.
-            state = replace(state, velocity=None)
+            state = NetworkState._of(state.omegas, state.alphas)
         prev_eps = eps
         try:
             if ran_on and eps <= zone:
-                polished, polish_trace = polish_frequencies(y, state)
-                if order_changes(polished, y, cfg.order):
+                polished, polish_trace = polish_frequencies(signal, state)
+                if order_changes(polished, signal, cfg.order):
                     state = polished
                     polish_events.append((outer, polish_trace))
-            trained, trace = train_inner(y, state, replace(cfg.train, eps_tol=eps))
+            trained, trace = train_inner(signal, state, _pass_config(cfg.train, eps_tol=eps))
         except NumericalDivergence as exc:
-            exc.report = _build_report(y, state, outer, traces, merge_events, prune_events, polish_events)
+            exc.report = _build_report(signal, state, outer, traces, merge_events, prune_events, polish_events)
             raise
         traces.append(trace.mean_costs)
         ran_on = trace.iterations_run > first_stop
-        state, merged = apply_merges(trained, y, cfg.order)
+        state, merged = apply_merges(trained, signal, cfg.order)
         merge_events.extend((outer, e) for e in merged)
-        state, prune_report = apply_prunes(state, y, cfg.order)
-        pruned = not bool(np.all(prune_report.keep_mask))
+        state, prune_report = apply_prunes(state, signal, cfg.order)
+        pruned = not prune_report.keep_mask.all()
         if pruned:
             prune_events.append((outer, prune_report))
         if not (merged or pruned):
@@ -160,9 +165,9 @@ def _run_outer(y: np.ndarray, state: NetworkState, cfg: EstimatorConfig) -> RunR
                 break
             # Nothing changed, and merging kept the trained node order: the
             # next pass continues this descent rather than restarting it.
-            if trace.halvings == 0 and np.all(np.diff(wrap_angle(trained.omegas)) >= 0):
-                state = replace(state, velocity=trained.velocity)
-    return _build_report(y, state, outer, traces, merge_events, prune_events, polish_events)
+            if trace.halvings == 0 and (np.diff(wrap_angle(trained.omegas)) >= 0).all():
+                state = NetworkState._of(state.omegas, state.alphas, trained.velocity)
+    return _build_report(signal, state, outer, traces, merge_events, prune_events, polish_events)
 
 
 def estimate_spectrum(observed, cfg: EstimatorConfig | None = None) -> RunReport:
@@ -175,11 +180,11 @@ def estimate_spectrum(observed, cfg: EstimatorConfig | None = None) -> RunReport
     """
     if cfg is None:
         cfg = EstimatorConfig()
-    y = as_samples(observed)
-    state = initialize(y, cfg.order)
+    signal = observed if isinstance(observed, Signal) else Signal(observed)
+    state = initialize(signal, cfg.order)
     if state.m_nodes == 0:
-        return _build_report(y, state, 0, [], [], [], [])
-    return _run_outer(y, state, cfg)
+        return _build_report(signal, state, 0, [], [], [], [])
+    return _run_outer(signal, state, cfg)
 
 
 def estimate_with_fixed_order(observed, omegas0, cfg: EstimatorConfig | None = None) -> RunReport:
@@ -193,11 +198,11 @@ def estimate_with_fixed_order(observed, omegas0, cfg: EstimatorConfig | None = N
     """
     if cfg is None:
         cfg = EstimatorConfig()
-    y = as_samples(observed)
+    signal = observed if isinstance(observed, Signal) else Signal(observed)
     w0 = np.atleast_1d(np.asarray(omegas0, dtype=float))
     if not np.all(np.isfinite(w0)):
         raise DegenerateInput("initial frequencies must be finite")
-    if w0.size >= y.size:
-        raise Overdetermined(f"{w0.size} initial frequencies need more than {y.size} samples")
+    if w0.size >= signal.n_samples:
+        raise Overdetermined(f"{w0.size} initial frequencies need more than {signal.n_samples} samples")
     w0 = np.sort(wrap_angle(w0))
-    return _run_outer(y, NetworkState(w0, ls_amplitudes(w0, y)), cfg)
+    return _run_outer(signal, NetworkState(w0, ls_amplitudes(w0, signal.samples)), cfg)

@@ -83,6 +83,9 @@ class Signal:
             )
         object.__setattr__(self, "samples", s)
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.samples, dtype=dtype, copy=copy)
+
     @property
     def n_samples(self) -> int:
         return self.samples.size

@@ -7,6 +7,7 @@ scipy.stats, which is used only as an oracle here.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -652,6 +653,34 @@ def test_prune_statistics_measure_power_beyond_the_other_nodes():
     assert xi[1] == pytest.approx(expect, rel=1e-12)
     assert xi[1] < 0.01 * abs(np.vdot(A[:, 1], y)) ** 2 / np.vdot(r, r).real
     assert prune_statistic(1, st0, y) == xi[1]
+
+
+def test_prune_statistics_never_read_a_stale_fit():
+    # A merge that fuses nothing hands the atom table and residual it built
+    # for its noise estimate to the state it returns, and apply_prunes reads
+    # the statistics off them. A state derived from that one, or the same
+    # state on other samples, gets the statistics of a freshly built state,
+    # bit for bit.
+    n, cfg = 32, OrderConfig()
+    w = TWO_PI * np.array([0.37, 0.1, 0.22])
+    y = design_matrix(w, n) @ np.array([1.0, 0.6j, -0.8]) + 0.1 * _unit_noise(n, 16)
+    carrying, events = apply_merges(NetworkState(w, [0.9, 0.5j, -0.7]), y, cfg)
+    assert events == []
+    with pytest.raises(ValueError, match="read-only"):
+        carrying.alphas[0] = 0.0
+    perm = np.array([2, 0, 1])
+    cases = [
+        (carrying, y),
+        (replace(carrying, alphas=2 * carrying.alphas), y),
+        (NetworkState(carrying.omegas[perm], carrying.alphas[perm]), y),
+        (carrying, 2 * y),
+        (carrying, y.copy()),
+    ]
+    for state, samples in cases:
+        fresh = NetworkState(state.omegas.copy(), state.alphas.copy())
+        xi = apply_prunes(state, samples, cfg)[1].xi
+        assert xi.tobytes() == prune_statistics(fresh, samples).tobytes()
+        assert prune_statistics(state, samples).tobytes() == xi.tobytes()
 
 
 def test_refit_amplitudes_fits_selected_nodes_only():

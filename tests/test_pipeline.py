@@ -12,10 +12,16 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from linespec import pipeline
+from linespec import order_control, pipeline
 from linespec.errors import DegenerateInput, InvalidDimension, NumericalDivergence, Overdetermined
-from linespec.optimizer import NetworkState, TrainConfig, train_inner
-from linespec.order_control import OrderConfig, apply_prunes
+from linespec.optimizer import NetworkState, TrainConfig, polish_frequencies, train_inner
+from linespec.order_control import (
+    OrderConfig,
+    apply_merges,
+    apply_prunes,
+    order_changes,
+    prune_statistics,
+)
 from linespec.pipeline import (
     MAX_PASSES,
     EstimatorConfig,
@@ -24,7 +30,7 @@ from linespec.pipeline import (
     estimate_with_fixed_order,
 )
 from linespec.experiments import _draw_signal
-from linespec.signal_model import TWO_PI, Sinusoid, design_matrix
+from linespec.signal_model import TWO_PI, Sinusoid, atom_table, design_matrix
 
 N = 32
 FREQS = TWO_PI * np.array([0.1, 0.22, 0.37])
@@ -147,6 +153,28 @@ def test_non_finite_sample_is_rejected(run, bad):
     y[7] = bad
     with pytest.raises(DegenerateInput):
         run(y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "stage",
+    [
+        lambda y, s: apply_merges(s, y, OrderConfig()),
+        lambda y, s: apply_prunes(s, y, OrderConfig()),
+        lambda y, s: order_changes(s, y, OrderConfig()),
+        lambda y, s: prune_statistics(s, y),
+        lambda y, s: train_inner(y, s, TrainConfig()),
+        lambda y, s: polish_frequencies(y, s),
+    ],
+    ids=["apply_merges", "apply_prunes", "order_changes", "prune_statistics", "train_inner", "polish_frequencies"],
+)
+def test_each_stage_rejects_a_non_finite_sample(stage, bad):
+    # A run checks its samples once; each stage called on its own checks
+    # them too.
+    y, _ = _noisy_signal()
+    y[7] = bad
+    with pytest.raises(DegenerateInput):
+        stage(y, NetworkState(FREQS, AMPS))
 
 
 @pytest.mark.filterwarnings("error")
@@ -420,3 +448,41 @@ def test_a_look_ahead_that_keeps_the_order_leaves_the_run_as_it_was(monkeypatch)
     assert [s.amplitude for s in kept.estimates] == [s.amplitude for s in plain.estimates]
     assert np.array_equal(kept.cost_trace, plain.cost_trace)
     assert _inner_iterations(plain) == 20616
+
+
+def test_a_pass_that_merges_nothing_builds_one_atom_table(monkeypatch):
+    # apply_merges builds the N x M atom table of the trained nodes for its
+    # noise estimate. When it fuses nothing, apply_prunes reads its
+    # statistics off that table and residual instead of building both
+    # again. rho's table of the pair gaps is not counted.
+    passes: list[tuple[int, list]] = []
+    inside = {"stage": False, "rho": False}
+
+    def flagged(fn, key):
+        def call(*args):
+            inside[key] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[key] = False
+
+        return call
+
+    def merges(state, y, cfg):
+        passes.append((state.m_nodes, []))
+        return flagged(apply_merges, "stage")(state, y, cfg)
+
+    def table(omegas, n_samples):
+        if inside["stage"] and not inside["rho"]:
+            passes[-1][1].append((n_samples, np.size(omegas)))
+        return atom_table(omegas, n_samples)
+
+    monkeypatch.setattr(pipeline, "apply_merges", merges)
+    monkeypatch.setattr(pipeline, "apply_prunes", flagged(apply_prunes, "stage"))
+    monkeypatch.setattr(order_control, "rho", flagged(order_control.rho, "rho"))
+    monkeypatch.setattr(order_control, "atom_table", table)
+    report = estimate_spectrum(_sep3(7005))
+    merged = {p for p, _ in report.merge_events}
+    quiet = [(m, tables) for k, (m, tables) in enumerate(passes, start=1) if k not in merged]
+    assert len(passes) == report.outer_iterations and quiet
+    assert all(tables == [(N, m)] for m, tables in quiet)

@@ -174,6 +174,9 @@ def test_signal_rejects_only_an_energy_that_overflows():
 def test_as_samples_accepts_signal_and_lists():
     sig = Signal(np.array([1.0 + 1j, 2.0]))
     np.testing.assert_array_equal(as_samples(sig), sig.samples)
+    # A run hands its stages the Signal, and numpy reads it as its samples.
+    assert np.size(sig) == 2
+    assert np.asarray(sig) is sig.samples
     out = as_samples([1.0, 2.0, 3.0])
     assert out.dtype == np.complex128
     with pytest.raises(InvalidDimension):
