@@ -61,9 +61,10 @@ class NetworkState:
     state, in train_inner's private layout (4 floats per node), or None for
     a state at rest. train_inner hands back its own and continues from the
     one it is given; any other stage builds states at rest.
-    ``_fit`` is (y, A, y - A alpha) on the samples array y, which a merge that
-    fuses nothing hands to the prune statistics; no constructor or replace
-    carries it, and a state that has one has read-only arrays.
+    ``_fit`` is (the bytes of y, A, y - A alpha) for samples y, which a merge
+    that fuses nothing hands to the prune statistics; they read it only for
+    samples of the same bytes. No constructor or replace carries it, and a
+    state that has one has read-only arrays.
     """
 
     omegas: np.ndarray

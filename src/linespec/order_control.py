@@ -305,7 +305,7 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     adjacent = merge_test(w, w_next, delta, cfg)
     if not adjacent.any():
         # apply_prunes reads its statistics off this table and residual.
-        return NetworkState._of(w, a, fit=(y, A, residual)), []
+        return NetworkState._of(w, a, fit=(y.tobytes(), A, residual)), []
 
     ws, am, fused, origin = list(w), list(a), [False] * w.size, list(range(w.size))
     events: list[MergeEvent] = []
@@ -370,7 +370,7 @@ def prune_statistics(state: NetworkState, observed) -> np.ndarray:
     fit) gives inf, or 0 for a node that adds no power (zero amplitude).
     """
     y = as_samples(observed)
-    if state._fit is not None and state._fit[0] is y:
+    if state._fit is not None and state._fit[0] == y.tobytes():
         return _prune_statistics(y, *state._fit[1:], state.alphas)
     A = atom_table(state.omegas, y.size)
     return _prune_statistics(y, A, y - A @ state.alphas, state.alphas)

@@ -681,6 +681,10 @@ def test_prune_statistics_never_read_a_stale_fit():
         xi = apply_prunes(state, samples, cfg)[1].xi
         assert xi.tobytes() == prune_statistics(fresh, samples).tobytes()
         assert prune_statistics(state, samples).tobytes() == xi.tobytes()
+    # The very samples array the table was built on, edited in place.
+    y[3] += 0.5
+    fresh = NetworkState(carrying.omegas.copy(), carrying.alphas.copy())
+    assert apply_prunes(carrying, y, cfg)[1].xi.tobytes() == prune_statistics(fresh, y).tobytes()
 
 
 def test_refit_amplitudes_fits_selected_nodes_only():
