@@ -6,9 +6,10 @@ frequency omega and a complex amplitude alpha, and the output layer sums the
 node responses into the model signal x_hat. Training minimizes the squared
 residual C = ||y - x_hat||^2 by gradient descent with exponential moving
 average momentum, using the analytic complex (Wirtinger) gradient for the
-amplitudes and the real gradient for the frequencies. polish_frequencies
-minimizes the same cost at a fixed order by variable projection; the
-pipeline's look-ahead runs it on a copy of the state.
+amplitudes and the real gradient for the frequencies; two kernels of one
+interface evaluate them at real frequencies with atom_table's operations.
+polish_frequencies minimizes the same cost at a fixed order by variable
+projection; the pipeline's look-ahead runs it on a copy of the state.
 """
 
 from __future__ import annotations
@@ -60,7 +61,9 @@ class NetworkState:
     ``velocity`` is the momentum buffer of the descent that produced the
     state, in train_inner's private layout (4 floats per node), or None for
     a state at rest. train_inner hands back its own and continues from the
-    one it is given; any other stage builds states at rest.
+    one it is given. The order-control stages build the states they change
+    at rest and hand on the ones they leave alone as they came; the
+    estimator's outer loop decides what each pass starts from.
     ``_fit`` is (the bytes of y, A, y - A alpha) for samples y, which a merge
     that fuses nothing hands to the prune statistics; they read it only for
     samples of the same bytes. No constructor or replace carries it, and a
@@ -189,41 +192,29 @@ class CostTrace:
         return self.exit_reason != "max_iter"
 
 
-def _j_omegas(omegas: np.ndarray) -> np.ndarray:
-    """j * omegas as the kernels take it: real parts -0.0, imaginary parts omegas.
-
-    With a -0.0 real part, the imaginary part of k * (j*w) for a real k is
-    k*w + (-0.0), which is k*w with its sign of zero, so the phases have the
-    bits of the real product k*w.
-    """
-    jw = np.empty(omegas.size, dtype=np.complex128)
-    jw.real = -0.0
-    jw.imag = omegas
-    return jw
-
-
 class _Kernel:
     """Model, residual and both gradient sums for one signal y and M nodes.
 
-    Every array is allocated once, here; ``residual_j`` and
+    Every array is allocated once, here; ``residual`` and
     ``gradient_sums`` only write into them, so each call overwrites what the
     last one returned. Every numpy call passes its output positionally and
     takes array operands only, the cheapest way to call a ufunc on a few
-    dozen numbers. Training passes the frequencies as j*omegas (see
-    _j_omegas), so the phases are one complex product; ``residual`` takes
-    real frequencies. The design matrix A = exp(j * outer(n, omegas))
-    is built by angle addition on the split of signal_model.atom_split: one
-    exp per step k (the B offsets s, then the multiples q*B) and node,
-    B + ceil(N/B) of them instead of N, and one complex multiply per entry
-    of A. These are signal_model.atom_table's operations into fixed
-    buffers, so A has its bits.
+    dozen numbers. The design matrix A = exp(j * outer(n, omegas)) is built
+    by angle addition on the split of signal_model.atom_split: the phases
+    k*omegas are written into the imaginary part of a buffer whose real
+    part stays 0, then one exp per step k (the B offsets s, then the
+    multiples q*B) and node, B + ceil(N/B) of them instead of N, and one
+    complex multiply per entry of A. These are signal_model.atom_table's
+    operations into fixed buffers, so A has its bits.
     """
 
     def __init__(self, y: np.ndarray, m_nodes: int):
         n_samples = y.size
         b, k = atom_split(n_samples)
         self._y = y
-        self._k = k.astype(np.complex128)
+        self._k = k
+        self._phase = np.zeros((k.size, m_nodes), dtype=np.complex128)
+        self._phase_im = self._phase.imag
         self._steps = np.empty((k.size, m_nodes), dtype=np.complex128)
         self._hi = self._steps[b:, None, :]
         self._lo = self._steps[None, :b, :]
@@ -237,13 +228,9 @@ class _Kernel:
         self._s0, self._s1 = self.s
 
     def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Rebuild A at the real frequencies omegas and return r = A alpha - y."""
-        return self.residual_j(_j_omegas(omegas), alphas)
-
-    def residual_j(self, j_omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Rebuild A at the frequencies j_omegas and return r = A alpha - y."""
-        np.multiply(self._k, j_omegas, self._steps)
-        np.exp(self._steps, self._steps)
+        """Rebuild A at the frequencies omegas and return r = A alpha - y."""
+        np.multiply(self._k, omegas, self._phase_im)
+        np.exp(self._phase, self._steps)
         np.multiply(self._hi, self._lo, self._prod)
         np.matmul(self.A, alphas, self.r)
         np.subtract(self.r, self._y, self.r)
@@ -289,10 +276,10 @@ class _FactoredKernel:
         b, k = atom_split(n_samples)
         q = k.size - b
         self._y = y
-        self._k = np.array([[1.0], [b]], dtype=np.complex128)
-        # The phases [1; B] * (j*w) go into _z, and exp runs in place there.
+        self._k = np.array([[1.0], [b]])
+        self._phase = np.zeros((2, 1, m_nodes), dtype=np.complex128)
+        self._phase_im = self._phase.imag[:, 0]
         self._z = np.empty((2, 1, m_nodes), dtype=np.complex128)
-        self._phase = self._z[:, 0]
         self._bases = np.broadcast_to(self._z, (2, b - 1, m_nodes))
         # Row 0 of each plane stays one; accumulate writes the powers below it.
         self._powers = np.ones((2, b, m_nodes), dtype=np.complex128)
@@ -312,12 +299,10 @@ class _FactoredKernel:
         self._n = np.arange(n_samples, dtype=np.complex128)
         self.s = np.empty((2, m_nodes), dtype=np.complex128)
 
-    residual = _Kernel.residual
-
-    def residual_j(self, j_omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Evaluate the factors at the frequencies j_omegas and return r = A alpha - y."""
-        np.multiply(self._k, j_omegas, self._phase)
-        np.exp(self._z, self._z)
+    def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+        """Evaluate the factors at the frequencies omegas and return r = A alpha - y."""
+        np.multiply(self._k, omegas, self._phase_im)
+        np.exp(self._phase, self._z)
         np.multiply.accumulate(self._bases, 1, None, self._rows)
         np.multiply(self._h, alphas, self._ha)
         np.matmul(self._ha, self._lt, self._x)
@@ -403,20 +388,20 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     kernel = (_FactoredKernel if n_samples >= _FACTORED_MIN_N else _Kernel)(y, m)
     # Parameters, momentum, rates and steps share one flat float layout:
     # the complex slots [alpha; j*omega] as (re, im) pairs, each frequency
-    # in the imaginary part of its slot with a real part of -0.0 (see
-    # _j_omegas). Three parameter buffers rotate: the current one, the best
-    # one (often the same) and a free one that takes the next iterate, so
-    # keeping the best state copies nothing.
+    # in the imaginary part of its slot, the view the kernel reads. Three
+    # parameter buffers rotate: the current one, the best one (often the
+    # same) and a free one that takes the next iterate, so keeping the best
+    # state copies nothing.
     bufs = []
     for _ in range(3):
-        p = np.empty(4 * m)
+        p = np.zeros(4 * m)
         c_slots = p.view(np.complex128)
-        bufs.append((p, c_slots[:m], c_slots[m:]))
-    p, a, jw = bufs[0]
+        bufs.append((p, c_slots[:m], c_slots[m:].imag))
+    p, a, w = bufs[0]
     a[:] = state.alphas
-    jw[:] = _j_omegas(state.omegas)
+    w[:] = state.omegas
     # The real slots of the frequency block get rate 0 and scale 0: their
-    # momentum stays +0.0 and their parameters -0.0.
+    # momentum and parameters stay 0.
     rates = np.zeros(4 * m)
     rates[: 2 * m] = cfg.gamma_alpha
     rates[2 * m + 1 :: 2] = cfg.gamma_omega
@@ -436,7 +421,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     s_pairs = s.reshape(2 * m).view(float)
     s_w = s[1]
 
-    r = kernel.residual_j(jw, a)
+    r = kernel.residual(w, a)
     cbar = float(np.vdot(r, r).real) / n_samples
     trace = [cbar]
     best_c = cbar
@@ -448,7 +433,7 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
 
     # Loop invariants, looked up once.
     gradient_sums = kernel.gradient_sums
-    residual = kernel.residual_j
+    residual = kernel.residual
     multiply = np.multiply
     add = np.add
     subtract = np.subtract
@@ -471,10 +456,10 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
         nxt = (cur + 1) % 3
         if nxt == best:
             nxt = (nxt + 1) % 3
-        q, a, jw = bufs[nxt]
+        q, a, w = bufs[nxt]
         subtract(p, step, q)
         p, cur = q, nxt
-        r = residual(jw, a)
+        r = residual(w, a)
         c = float(vdot(r, r).real) / n_samples
         append(c)
         if not isfinite(c):
@@ -488,8 +473,8 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
                 rates *= 0.5
                 d[:] = 0.0
                 cur = best
-                p, a, jw = bufs[best]
-                residual(jw, a)
+                p, a, w = bufs[best]
+                residual(w, a)
                 c = best_c
                 rising = 0
                 halvings += 1
@@ -509,10 +494,10 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
 
     velocity = d
     if c > trace[0]:
-        _, a, jw = bufs[best]
+        _, a, w = bufs[best]
         velocity = None
     # Every iterate's cost was checked finite, and so are its parameters.
-    out = NetworkState._of(jw.imag.copy(), a.copy(), velocity)
+    out = NetworkState._of(w.copy(), a.copy(), velocity)
     return out, CostTrace(np.asarray(trace), t, halvings, exit_reason)
 
 

@@ -12,13 +12,14 @@ exact power of ten or the floor itself. The loop exits when a floor pass
 makes no structural change, after MAX_PASSES passes, or when no node is
 left.
 
-A pass that merged and pruned nothing, halved no rate, returned its last
-iterate and kept its node order through apply_merges' sort hands its
-momentum (NetworkState.velocity) to the next pass, which continues the
-descent instead of restarting it, and so skips the min_iter wait of a
-start from rest. Every other pass starts from rest, and so does the first
-pass within a decade of the floor, so that a drifting node runs long
-enough there to trigger the look-ahead.
+One rule, at the end of a pass that merged and pruned nothing, sets what
+the next pass starts from. If the pass halved no rate, returned its last
+iterate and kept its node order through apply_merges' sort, and the next
+pass is not the first within a decade of the floor, the next pass
+continues the descent from its momentum (NetworkState.velocity) and skips
+the min_iter wait of a start from rest. Otherwise it starts from rest, a
+lone node too; the first pass within a decade of the floor does so that
+a drifting node runs long enough there to trigger the look-ahead.
 
 Before a pass whose tolerance is within a decade of the floor, if the pass
 before it ran past its first chance to stop (min_iter + _CONSEC_HITS
@@ -133,15 +134,9 @@ def _run_outer(signal: Signal, state: NetworkState, cfg: EstimatorConfig) -> Run
     first_stop = cfg.train.min_iter + _CONSEC_HITS
     zone = 10.0 * cfg.train.eps_tol
     ran_on = False
-    prev_eps = np.inf
     while outer < MAX_PASSES and state.m_nodes > 0:
         eps = max(10.0 ** -(EPS_START_DECADE + outer), cfg.train.eps_tol)
         outer += 1
-        if eps <= zone < prev_eps:
-            # Continued, the first pass in the look-ahead zone can stop
-            # before a drifting node shows, and no look-ahead would follow.
-            state = NetworkState._of(state.omegas, state.alphas)
-        prev_eps = eps
         try:
             if ran_on and eps <= zone:
                 polished, polish_trace = polish_frequencies(signal, state)
@@ -163,10 +158,14 @@ def _run_outer(signal: Signal, state: NetworkState, cfg: EstimatorConfig) -> Run
         if not (merged or pruned):
             if eps == cfg.train.eps_tol:
                 break
-            # Nothing changed, and merging kept the trained node order: the
-            # next pass continues this descent rather than restarting it.
-            if trace.halvings == 0 and (np.diff(wrap_angle(trained.omegas)) >= 0).all():
-                state = NetworkState._of(state.omegas, state.alphas, trained.velocity)
+            # The next pass continues this descent unless this pass halved a
+            # rate or merging reordered its nodes, or the next pass is the
+            # first in the look-ahead zone: continued, that one can stop
+            # before a drifting node shows, and no look-ahead would follow.
+            steady = trace.halvings == 0 and (np.diff(wrap_angle(trained.omegas)) >= 0).all()
+            enters_zone = eps > zone >= 10.0 ** -(EPS_START_DECADE + outer)
+            velocity = trained.velocity if steady and not enters_zone else None
+            state = NetworkState._of(state.omegas, state.alphas, velocity)
     return _build_report(signal, state, outer, traces, merge_events, prune_events, polish_events)
 
 

@@ -12,7 +12,7 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
-from linespec import order_control, pipeline
+from linespec import optimizer, order_control, pipeline
 from linespec.errors import DegenerateInput, InvalidDimension, NumericalDivergence, Overdetermined
 from linespec.optimizer import NetworkState, TrainConfig, polish_frequencies, train_inner
 from linespec.order_control import (
@@ -394,28 +394,60 @@ def test_passes_that_stop_at_their_first_chance_never_look_ahead(monkeypatch):
     assert report.polish_events == []
 
 
-def test_a_pass_continues_the_descent_only_after_a_pass_that_changed_nothing(monkeypatch):
-    # A pass starts with a velocity only when the pass before it merged and
-    # pruned nothing, it trains no polished copy, and it is not the first
-    # look-ahead pass (1e-8), which restarts.
-    seen: list[tuple[float, bool]] = []
+def _check_carries(monkeypatch, signals, eps_tol):
+    """Run each signal at the floor eps_tol; return (continued passes, passes after a halving).
 
-    def recording(y, state, cfg):
-        seen.append((cfg.eps_tol, state.velocity is not None))
-        return train_inner(y, state, cfg)
+    A pass may start with a velocity only when the pass before it merged
+    and pruned nothing and halved no rate, it trains no polished copy, and
+    it is not the first pass within a decade of the floor (the 1e-8 pass
+    at the default floor, the 1e-6 pass at 1e-7), which restarts.
+    """
+    cfg = EstimatorConfig(train=TrainConfig(eps_tol=eps_tol))
+    seen: list[tuple[float, bool, int]] = []
+
+    def recording(y, state, pass_cfg):
+        trained, trace = train_inner(y, state, pass_cfg)
+        seen.append((pass_cfg.eps_tol, state.velocity is not None, trace.halvings))
+        return trained, trace
 
     monkeypatch.setattr(pipeline, "train_inner", recording)
-    continued = 0
-    for seed in range(7000, 7010):
+    continued = after_halving = 0
+    for i, y in enumerate(signals):
         seen.clear()
-        report = estimate_spectrum(_sep3(seed))
+        report = estimate_spectrum(y, cfg)
         changed = {p for p, _ in report.merge_events + report.prune_events}
         polished = {p for p, _ in report.polish_events}
-        for k, (eps, moving) in enumerate(seen, start=1):
+        first_in_zone = next(k for k, (eps, _, _) in enumerate(seen, start=1) if eps <= 10.0 * eps_tol)
+        for k, (eps, moving, _) in enumerate(seen, start=1):
+            halved = k > 1 and seen[k - 2][2] > 0
+            after_halving += halved
             if moving:
-                assert k > 1 and k - 1 not in changed and k not in polished and eps != 1e-8, (seed, k)
+                assert k > 1 and k - 1 not in changed and k not in polished, (eps_tol, i, k)
+                assert not halved and k != first_in_zone, (eps_tol, i, k)
                 continued += 1
-    assert continued > 0
+    return continued, after_halving
+
+
+def test_a_pass_continues_the_descent_only_after_a_pass_that_changed_nothing(monkeypatch):
+    for eps_tol in (1e-9, 1e-7):
+        continued, _ = _check_carries(monkeypatch, [_sep3(seed) for seed in range(7000, 7010)], eps_tol)
+        assert continued > 0, eps_tol
+
+
+def _one_tone(seed):
+    """One unit tone at 0.3 cycles per sample, N = 16, 10 dB."""
+    y, _, _ = _draw_signal(np.array([0.3 * TWO_PI]), np.ones(1), 16, 10.0, np.random.default_rng(seed))
+    return y
+
+
+def test_a_lone_node_starts_from_rest_after_a_pass_that_halved(monkeypatch):
+    # apply_merges hands a lone node on as trained, velocity included, so
+    # only the carry rule stops a halved descent from continuing. At
+    # patience 2 most one-node passes halve.
+    monkeypatch.setattr(optimizer, "_SAFEGUARD_PATIENCE", 2)
+    for eps_tol in (1e-9, 1e-7):
+        _, after_halving = _check_carries(monkeypatch, [_one_tone(seed) for seed in range(10)], eps_tol)
+        assert after_halving > 0, eps_tol
 
 
 def test_a_drifting_spare_node_is_settled_by_the_look_ahead():

@@ -212,6 +212,29 @@ def test_the_cluster_scene_runs_acceptance_08s_estimator(tmp_path):
     assert json.loads(again.stdout.splitlines()[-1])["same_results"] is True
 
 
+def test_the_order_scenes_are_acceptance_07s_draws(monkeypatch, tmp_path):
+    # --scene order1 and order3 draw mc_order's trials (N = 32, 10 dB, one
+    # or three tones, trial seed base + t) and run the default estimator.
+    from linespec import experiments
+    from linespec.pipeline import estimate_spectrum
+
+    tool = _load_tool()
+    for k, base in ((1, 5017), (3, 5051)):
+        drawn = []
+        monkeypatch.setattr(experiments, "estimate_spectrum", lambda y: drawn.append(y) or estimate_spectrum(y))
+        experiments.mc_order(32, 10.0, trials=2, base_seed=base, k_values=(k,))
+        scenes = [tool.OrderScenes(k).scene(base + t) for t in range(2)]
+        assert [s.y.tobytes() for s in scenes] == [y.tobytes() for y in drawn]
+        assert [s.freqs.size for s in scenes] == [k, k]
+    saved = tmp_path / "order3.json"
+    args = [sys.executable, str(TOOL), "--scene", "order3", "5051", "5053", "--out", str(saved)]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(saved.read_text())["rows"]
+    assert [r["true_k"] for r in rows] == [3, 3]
+    assert [r["omegas"] for r in rows] == [[s.omega for s in estimate_spectrum(y).estimates] for y in drawn]
+
+
 @pytest.mark.parametrize("argv", [["7000", "7001"], ["sep3_n32", "7000", "7001", "--scene", "cluster"]])
 def test_a_run_names_a_workload_or_the_cluster_scene_but_not_both(argv, capsys):
     tool = _load_tool()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linespec.errors import DegenerateInput, InvalidDimension
-from linespec.optimizer import _Kernel
+from linespec.optimizer import _FactoredKernel, _Kernel
 from linespec.signal_model import (
     TWO_PI,
     NoiseSpec,
@@ -57,14 +57,32 @@ def test_atom_split_is_computed_once_per_n_and_read_only():
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 512])
 def test_atom_table_has_the_training_kernels_bits(n):
     # Frequencies below 0 and above 2*pi included, and M = 0 to 8 nodes.
+    # Both kernels take the frequencies as a contiguous array or as the
+    # imaginary view of complex slots, as train_inner passes them, with the
+    # same bits. _Kernel's A is the table; _FactoredKernel's exps
+    # exp(j*w) and exp(j*B*w) are its rows 1 and B.
     omegas = np.array([-2.5, -0.1, 0.0, 1.3, TWO_PI - 1e-3, TWO_PI + 0.7, 3.0 * TWO_PI + 2.2, -40.0])
+    b = atom_split(n)[0]
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for m in range(omegas.size + 1):
         w = omegas[:m]
-        kernel = _Kernel(np.zeros(n), m)
-        kernel.residual(w, np.zeros(m, dtype=complex))
         table = atom_table(w, n)
         assert table.shape == (n, m)
-        assert table.tobytes() == kernel.A.tobytes()
+        slots = np.zeros(2 * m, dtype=np.complex128)
+        view = slots[m:].imag
+        view[:] = w
+        alphas = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for cls in (_Kernel, _FactoredKernel):
+            kernel = cls(y, m)
+            from_view = kernel.residual(view, alphas).copy()
+            assert kernel.residual(w.copy(), alphas).tobytes() == from_view.tobytes()
+            if cls is _Kernel:
+                assert table.tobytes() == kernel.A.tobytes()
+            else:
+                z1, zb = kernel._z[:, 0]
+                assert n < 2 or table[1].tobytes() == z1.tobytes()
+                assert n <= b or table[b].tobytes() == zb.tobytes()
         # A column's bits do not depend on the other columns, so a scalar
         # and an array of frequencies agree (rho relies on it).
         for i in range(m):

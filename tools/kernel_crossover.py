@@ -5,7 +5,7 @@ Usage, from the root of a checkout::
     python3 tools/kernel_crossover.py
     python3 tools/kernel_crossover.py --n 128 256 512 --m 8 16 --repeats 21
 
-Times one ``residual_j`` + ``gradient_sums`` call, the kernel's share of a
+Times one ``residual`` + ``gradient_sums`` call, the kernel's share of a
 training iteration, of ``optimizer._FactoredKernel`` and of
 ``optimizer._Kernel`` on the same seeded signal, nodes and amplitudes,
 in-process, with one OpenBLAS thread as the benchmark runs it. Each repeat
@@ -44,7 +44,7 @@ def batch_times(optimizer, n: int, m: int, repeats: int, calls: int) -> dict:
     """Per-call seconds of each kernel in each of ``repeats`` alternating batches."""
     rng = np.random.default_rng([n, m])
     y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    j_omegas = optimizer._j_omegas(np.sort(rng.uniform(0.0, 2.0 * np.pi, m)))
+    omegas = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
     alphas = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     kernels = {"factored": optimizer._FactoredKernel(y, m), "table": optimizer._Kernel(y, m)}
     times = {name: np.empty(repeats) for name in kernels}
@@ -54,7 +54,7 @@ def batch_times(optimizer, n: int, m: int, repeats: int, calls: int) -> dict:
             kernel = kernels[name]
             start = perf_counter()
             for _ in range(calls):
-                kernel.residual_j(j_omegas, alphas)
+                kernel.residual(omegas, alphas)
                 kernel.gradient_sums()
             times[name][repeat] = (perf_counter() - start) / calls
     return times

@@ -6,13 +6,17 @@ Usage, from the root of a checkout::
     python3 tools/same_results.py tones8_n512 8000 8020 --against before.json
     python3 tools/same_results.py tones8_n512 8000 8020 --perturb 3
     python3 tools/same_results.py --scene cluster 9000 9020 --perturb 3
+    python3 tools/same_results.py --scene order1 5017 5217 --out order1.json
 
 Runs ``estimate_spectrum`` once per seed in [START, STOP) on the scenes of
 ``perfbench/scenes.py`` (any seed, not only the workload's benchmark set),
-with one OpenBLAS thread as the benchmark runs it. ``--scene cluster``
-takes no workload: it runs acceptance 08's estimator on
+with one OpenBLAS thread as the benchmark runs it. The other scenes take
+no workload. ``--scene cluster`` runs acceptance 08's estimator on
 ``experiments.cluster_case``'s draws instead (see ClusterScenes), and
-nodes_out is the size of its start. Prints one JSON line per
+nodes_out is the size of its start. ``--scene order1`` and ``--scene
+order3`` run the default estimator on acceptance 07's draws, those of
+``experiments.mc_order`` at N = 32 and 10 dB with one or three tones and
+trial seed base + t (see OrderScenes). Prints one JSON line per
 seed: the counts ``perfbench/run.py`` checks (k_hat, nodes_out,
 iterations, passes, merges, prunes) and the sha256 of the estimated
 frequencies, amplitudes, noise variance, cost trace and pass count, in
@@ -88,6 +92,33 @@ class ClusterScenes:
 
     def estimate_spectrum(self, y):
         return self._linespec.estimate_with_fixed_order(y, self._experiments._cluster_init(y))
+
+
+class OrderScenes:
+    """Acceptance 07's scenes, in place of a workload.
+
+    scene(seed) is the draw of ``experiments.mc_order``'s trial whose seed
+    is ``seed``: K frequencies at least 4 bins apart on N = 32 samples,
+    unit magnitudes with random phases, 10 dB SNR.
+    """
+
+    N_SAMPLES = 32
+    SNR_DB = 10.0
+
+    def __init__(self, k: int):
+        from linespec import experiments
+        from scenes import Scene
+
+        self._k = k
+        self._experiments = experiments
+        self._scene = Scene
+
+    def scene(self, seed: int):
+        ex, n = self._experiments, self.N_SAMPLES
+        rng = np.random.default_rng(seed)
+        freqs = np.sort(ex.sample_well_separated(rng, self._k, 4 * ex.TWO_PI / n))
+        y, sigma2, amps = ex._draw_signal(freqs, np.ones(self._k), n, self.SNR_DB, rng)
+        return self._scene(seed, y, freqs, amps, sigma2)
 
 
 def seed_row(linespec, scene) -> dict:
@@ -178,7 +209,7 @@ def moved(rows: list[dict], old: list[dict]) -> tuple[list[dict], dict]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("workload", nargs="?", help="a perfbench workload; omitted with --scene cluster")
+    ap.add_argument("workload", nargs="?", help="a perfbench workload; omitted with any other --scene")
     ap.add_argument("start", type=int)
     ap.add_argument("stop", type=int)
     out = ap.add_mutually_exclusive_group()
@@ -187,13 +218,14 @@ def main(argv=None) -> int:
     ap.add_argument("--perturb", type=int, default=0, metavar="K", help="also estimate K perturbed copies of each seed")
     ap.add_argument(
         "--scene",
-        choices=("workload", "cluster"),
+        choices=("workload", "cluster", "order1", "order3"),
         default="workload",
-        help="cluster: acceptance 08's draws and estimator instead of a workload's scenes",
+        help="instead of a workload's scenes, cluster: acceptance 08's draws and estimator;"
+        " order1, order3: acceptance 07's draws with one or three tones",
     )
     args = ap.parse_args(argv)
-    if (args.workload is None) != (args.scene == "cluster"):
-        ap.error("give a workload, or --scene cluster without one")
+    if (args.workload is None) != (args.scene != "workload"):
+        ap.error("give a workload, or --scene cluster, order1 or order3 without one")
     if args.perturb < 0:
         ap.error("--perturb must be at least 0")
     if args.stop <= args.start:
@@ -204,9 +236,12 @@ def main(argv=None) -> int:
 
     if args.scene == "cluster":
         workload = linespec = ClusterScenes(linespec)
-        args.workload = "cluster"
-    else:
+    elif args.scene == "workload":
         workload = scenes.WORKLOADS[args.workload]
+    else:
+        workload = OrderScenes(int(args.scene[-1]))
+    if args.scene != "workload":
+        args.workload = args.scene
     old = json.loads(args.against.read_text())["rows"] if args.against else None
     rows = []
     shown_keys = ("seed", *run.COUNT_KEYS, "sha256") + (("perturbed_k_hat",) if args.perturb else ())
