@@ -8,6 +8,15 @@ on the side of its stronger neighbor bin (off-grid tones split their energy
 over two bins), and fit initial amplitudes by least squares, one pair at a
 time.
 
+The peaks sit on the padded grid, so their fit needs no table of their
+atoms a_k = e^{j 2 pi k n / L}: a_k^H y is the spectrum's bin k, and
+a_k^H a_l = g[(l - k) mod L] with g the unscaled inverse FFT of N ones.
+np.linalg.lstsq solves that M x M system and counts singular values below
+1e-24 of the largest as zero: the Gram matrix's singular values are the
+squares of the atoms', so this is ls_amplitudes' 1e-12 cut. The residual
+is y minus the inverse FFT of the amplitudes placed at their bins. The
+pair fits are closed-form 2 x 2 solves (_pair_fits).
+
 PEAK_GATE_EPSILON is the per-bin false-alarm probability of the gate that
 separates spectral peaks from noise ripples. It is strict: weak spurious
 peaks that sit on the sidelobes of a strong tone survive gradient training
@@ -24,13 +33,14 @@ at most N - 1 nodes; for N <= 2 the start is empty.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidDimension
 from .optimizer import NetworkState
-from .order_control import OrderConfig, _prune_statistics, merge_radius, prune_threshold
-from .signal_model import TWO_PI, Sinusoid, _ls_solve, as_samples, atom_table, wrap_angle
+from .order_control import OrderConfig, merge_radius, prune_threshold
+from .signal_model import TWO_PI, Sinusoid, as_samples, atom_table, wrap_angle
 
 
 L_FACTOR = 4
@@ -74,30 +84,89 @@ def find_peaks(spectrum_mag, noise_floor: float) -> list[int]:
     return [int(k) for k in np.nonzero(keep)[0]]
 
 
-def _kept_peaks(y: np.ndarray, order: OrderConfig):
-    """The start's first stage: (|spectrum|, kept peak bins, their atoms, amplitudes).
+@lru_cache(maxsize=16)
+def _padded_gram(n_samples: int) -> np.ndarray:
+    """g with a_k^H a_l = g[(l - k) mod L] for the padded-grid atoms a_k = e^{j 2 pi k n / L}.
 
-    The gated peaks enter one least-squares fit, at most (N - 1) // 2 of
-    them so that peaks and companions stay fewer than the N samples (see
-    the module docstring): the strongest, the lower bin first on a tie,
-    kept in bin order. A sidelobe peak is leakage of a stronger tone, so
-    the fit gives it almost no amplitude and the prune test drops it: the
-    test each outer pass runs (prune_statistics against prune_threshold),
-    applied to a fitted model of the peaks alone. The kept peaks are fitted
-    again, jointly; none kept gives empty arrays.
+    g[m] is the sum of e^{j 2 pi m n / L} over n < N, the unscaled inverse
+    FFT of N ones padded to L = L_FACTOR * N. Computed once per N, read-only.
+    """
+    g = np.fft.ifft(np.ones(n_samples), L_FACTOR * n_samples, norm="forward")
+    g.flags.writeable = False
+    return g
+
+
+def _peak_fit(y: np.ndarray, spectrum: np.ndarray, bins: np.ndarray):
+    """(alphas, residual r, a_k^H r): the least-squares fit of the atoms at ``bins``, from the spectrum."""
+    big_l = spectrum.size
+    gram = _padded_gram(y.size)[(bins[None, :] - bins[:, None]) % big_l]
+    alphas = np.linalg.lstsq(gram, spectrum[bins], rcond=1e-24)[0]
+    placed = np.zeros(big_l, dtype=complex)
+    placed[bins] = alphas
+    residual = y - np.fft.ifft(placed, norm="forward")[: y.size]
+    return alphas, residual, np.fft.fft(residual, big_l)[bins]
+
+
+def _kept_peaks(y: np.ndarray, order: OrderConfig):
+    """The start's first stage: (|spectrum|, kept peak bins, amplitudes, residual, a_k^H residual).
+
+    The gated peaks enter one least-squares fit (_peak_fit), at most
+    (N - 1) // 2 of them so that peaks and companions stay fewer than the N
+    samples (see the module docstring): the strongest, the lower bin first
+    on a tie, kept in bin order. A sidelobe peak is leakage of a stronger
+    tone, so the fit gives it almost no amplitude and the prune test drops
+    it: the test each outer pass runs (prune_statistics, inf or 0 on an
+    exact fit, against prune_threshold), applied to a fitted model of the
+    peaks alone. If it drops a peak, the kept peaks are fitted again,
+    jointly; none kept gives empty arrays.
     """
     n = y.size
-    mag = np.abs(zero_padded_fft(y))
+    spectrum = zero_padded_fft(y)
+    mag = np.abs(spectrum)
     bins = np.array(find_peaks(mag, noise_floor_estimate(mag, n)), dtype=int)
     bins = np.sort(bins[np.argsort(-mag[bins], kind="stable")[: (n - 1) // 2]])
-    A = atom_table(TWO_PI * bins / mag.size, n)
-    if bins.size:
-        alphas = _ls_solve(A, y)
-        keep = _prune_statistics(y, A, y - A @ alphas, alphas) >= prune_threshold(n, bins.size, order)
-        # A column of atom_table does not depend on the others, so the kept
-        # columns are the table of the kept peaks.
-        bins, A = bins[keep], np.ascontiguousarray(A[:, keep])
-    return mag, bins, A, _ls_solve(A, y)
+    if not bins.size:
+        return mag, bins, np.zeros(0, dtype=complex), y, np.zeros(0, dtype=complex)
+    alphas, residual, projected = _peak_fit(y, spectrum, bins)
+    den = float(np.vdot(residual, residual).real)
+    power = np.abs(projected + n * alphas) ** 2
+    xi = power / den if den != 0.0 else np.where(power > 0.0, math.inf, 0.0)
+    keep = xi >= prune_threshold(n, bins.size, order)
+    if not keep.all():
+        bins = bins[keep]
+        alphas, residual, projected = _peak_fit(y, spectrum, bins)
+    return mag, bins, alphas, residual, projected
+
+
+def _pair_fits(residual, projected, alphas, heads, companions) -> np.ndarray:
+    """(K, 2) amplitudes of each peak atom a_i and its companion c_i, fitted to p_i = r + a_i alpha_i.
+
+    ``projected`` holds a_i^H r. Each pair is one 2 x 2 solve in the basis
+    (a_i, c_i - a_i), whose Gram entries are sums over n of
+    e^{j delta n} - 1 = -2 sin^2(delta n / 2) + j sin(delta n), delta the
+    pair's gap: so they keep their digits as delta goes to 0, where
+    N^2 - |a_i^H c_i|^2 would cancel to nothing. Only the companions' atoms
+    are built. As ls_amplitudes cuts singular values below 1e-12 of the
+    largest, a pair so close that [a_i, c_i] falls under that cut takes the
+    minimum-norm fit: equal halves where c_i is a_i.
+    """
+    n = residual.size
+    phase = np.outer(companions - heads, np.arange(n))
+    half_sin2 = np.sum(np.sin(phase / 2) ** 2, axis=1)
+    cross = -2.0 * half_sin2 + 1j * np.sum(np.sin(phase), axis=1)  # a^H (c - a)
+    spread = 4.0 * half_sin2  # ||c - a||^2
+    head_fit = projected + n * alphas  # a^H p
+    companion_r = (residual.conj() @ atom_table(companions, n)).conj()  # c^H r
+    gap_fit = companion_r - projected + alphas * cross.conj()  # (c - a)^H p
+    det = n * spread - np.abs(cross) ** 2
+    top = n + np.abs(n + cross)  # the larger squared singular value of [a, c]
+    cut = det <= (1e-12 * top) ** 2
+    det = np.where(cut, np.inf, det)  # a cut pair takes only the minimum-norm fit below
+    gap = (n * gap_fit - cross.conj() * head_fit) / det
+    head = ((spread + cross.conj()) * head_fit - (n + cross) * gap_fit) / det
+    turn = (n + cross) / np.abs(n + cross)  # the phase of a^H c
+    half = np.where(cut, (head_fit + turn * (head_fit + gap_fit)) / (2.0 * top), 0.0)
+    return np.column_stack((head + half, gap + turn.conj() * half))
 
 
 def initialize(observed, order: OrderConfig | None = None) -> NetworkState:
@@ -113,32 +182,30 @@ def initialize(observed, order: OrderConfig | None = None) -> NetworkState:
     merged away; at large N a full padded bin lies beyond that radius, and
     an isolated tone would start, and stay, as an unmergeable split pair.
     Each pair is fitted by least squares to the data minus the other peaks'
-    joint fit, never jointly with all pairs: atoms a fraction of a bin
-    apart across all peaks make that fit ill conditioned, and its
-    amplitudes cancel each other at many times a tone's size. An empty
-    peak set (pure noise under the gate) yields an M = 0 state.
+    joint fit, never jointly with all pairs: atoms a fraction of a bin apart
+    across all peaks make that fit ill conditioned, and its amplitudes
+    cancel each other at many times a tone's size. The pair fits are
+    closed-form 2 x 2 solves (_pair_fits) with ls_amplitudes' 1e-12
+    singular-value cut, as the peak fit is one M x M solve with its square
+    (see the module docstring). An empty peak set (pure noise under the
+    gate) yields an M = 0 state.
     """
     if order is None:
         order = OrderConfig()
     y = as_samples(observed)
     n = y.size
-    mag, bins, A, alphas = _kept_peaks(y, order)
+    mag, bins, alphas, residual, projected = _kept_peaks(y, order)
     if not bins.size:
         return NetworkState.empty()
     big_l = mag.size
     heads = TWO_PI * bins / big_l
-    residual = y - A @ alphas
     sigma2 = float(np.vdot(residual, residual).real) / n
     sides = np.where(mag[(bins + 1) % big_l] >= mag[(bins - 1) % big_l], 1.0, -1.0)
     companions = heads + sides * merge_radius(alphas, sigma2, n, order, TWO_PI / big_l)
-    B = atom_table(companions, n)
-    amps = []
-    for i in range(bins.size):
-        partial = residual + A[:, i] * alphas[i]
-        amps.extend(_ls_solve(np.column_stack((A[:, i], B[:, i])), partial))
+    amps = _pair_fits(residual, projected, alphas, heads, companions).ravel()
     omegas = wrap_angle(np.column_stack((heads, companions)).ravel())
     idx = np.argsort(omegas, kind="stable")
-    return NetworkState(omegas[idx], np.array(amps)[idx])
+    return NetworkState(omegas[idx], amps[idx])
 
 
 def periodogram_estimate(observed) -> list[Sinusoid]:
@@ -146,5 +213,5 @@ def periodogram_estimate(observed) -> list[Sinusoid]:
     OrderConfig) at their padded-bin frequencies, with their joint
     least-squares amplitudes."""
     y = as_samples(observed)
-    mag, bins, _, alphas = _kept_peaks(y, OrderConfig())
+    mag, bins, alphas, _, _ = _kept_peaks(y, OrderConfig())
     return [Sinusoid(a, TWO_PI * k / mag.size) for k, a in zip(bins, alphas)]

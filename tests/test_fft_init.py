@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,21 @@ def test_initialize_pure_noise_low_gate_is_empty_or_small():
     assert state.m_nodes <= 1
 
 
+def _first_fit_heads(heads):
+    """A _peak_fit that records, in ``heads``, the frequencies of the first peaks it fits.
+
+    initialize's first fit is the one of the gated peaks, before the prune test.
+    """
+    real_fit = fft_init._peak_fit
+
+    def fit(y, spectrum, bins):
+        if not heads:
+            heads.append(TWO_PI * bins / spectrum.size)
+        return real_fit(y, spectrum, bins)
+
+    return fit
+
+
 def test_initialize_caps_nodes_at_signal_length(monkeypatch):
     # The start holds fewer nodes than samples. No benchmark signal comes
     # near the cap: the most gated peaks per sample are 0.156 on sep3
@@ -207,15 +223,9 @@ def test_initialize_caps_nodes_at_signal_length(monkeypatch):
         fitted.append(m_nodes)
         return 0.0
 
-    def peak_table(omegas, n_samples):
-        # initialize's first table is the one of the peaks it fits
-        if not heads:
-            heads.append(np.array(omegas))
-        return atom_table(omegas, n_samples)
-
     monkeypatch.setattr(fft_init, "find_peaks", every_maximum)
     monkeypatch.setattr(fft_init, "prune_threshold", keep_all)
-    monkeypatch.setattr(fft_init, "atom_table", peak_table)
+    monkeypatch.setattr(fft_init, "_peak_fit", _first_fit_heads(heads))
     capped = set()
     for n in range(1, 17):
         rng = np.random.default_rng([4, n])
@@ -245,19 +255,134 @@ def test_initialize_cap_breaks_ties_toward_the_lower_bin(monkeypatch):
     spectrum = np.zeros(L_FACTOR * n, dtype=complex)
     spectrum[[2, 8, 14, 20, 26]] = [1.0, 2.0, 3.0, 2.0j, -2.0]
     heads = []
-
-    def peak_table(omegas, n_samples):
-        if not heads:
-            heads.append(np.array(omegas))
-        return atom_table(omegas, n_samples)
-
     monkeypatch.setattr(fft_init, "zero_padded_fft", lambda y: spectrum)
     monkeypatch.setattr(fft_init, "find_peaks", lambda mag, floor: [2, 8, 14, 20, 26])
     monkeypatch.setattr(fft_init, "prune_threshold", lambda n_samples, m_nodes, cfg: 0.0)
-    monkeypatch.setattr(fft_init, "atom_table", peak_table)
+    monkeypatch.setattr(fft_init, "_peak_fit", _first_fit_heads(heads))
     rng = np.random.default_rng(5)
     initialize(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     np.testing.assert_array_equal(heads[0], TWO_PI * np.array([8, 14, 20]) / spectrum.size)
+
+
+def _table_kept_peaks(y, order):
+    """_kept_peaks as a fit of the peaks' atom table: (kept bins, amplitudes).
+
+    np.linalg.lstsq on atom_table of the gated peaks, the prune test of that
+    fit (order_control._prune_statistics), and a refit of the peaks it keeps.
+    """
+    n = y.size
+    mag = np.abs(zero_padded_fft(y))
+    bins = np.array(fft_init.find_peaks(mag, noise_floor_estimate(mag, n)), dtype=int)
+    bins = np.sort(bins[np.argsort(-mag[bins], kind="stable")[: (n - 1) // 2]])
+    A = atom_table(TWO_PI * bins / mag.size, n)
+    alphas = np.linalg.lstsq(A, y, rcond=1e-12)[0]
+    xi = order_control._prune_statistics(y, A, y - A @ alphas, alphas)
+    keep = xi >= fft_init.prune_threshold(n, bins.size, order)
+    return bins[keep], np.linalg.lstsq(A[:, keep], y, rcond=1e-12)[0]
+
+
+def _assert_peak_fit_is_the_table_fit(y):
+    order = order_control.OrderConfig()
+    _, bins, alphas, _, _ = fft_init._kept_peaks(y, order)
+    ref_bins, ref_alphas = _table_kept_peaks(y, order)
+    np.testing.assert_array_equal(bins, ref_bins)
+    assert np.linalg.norm(alphas - ref_alphas) <= 1e-12 * np.linalg.norm(ref_alphas)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 128, 512])
+def test_padded_gram_is_the_gram_of_the_padded_grid_atoms(n):
+    # a_k^H a_l = g[(l - k) mod L] for every pair of the L padded-grid atoms;
+    # a few rows k of the Gram matrix, each against all L columns.
+    big_l = L_FACTOR * n
+    A = atom_table(TWO_PI * np.arange(big_l) / big_l, n)
+    g = fft_init._padded_gram(n)
+    assert g.shape == (big_l,) and not g.flags.writeable
+    for k in sorted({0, 1, big_l // 2 + 1, big_l - 1}):
+        np.testing.assert_allclose(A[:, k].conj() @ A, np.roll(g, k), rtol=0, atol=1e-12 * n)
+
+
+def test_peak_fit_is_the_table_fit_on_tones8_scenes(monkeypatch):
+    # Some 40 gated peaks, most of them sidelobes that the prune test drops.
+    workloads = _benchmark_workloads(monkeypatch)
+    for seed in range(8000, 8005):
+        _assert_peak_fit_is_the_table_fit(workloads["tones8_n512"].scene(seed).y)
+
+
+def test_peak_fit_is_the_table_fit_with_every_maximum_fitted(monkeypatch):
+    # The cap scenario: every local maximum passes the gate and the prune
+    # test, so the fitted atoms sit as close as half a bin apart.
+    monkeypatch.setattr(fft_init, "find_peaks", lambda mag, noise_floor: find_peaks(mag, 0.0))
+    monkeypatch.setattr(fft_init, "prune_threshold", lambda n_samples, m_nodes, cfg: 0.0)
+    for n in range(3, 17):
+        rng = np.random.default_rng([4, n])
+        _assert_peak_fit_is_the_table_fit(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def _recorded_pair_fits(monkeypatch, y, radius=None):
+    """The arguments and result of the one _pair_fits call of initialize(y).
+
+    initialize runs with RuntimeWarning raised as an error, and its state
+    must hold the recorded amplitudes. A ``radius`` replaces merge_radius's
+    spacing for every companion.
+    """
+    calls = []
+    real_fits = fft_init._pair_fits
+
+    def fits(*args):
+        calls.append((args, real_fits(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fft_init, "_pair_fits", fits)
+    if radius is not None:
+        monkeypatch.setattr(fft_init, "merge_radius", lambda alpha, *args: np.full(np.size(alpha), radius))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state = initialize(y)
+    (args, amps), = calls
+    np.testing.assert_array_equal(np.sort_complex(state.alphas), np.sort_complex(amps.ravel()))
+    return args, amps
+
+
+@pytest.mark.parametrize("n, omega", [(32, TWO_PI * 5 / 128), (32, 0.3), (512, TWO_PI * 5 / 2048), (512, 0.3)])
+def test_initialize_fits_noiseless_tones_as_lstsq_does(monkeypatch, n, omega):
+    # On a noiseless tone the peak fit is exact to rounding, so merge_radius
+    # puts an on-grid tone's companion some 1e-8 bin from its peak, where
+    # N^2 - |a^H c|^2 cancels to nothing. Each pair must still be lstsq's
+    # fit of the table [a_i, c_i] to p_i = r + a_i alpha_i, to within what
+    # the pair's condition number kappa allows, and a companion that
+    # coincides with its peak must take half its amplitude. An atom's phase
+    # n*omega carries omega's rounding n times, so atom_table and the FFT's
+    # grid differ by up to about N*eps per entry, and the fits by that times
+    # kappa.
+    y = atom(omega, n)
+    (residual, _, alphas, heads, companions), amps = _recorded_pair_fits(monkeypatch, y)
+    for head, companion, alpha, fit in zip(heads, companions, alphas, amps):
+        if companion == head:
+            assert fit[0] == fit[1]
+            continue
+        pair = atom_table([head, companion], n)
+        reference = np.linalg.lstsq(pair, residual + pair[:, 0] * alpha, rcond=1e-12)[0]
+        singular = np.linalg.svd(pair, compute_uv=False)
+        tol = 4 * n * np.finfo(float).eps * singular[0] / singular[-1] * np.linalg.norm(y) / math.sqrt(n)
+        assert np.max(np.abs(fit - reference)) <= tol, (head, companion)
+
+
+@pytest.mark.parametrize("n, omega", [(32, TWO_PI * 5 / 128), (32, 0.3), (512, 0.3)])
+@pytest.mark.parametrize("radius", [0.0, 1e-15])
+def test_pair_fits_split_a_companion_at_or_under_the_cut_in_halves(monkeypatch, n, omega, radius):
+    # A companion at its peak (radius 0), or so close that [a, c] has a
+    # singular value below 1e-12 of the larger one (1e-15 rad), gets
+    # lstsq's minimum-norm fit: halves of the peak's amplitude, exactly
+    # equal where c is a.
+    y = atom(omega, n)
+    (residual, _, alphas, heads, companions), amps = _recorded_pair_fits(monkeypatch, y, radius)
+    for head, companion, alpha, fit in zip(heads, companions, alphas, amps):
+        assert (companion == head) == (radius == 0.0)
+        pair = atom_table([head, companion], n)
+        reference = np.linalg.lstsq(pair, residual + pair[:, 0] * alpha, rcond=1e-12)[0]
+        np.testing.assert_allclose(fit, reference, rtol=1e-12, atol=1e-12 * abs(alpha))
+        if radius == 0.0:
+            assert fit[0] == fit[1]
 
 
 def test_initialize_empty_for_zero_signal():

@@ -97,6 +97,11 @@ def test_compare_fails_a_frequency_difference_beyond_1e_12_rad():
         diff = tool.compare(new, old)
         assert diff["counts_differ"] == []
         assert diff["same_results"] is same, d_omega
+        assert diff["omega_over_bound"] == ([] if same else [1])
+    # omega_over_bound names each seed past the bound, not only the largest.
+    old = [{**old[0], "seed": seed} for seed in (1, 2, 3)]
+    new = [{**row, "sha256": "b", "omegas": [1.0 + d]} for row, d in zip(old, (2.0**-39, 2.0**-40, 2.0**-38))]
+    assert tool.compare(new, old)["omega_over_bound"] == [1, 3]
 
 
 def test_compare_fails_a_seed_missing_from_the_file():

@@ -30,8 +30,9 @@ the scene's true order, then one line of totals over the seeds in both:
 how many end at the true order, and the inner iterations, on each side.
 So a change that moves results on purpose can paste its table. The last
 line gives the largest |delta omega| (rad), |delta alpha| and relative
-|delta sigma2_hat| over the seeds whose k_hat agree, the seeds whose
-counts differ and the seeds whose digests differ. Its ``same_results`` is
+|delta sigma2_hat| over the seeds whose k_hat agree, the seeds among them
+whose |delta omega| exceeds OMEGA_BOUND (``omega_over_bound``), the seeds
+whose counts differ and the seeds whose digests differ. Its ``same_results`` is
 false when some seed's counts differ, some seed of the run is not in F,
 or the largest |delta omega| exceeds OMEGA_BOUND = 1e-12 rad, the bound
 of README's same-results rule.
@@ -157,7 +158,7 @@ def compare(rows: list[dict], old: list[dict]) -> dict:
     """Largest estimate differences and the seeds that differ, row by row."""
     old_by_seed = {r["seed"]: r for r in old}
     d_w = d_a = d_s2 = 0.0
-    counts_differ, digests_differ, missing = [], [], []
+    counts_differ, digests_differ, missing, over_bound = [], [], [], []
     for r in rows:
         o = old_by_seed.get(r["seed"])
         if o is None:
@@ -169,12 +170,16 @@ def compare(rows: list[dict], old: list[dict]) -> dict:
             digests_differ.append(r["seed"])
         if len(r["omegas"]) == len(o["omegas"]):
             if r["omegas"]:
-                d_w = max(d_w, float(np.max(np.abs(np.subtract(r["omegas"], o["omegas"])))))
+                seed_d_w = float(np.max(np.abs(np.subtract(r["omegas"], o["omegas"]))))
+                d_w = max(d_w, seed_d_w)
+                if seed_d_w > OMEGA_BOUND:
+                    over_bound.append(r["seed"])
                 a, b = (np.array(x["alphas"]).view(np.complex128) for x in (r, o))
                 d_a = max(d_a, float(np.max(np.abs(a - b))))
             d_s2 = max(d_s2, abs(r["sigma2_hat"] - o["sigma2_hat"]) / (abs(o["sigma2_hat"]) or 1.0))
     return {
         "max_abs_d_omega": d_w,
+        "omega_over_bound": over_bound,
         "max_abs_d_alpha": d_a,
         "max_rel_d_sigma2": d_s2,
         "counts_differ": counts_differ,
