@@ -29,6 +29,17 @@ _DEFAULT_RATE_NUMERATOR = 0.5
 # below-tolerance iterations in a row that end a pass.
 _SAFEGUARD_PATIENCE = 20
 _CONSEC_HITS = 3
+# The crawl test: a pass also ends once its total cost fell by less than
+# _CRAWL_TAU * sigma2_hat over its last _CRAWL_WINDOW iterations, sigma2_hat
+# the current mean cost C/N. Near an optimum a move of one CRB standard
+# deviation along any direction raises the cost by sigma^2 / 2, so a fall of
+# tau * sigma^2 is a move of about sqrt(2 tau) = 0.1 sqrt(CRB) along the
+# least-determined direction: iterates the data cannot tell apart. The
+# window is the number of steps after which the momentum's memory of a
+# gradient, lambda^W at the default lambda = 0.9, is below 1e-9:
+# ceil(ln 1e-9 / ln 0.9) = 197. Both sides of the test scale as the cost.
+_CRAWL_TAU = 0.005
+_CRAWL_WINDOW = 197
 # polish_frequencies: at most this many cost evaluations, a first
 # Levenberg-Marquardt damping, and the step (rad) that counts as converged.
 _POLISH_STEPS = 20
@@ -128,7 +139,10 @@ class TrainConfig:
     three consecutive iterations. A descent from rest must first run
     ``min_iter`` iterations, so the flat start of a restarted descent does
     not end it; one that continues with the momentum it was handed may stop
-    at its first three hits.
+    at its first three hits. A second, scale-free test, which no field
+    sets, also ends the loop: once the total cost fell by less than
+    0.005 sigma2_hat over the last 197 iterations, sigma2_hat the current
+    mean cost (train_inner). ``max_iter`` bounds a pass that meets neither.
     """
 
     gamma_alpha: float | None = None
@@ -175,8 +189,12 @@ class CostTrace:
     ``halvings`` counts the safeguard's learning-rate halvings.
     ``exit_reason`` says why the loop stopped: ``"tol"`` (the mean cost
     change stayed below tolerance; also an empty state, whose cost cannot
-    change), ``"exact_fit"`` (the cost reached exactly zero) or
-    ``"max_iter"`` (the iteration limit, the one unconverged exit).
+    change), ``"crawl"`` (the total cost fell by less than 0.005 times the
+    current mean cost over the last 197 iterations, or rose), ``"exact_fit"``
+    (the cost reached exactly zero) or ``"max_iter"`` (the iteration limit,
+    the one unconverged exit). ``converged`` is true for every exit but
+    ``"max_iter"``: a crawl stop counts as converged, since the data cannot
+    tell the iterates it would still visit apart.
     polish_frequencies returns one as well: an entry per cost evaluation,
     each the lowest cost so far, ``iterations_run`` the evaluations,
     ``halvings`` 0, and its own stopping rule's exit reason.
@@ -361,8 +379,30 @@ def grad_omega(state: NetworkState, observed) -> np.ndarray:
     return _gradients(state, observed)[1]
 
 
-def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
-    """Gradient descent with momentum until the mean cost change is below tolerance.
+def _drifting(start, now, t: int, remaining: int) -> bool:
+    """Whether a decision margin above 1 reaches 1 within ``remaining``
+    iterations, moving on at its mean rate over the t iterations since
+    ``start``."""
+    return any(m > 1.0 and m + (m - m0) / t * remaining < 1.0 for m0, m in zip(start, now))
+
+
+def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None, margins=None):
+    """Gradient descent with momentum until the cost change is below tolerance or noise level.
+
+    A second test ends the descent once the data cannot tell its iterates
+    apart ("crawl"): at iteration t >= W = _CRAWL_WINDOW = 197, when the
+    mean costs satisfy trace[t - W] - c < tau * c / N, tau = _CRAWL_TAU =
+    0.005. That is a fall of the total cost below tau * sigma2_hat over the
+    last W iterations, sigma2_hat = c the current mean cost; a descent whose
+    cost rose over them stops too. Both sides scale as the cost, so scaling
+    y and the amplitudes by 2^k does not move the stop.
+
+    ``margins``, if given, guards a drift from the crawl stop: a callable
+    (omegas, alphas) -> ratios that fall below 1 at an order decision, such
+    as order_control.decision_margins. Where the crawl test holds, the pass
+    goes on if one ratio above 1 would reach 1 within the pass's remaining
+    ``max_iter`` budget at its mean rate since the pass began; the crawl
+    test is then next asked W iterations later.
 
     Returns (final state, CostTrace). The momentum buffer starts from the
     state's ``velocity``, or from zero for a state at rest; only a descent
@@ -444,6 +484,9 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
     min_iter = cfg.min_iter if state.velocity is None else 0
     hits_to_stop = _CONSEC_HITS
     patience = _SAFEGUARD_PATIENCE
+    window = next_crawl = _CRAWL_WINDOW
+    crawl = _CRAWL_TAU / n_samples
+    start_margins = None
 
     for t in range(1, cfg.max_iter + 1):
         gradient_sums()
@@ -490,6 +533,13 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
                 break
         else:
             hits = 0
+        if t >= next_crawl and trace[t - window] - c < crawl * c:
+            if margins is not None and start_margins is None:
+                start_margins = margins(state.omegas, state.alphas)
+            if margins is None or not _drifting(start_margins, margins(w, a), t, cfg.max_iter - t):
+                exit_reason = "crawl"
+                break
+            next_crawl = t + window
         cbar = c
 
     velocity = d

@@ -166,9 +166,34 @@ def merge_test(omega_lo, omega_hi, crb_delta, cfg: OrderConfig):
     pair, see _pair_bound) fuses. Arrays give one decision per pair, a
     scalar a bool.
     """
-    bound = -np.sqrt(crb_delta) * _normal_quantile(cfg.epsilon_f)
-    fuses = np.subtract(omega_hi, omega_lo) < bound
+    fuses = np.subtract(omega_hi, omega_lo) < _merge_bound(crb_delta, cfg)
     return bool(fuses) if fuses.ndim == 0 else fuses
+
+
+def _merge_bound(crb_delta, cfg: OrderConfig):
+    """merge_test's bound on the gap, -sqrt(crb_delta) * Phi^{-1}(epsilon_f)."""
+    return -np.sqrt(crb_delta) * _normal_quantile(cfg.epsilon_f)
+
+
+def _adjacent_pairs(y: np.ndarray, omegas, alphas):
+    """The nodes wrapped and sorted, their fit, and the bound of each adjacent pair.
+
+    Returns (w, a, A, residual, sigma2, w_next, crb_delta): A =
+    atom_table(w, N), residual = y - A a, sigma2 = ||residual||^2 / N, and
+    pair k is (k, k + 1 mod M), w_next[k] its upper frequency (the first
+    node's plus 2*pi for the wrap-around pair) and crb_delta[k] its
+    _pair_bound at sigma2.
+    """
+    n_samples = y.size
+    w = wrap_angle(omegas)
+    order = np.argsort(w, kind="stable")
+    w, a = w[order], alphas[order]
+    A = atom_table(w, n_samples)
+    residual = y - A @ a
+    sigma2 = float(np.vdot(residual, residual).real) / n_samples
+    w_next = np.concatenate((w[1:], w[:1] + TWO_PI))
+    delta, _, _ = _pair_bound(a, np.concatenate((a[1:], a[:1])), w, w_next, sigma2, n_samples)
+    return w, a, A, residual, sigma2, w_next, delta
 
 
 # Newton stops once |F / t - 1| <= _NEWTON_TOL; merge_radius's last step
@@ -291,17 +316,9 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     n_samples = y.size
     if state.m_nodes <= 1:
         return state, []
-    w = wrap_angle(state.omegas)
-    order = np.argsort(w, kind="stable")
-    w, a = w[order], state.alphas[order]
-    A = atom_table(w, n_samples)
-    residual = y - A @ a
-    sigma2 = float(np.vdot(residual, residual).real) / n_samples
-    # Pair k is (k, k + 1 mod M). Until a node fuses, its next neighbor in
-    # the walk is its next neighbor here, so only pairs that hold a fused
-    # node need a new test.
-    w_next = np.concatenate((w[1:], w[:1] + TWO_PI))
-    delta, _, _ = _pair_bound(a, np.concatenate((a[1:], a[:1])), w, w_next, sigma2, n_samples)
+    w, a, A, residual, sigma2, w_next, delta = _adjacent_pairs(y, state.omegas, state.alphas)
+    # Until a node fuses, its next neighbor in the walk is its next neighbor
+    # here, so only pairs that hold a fused node need a new test.
     adjacent = merge_test(w, w_next, delta, cfg)
     if not adjacent.any():
         # apply_prunes reads its statistics off this table and residual.
@@ -452,6 +469,27 @@ def order_changes(state: NetworkState, observed, cfg: OrderConfig) -> bool:
         return False
     threshold = _keep_threshold(as_samples(observed).size, merged.m_nodes, cfg)
     return bool(np.any(prune_statistics(merged, observed) < threshold))
+
+
+def decision_margins(observed, cfg: OrderConfig, omegas, alphas) -> tuple[float, float]:
+    """How far the merge and prune tests are from removing one of the nodes.
+
+    Returns (the smallest gap over its merge bound among the adjacent pairs,
+    inf for one node; the smallest xi over the keep threshold), at the
+    nodes as given, with the residual noise estimate: each ratio falls
+    below 1 where apply_merges would fuse that pair or apply_prunes would
+    remove that node. train_inner's drift guard reads them. Like
+    order_changes, it does not call prune_threshold.
+    """
+    y = as_samples(observed)
+    w, a, A, residual, _, w_next, delta = _adjacent_pairs(y, omegas, alphas)
+    gap = math.inf
+    if w.size > 1:
+        bound = _merge_bound(delta, cfg)
+        ratio = np.divide(w_next - w, bound, out=np.full(w.size, math.inf), where=bound > 0.0)
+        gap = float(ratio.min())
+    xi = _prune_statistics(y, A, residual, a)
+    return gap, float(xi.min()) / _keep_threshold(y.size, w.size, cfg)
 
 
 def detection_prob(snr_linear: float, n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:

@@ -12,6 +12,15 @@ exact power of ten or the floor itself. The loop exits when a floor pass
 makes no structural change, after MAX_PASSES passes, or when no node is
 left.
 
+A pass's training also ends at optimizer.train_inner's crawl test, once
+its total cost fell by less than 0.005 sigma2_hat over the last 197
+iterations, and such a pass counts as converged ("crawl"); only a pass
+that reaches max_iter does not. The loop hands train_inner
+order_control.decision_margins, on its signal and order config, as the
+drift guard: a pass goes on past the crawl test while a node is drifting
+toward a merge or prune decision that the pass's remaining budget would
+reach.
+
 One rule, at the end of a pass that merged and pruned nothing, sets what
 the next pass starts from. If the pass halved no rate, returned its last
 iterate and kept its node order through apply_merges' sort, and the next
@@ -34,7 +43,7 @@ fate over thousands of iterations reaches it in one polish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -55,6 +64,7 @@ from .order_control import (
     PruneReport,
     apply_merges,
     apply_prunes,
+    decision_margins,
     estimate_noise_var,
     order_changes,
 )
@@ -133,6 +143,7 @@ def _run_outer(signal: Signal, state: NetworkState, cfg: EstimatorConfig) -> Run
     polish_events: list[tuple[int, CostTrace]] = []
     first_stop = cfg.train.min_iter + _CONSEC_HITS
     zone = 10.0 * cfg.train.eps_tol
+    margins = partial(decision_margins, signal, cfg.order)
     ran_on = False
     while outer < MAX_PASSES and state.m_nodes > 0:
         eps = max(10.0 ** -(EPS_START_DECADE + outer), cfg.train.eps_tol)
@@ -143,7 +154,7 @@ def _run_outer(signal: Signal, state: NetworkState, cfg: EstimatorConfig) -> Run
                 if order_changes(polished, signal, cfg.order):
                     state = polished
                     polish_events.append((outer, polish_trace))
-            trained, trace = train_inner(signal, state, _pass_config(cfg.train, eps_tol=eps))
+            trained, trace = train_inner(signal, state, _pass_config(cfg.train, eps_tol=eps), margins)
         except NumericalDivergence as exc:
             exc.report = _build_report(signal, state, outer, traces, merge_events, prune_events, polish_events)
             raise

@@ -415,7 +415,7 @@ def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = No
     rising = 0
     hits = 0
     iterations = 0
-    converged = False
+    exit_reason = "max_iter"
 
     for t in range(1, cfg.max_iter + 1):
         iterations = t
@@ -445,23 +445,27 @@ def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = No
         else:
             rising = 0
         if c == 0.0:
-            cbar = c
-            converged = True
+            exit_reason = "exact_fit"
             break
         if t > cfg.min_iter and abs(c - cbar) < cfg.eps_tol:
             hits += 1
             if hits >= optimizer._CONSEC_HITS:
-                cbar = c
-                converged = True
+                exit_reason = "tol"
                 break
         else:
             hits = 0
+        # The crawl test: the total cost fell by less than tau * c over the
+        # last W iterations, c the current mean cost.
+        window = optimizer._CRAWL_WINDOW
+        if t >= window and trace[t - window] - c < optimizer._CRAWL_TAU / n_samples * c:
+            exit_reason = "crawl"
+            break
         cbar = c
 
     # A call never ends above its start: past it, the best state is returned.
     if c > trace[0]:
         w, a = best_w, best_a
-    return w, a, np.asarray(trace), iterations, converged
+    return w, a, np.asarray(trace), iterations, exit_reason
 
 
 def _noisy_tones(n, omegas, seed):
@@ -555,11 +559,11 @@ def test_train_inner_reproduces_the_reference_bit_for_bit(case, monkeypatch):
     state = NetworkState(w0, a0)
     w_in, a_in = state.omegas.copy(), state.alphas.copy()
     out, trace = train_inner(y, state, cfg)
-    w_ref, a_ref, costs_ref, iters_ref, conv_ref = _ref_train_inner(y, state, cfg)
+    w_ref, a_ref, costs_ref, iters_ref, exit_ref = _ref_train_inner(y, state, cfg)
     assert out.omegas.tobytes() == w_ref.tobytes()
     assert out.alphas.tobytes() == a_ref.tobytes()
     assert trace.mean_costs.tobytes() == costs_ref.tobytes()
-    assert (trace.iterations_run, trace.converged) == (iters_ref, conv_ref)
+    assert (trace.iterations_run, trace.exit_reason) == (iters_ref, exit_ref)
     assert state.omegas.tobytes() == w_in.tobytes()
     assert state.alphas.tobytes() == a_in.tobytes()
     assert out.omegas.flags.owndata and out.alphas.flags.owndata
@@ -818,19 +822,111 @@ def test_an_oscillating_call_returns_its_best_state_not_its_last():
     # The converge study's trial at twice the default rates, momentum 0,
     # seed 3000: the cost settles into a two-state cycle about 14 times its
     # start. It never rises 20 times in a row, so the safeguard never
-    # halves, and the call would end on the cycle; it returns the best
-    # state instead, here the start.
+    # halves, and the call would end on the cycle. The crawl test stops it
+    # at its first chance, W iterations in, since the cost is then above
+    # the start; it returns the best state, here the start.
     freqs = TWO_PI * np.array([0.1, 0.22, 0.37])
     y, _, _ = _draw_signal(freqs, np.ones(3), 32, 10.0, np.random.default_rng(3000))
     base = TrainConfig(eps_tol=1e-5).resolve(32)
     cfg = replace(base, gamma_alpha=2 * base.gamma_alpha, gamma_omega=2 * base.gamma_omega, momentum=0.0)
     out, trace = train_inner(y, initialize(y), cfg)
-    assert (trace.exit_reason, trace.halvings) == ("max_iter", 0)
+    assert (trace.exit_reason, trace.halvings) == ("crawl", 0)
+    assert trace.iterations_run == optimizer._CRAWL_WINDOW
     assert trace.mean_costs[-1] > 10 * trace.mean_costs[0]
     final = cost(y, forward(out, 32)) / 32
     assert final == pytest.approx(trace.mean_costs.min(), rel=1e-12)
     assert final <= trace.mean_costs[0]
     assert out.velocity is None  # the best state is not where the descent's momentum was
+
+
+def _crawling(costs: np.ndarray, n_samples: int) -> list[bool]:
+    """Per iteration t, whether the crawl test holds: costs[t - W] - c < tau * c / N."""
+    window, crawl = optimizer._CRAWL_WINDOW, optimizer._CRAWL_TAU / n_samples
+    return [t >= window and costs[t - window] - costs[t] < crawl * costs[t] for t in range(costs.size)]
+
+
+def test_a_pass_stops_once_its_fall_over_the_window_is_below_tau_sigma2():
+    # The cluster case at a tolerance no step meets, so only the crawl test
+    # can stop it: the pass runs while the total cost falls by at least
+    # tau * sigma2_hat over every W iterations, and stops at the first
+    # iteration where it does not. It returns its last iterate with its
+    # velocity, as a "tol" stop does.
+    y, w0, a0, _ = _BIT_PIN_CASES["cluster_n128"]
+    n = y.size
+    cfg = TrainConfig(eps_tol=1e-300)
+    out, trace = train_inner(y, NetworkState(w0, a0), cfg)
+    c = trace.mean_costs
+    assert (trace.exit_reason, trace.halvings) == ("crawl", 0) and trace.converged
+    assert _crawling(c, n).index(True) == trace.iterations_run == c.size - 1 > 10 * optimizer._CRAWL_WINDOW
+    assert out.velocity is not None and np.any(out.velocity != 0.0)
+    assert cost(y, forward(out, n)) / n == pytest.approx(c[-1], rel=1e-12)
+    # One iteration short of that, the same descent runs to its limit.
+    _, short = train_inner(y, NetworkState(w0, a0), replace(cfg, max_iter=trace.iterations_run - 1))
+    assert short.exit_reason == "max_iter"
+    np.testing.assert_array_equal(short.mean_costs, c[:-1])
+
+
+@pytest.mark.parametrize("k", [-30, -10, 10, 30])
+def test_the_crawl_stop_does_not_move_with_the_signal_scale(k):
+    # y and the amplitudes times 2^k scale every cost by 4^k. The frequency
+    # gradient grows as the cost, so the frequency rate is scaled by 4^-k;
+    # every step is then the unit-scale one times 2^k (amplitudes) or 1
+    # (frequencies), exactly. A scale-free stopping rule stops both calls at
+    # one iteration. The tolerance is one no step meets at any of the scales.
+    y, w0, a0, _ = _BIT_PIN_CASES["min_iter_consec_hits"]
+    base = TrainConfig(eps_tol=1e-300).resolve(y.size)
+    unit, unit_trace = train_inner(y, NetworkState(w0, a0), base)
+    scaled_cfg = replace(base, gamma_omega=math.ldexp(base.gamma_omega, -2 * k))
+    out, trace = train_inner(y * 2.0**k, NetworkState(w0, np.asarray(a0) * 2.0**k), scaled_cfg)
+    assert trace.exit_reason == unit_trace.exit_reason == "crawl"
+    assert trace.iterations_run == unit_trace.iterations_run
+    assert out.omegas.tobytes() == unit.omegas.tobytes()
+    assert out.alphas.tobytes() == (unit.alphas * 2.0**k).tobytes()
+    assert trace.mean_costs.tobytes() == (unit_trace.mean_costs * 4.0**k).tobytes()
+
+
+def test_a_margin_drifting_toward_a_decision_holds_off_the_crawl_stop():
+    # The pass above, with a drift guard whose one margin reads 2 at the
+    # start, then 1.5, 1.2 and 0.9 at each crawl stop it is asked about. At
+    # its mean rate since the start, 1.5 and then 1.2 would reach 1 within
+    # the remaining budget, so the pass goes on W iterations each time;
+    # 0.9 is no longer above 1, and the pass stops.
+    y, w0, a0, _ = _BIT_PIN_CASES["cluster_n128"]
+    cfg = TrainConfig(eps_tol=1e-300)
+    _, plain = train_inner(y, NetworkState(w0, a0), cfg)
+    readings = iter([2.0, 1.5, 1.2, 0.9])
+    asked = []
+
+    def margins(omegas, alphas):
+        asked.append(omegas.copy())
+        return (next(readings), math.inf)
+
+    _, trace = train_inner(y, NetworkState(w0, a0), cfg, margins)
+    window = optimizer._CRAWL_WINDOW
+    assert trace.exit_reason == "crawl"
+    assert trace.iterations_run == plain.iterations_run + 2 * window
+    assert len(asked) == 4 and asked[0].tobytes() == np.asarray(w0).tobytes()
+    np.testing.assert_array_equal(trace.mean_costs[: plain.mean_costs.size], plain.mean_costs)
+    assert all(_crawling(trace.mean_costs, y.size)[plain.iterations_run + k * window] for k in (1, 2))
+
+
+def test_a_pass_that_climbs_above_its_start_stops_after_one_window():
+    # A cancelling near-duplicate pair with large amplitudes, the kind of
+    # state an adopted polish can hand a floor pass: the frequency steps
+    # throw the pair apart and the cost climbs more than 1000 times above
+    # its start. From W on every iteration costs more than the one W
+    # before, so the pass stops at W and returns its best state, the start,
+    # at rest.
+    freqs = TWO_PI * np.array([0.1, 0.37])
+    y, _, amps = _draw_signal(freqs, np.ones(2), 32, 10.0, np.random.default_rng(3))
+    start = NetworkState([freqs[0], freqs[0] + 1e-3, freqs[1]], [30.0, amps[0] - 30.0, amps[1]])
+    out, trace = train_inner(y, start, TrainConfig())
+    c = trace.mean_costs
+    assert (trace.exit_reason, trace.iterations_run) == ("crawl", optimizer._CRAWL_WINDOW)
+    assert c.max() > 1000 * c[0] and c[-1] > c[0]
+    assert out.velocity is None
+    np.testing.assert_array_equal(out.omegas, start.omegas)
+    np.testing.assert_array_equal(out.alphas, start.alphas)
 
 
 def _polish_cost(y, state):

@@ -31,6 +31,7 @@ from linespec.order_control import (
     apply_merges,
     apply_prunes,
     crb_pair,
+    decision_margins,
     detection_prob,
     estimate_noise_var,
     merge_radius,
@@ -846,6 +847,25 @@ def test_apply_prunes_empty_state():
 
 # ---------------------------------------------------------------------------
 # detection probability
+
+
+@pytest.mark.parametrize("gap_bins", [0.05, 0.2])
+@pytest.mark.parametrize("weak", [0.1, 0.3])
+def test_decision_margins_fall_below_one_where_a_node_goes(gap_bins, weak):
+    # A pair gap_bins of a bin apart and a third node of amplitude weak: the
+    # gap margin is below 1 where apply_merges fuses the pair, and the prune
+    # margin where apply_prunes removes a node of the state as given.
+    n = 32
+    w = TWO_PI * np.array([0.2, 0.2 + gap_bins / n, 0.6])
+    st0 = NetworkState(w, [1.0, 0.8j, weak])
+    y = design_matrix(w, n) @ st0.alphas + 0.3 * _unit_noise(n, 7)
+    gap, prune = decision_margins(y, OrderConfig(), st0.omegas, st0.alphas)
+    _, events = apply_merges(st0, y, OrderConfig())
+    kept, _ = apply_prunes(st0, y, OrderConfig())
+    assert (gap < 1.0) == bool(events) == (gap_bins == 0.05)
+    assert (prune < 1.0) == (kept.m_nodes < 3) == (weak == 0.1)
+    one = decision_margins(y, OrderConfig(), w[:1], np.array([1.0 + 0j]))
+    assert one[0] == math.inf and one[1] > 1.0
 
 
 def test_detection_prob_matches_scipy_noncentral_f():

@@ -240,6 +240,34 @@ def test_the_order_scenes_are_acceptance_07s_draws(monkeypatch, tmp_path):
     assert [r["omegas"] for r in rows] == [[s.omega for s in estimate_spectrum(y).estimates] for y in drawn]
 
 
+def test_the_close_scene_is_acceptance_02s_draw(monkeypatch, tmp_path):
+    # --scene close draws 02's trials (N = 32, 10 dB, tones at 0.1, 0.115
+    # and 0.37 cycles, trial seed 1000 + t) and runs the default estimator.
+    # 02 runs here with an estimator that records each signal and finds no
+    # tone, so the test fails on its order count after drawing all 100.
+    from linespec.pipeline import estimate_spectrum
+
+    spec = importlib.util.spec_from_file_location("acceptance", TOOL.parents[1] / "tests" / "test_acceptance.py")
+    acceptance = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(acceptance)
+    drawn = []
+    monkeypatch.setattr(acceptance, "estimate_spectrum", lambda y: drawn.append(y) or types.SimpleNamespace(k_hat=0))
+    with pytest.raises(AssertionError, match="correct order in 0/100"):
+        acceptance.test_02_superresolution_recovery_of_close_tones()
+    tool = _load_tool()
+    scenes = [tool.CloseScenes().scene(1000 + t) for t in range(100)]
+    assert len(drawn) == 100
+    assert [s.y.tobytes() for s in scenes] == [y.tobytes() for y in drawn]
+    assert all(s.freqs.size == 3 for s in scenes)
+    saved = tmp_path / "close.json"
+    args = [sys.executable, str(TOOL), "--scene", "close", "1000", "1002", "--out", str(saved)]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(saved.read_text())["rows"]
+    assert [r["true_k"] for r in rows] == [3, 3]
+    assert [r["omegas"] for r in rows] == [[s.omega for s in estimate_spectrum(y).estimates] for y in drawn[:2]]
+
+
 @pytest.mark.parametrize("argv", [["7000", "7001"], ["sep3_n32", "7000", "7001", "--scene", "cluster"]])
 def test_a_run_names_a_workload_or_the_cluster_scene_but_not_both(argv, capsys):
     tool = _load_tool()

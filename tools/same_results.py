@@ -7,6 +7,7 @@ Usage, from the root of a checkout::
     python3 tools/same_results.py tones8_n512 8000 8020 --perturb 3
     python3 tools/same_results.py --scene cluster 9000 9020 --perturb 3
     python3 tools/same_results.py --scene order1 5017 5217 --out order1.json
+    python3 tools/same_results.py --scene close 1000 1100 --against close.json
 
 Runs ``estimate_spectrum`` once per seed in [START, STOP) on the scenes of
 ``perfbench/scenes.py`` (any seed, not only the workload's benchmark set),
@@ -16,7 +17,9 @@ no workload. ``--scene cluster`` runs acceptance 08's estimator on
 nodes_out is the size of its start. ``--scene order1`` and ``--scene
 order3`` run the default estimator on acceptance 07's draws, those of
 ``experiments.mc_order`` at N = 32 and 10 dB with one or three tones and
-trial seed base + t (see OrderScenes). Prints one JSON line per
+trial seed base + t (see OrderScenes); ``--scene close`` runs it on
+acceptance 02's close-pair draws, trial seed 1000 + t (see CloseScenes).
+Prints one JSON line per
 seed: the counts ``perfbench/run.py`` checks (k_hat, nodes_out,
 iterations, passes, merges, prunes) and the sha256 of the estimated
 frequencies, amplitudes, noise variance, cost trace and pass count, in
@@ -122,6 +125,33 @@ class OrderScenes:
         return self._scene(seed, y, freqs, amps, sigma2)
 
 
+class CloseScenes:
+    """Acceptance 02's scenes, in place of a workload.
+
+    scene(seed) is the draw of 02's trial whose seed is ``seed``: tones at
+    0.1, 0.115 and 0.37 cycles per sample on N = 32 samples, the first two
+    about half a bin apart, unit magnitudes with random phases, 10 dB SNR.
+    """
+
+    N_SAMPLES = 32
+    SNR_DB = 10.0
+    CYCLES = (0.1, 0.115, 0.37)
+
+    def __init__(self):
+        from linespec import experiments
+        from scenes import Scene
+
+        self._experiments = experiments
+        self._scene = Scene
+
+    def scene(self, seed: int):
+        ex = self._experiments
+        freqs = ex.TWO_PI * np.array(self.CYCLES)
+        rng = np.random.default_rng(seed)
+        y, sigma2, amps = ex._draw_signal(freqs, np.ones(freqs.size), self.N_SAMPLES, self.SNR_DB, rng)
+        return self._scene(seed, y, freqs, amps, sigma2)
+
+
 def seed_row(linespec, scene) -> dict:
     """Counts, digest and estimates of one estimate on one scene."""
     report = linespec.estimate_spectrum(scene.y)
@@ -223,14 +253,15 @@ def main(argv=None) -> int:
     ap.add_argument("--perturb", type=int, default=0, metavar="K", help="also estimate K perturbed copies of each seed")
     ap.add_argument(
         "--scene",
-        choices=("workload", "cluster", "order1", "order3"),
+        choices=("workload", "cluster", "order1", "order3", "close"),
         default="workload",
         help="instead of a workload's scenes, cluster: acceptance 08's draws and estimator;"
-        " order1, order3: acceptance 07's draws with one or three tones",
+        " order1, order3: acceptance 07's draws with one or three tones;"
+        " close: acceptance 02's close-pair draws",
     )
     args = ap.parse_args(argv)
     if (args.workload is None) != (args.scene != "workload"):
-        ap.error("give a workload, or --scene cluster, order1 or order3 without one")
+        ap.error("give a workload, or --scene cluster, order1, order3 or close without one")
     if args.perturb < 0:
         ap.error("--perturb must be at least 0")
     if args.stop <= args.start:
@@ -243,6 +274,8 @@ def main(argv=None) -> int:
         workload = linespec = ClusterScenes(linespec)
     elif args.scene == "workload":
         workload = scenes.WORKLOADS[args.workload]
+    elif args.scene == "close":
+        workload = CloseScenes()
     else:
         workload = OrderScenes(int(args.scene[-1]))
     if args.scene != "workload":
