@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidDimension
 from .optimizer import NetworkState
-from .order_control import OrderConfig, merge_radius, prune_threshold
+from .order_control import OrderConfig, _prune_statistics, merge_radius, prune_threshold
 from .signal_model import TWO_PI, Sinusoid, as_samples, atom_table, wrap_angle
 
 
@@ -115,7 +115,7 @@ def _kept_peaks(y: np.ndarray, order: OrderConfig):
     samples (see the module docstring): the strongest, the lower bin first
     on a tie, kept in bin order. A sidelobe peak is leakage of a stronger
     tone, so the fit gives it almost no amplitude and the prune test drops
-    it: the test each outer pass runs (prune_statistics, inf or 0 on an
+    it: the test each outer pass runs (_prune_statistics, inf or 0 on an
     exact fit, against prune_threshold), applied to a fitted model of the
     peaks alone. If it drops a peak, the kept peaks are fitted again,
     jointly; none kept gives empty arrays.
@@ -128,10 +128,7 @@ def _kept_peaks(y: np.ndarray, order: OrderConfig):
     if not bins.size:
         return mag, bins, np.zeros(0, dtype=complex), y, np.zeros(0, dtype=complex)
     alphas, residual, projected = _peak_fit(y, spectrum, bins)
-    den = float(np.vdot(residual, residual).real)
-    power = np.abs(projected + n * alphas) ** 2
-    xi = power / den if den != 0.0 else np.where(power > 0.0, math.inf, 0.0)
-    keep = xi >= prune_threshold(n, bins.size, order)
+    keep = _prune_statistics(projected, residual, alphas) >= prune_threshold(n, bins.size, order)
     if not keep.all():
         bins = bins[keep]
         alphas, residual, projected = _peak_fit(y, spectrum, bins)

@@ -71,19 +71,20 @@ class NetworkState:
 
     ``velocity`` is the momentum buffer of the descent that produced the
     state, in train_inner's private layout (4 floats per node), or None for
-    a state at rest. train_inner hands back its own and continues from the
-    one it is given. The order-control stages build the states they change
-    at rest and hand on the ones they leave alone as they came; the
-    estimator's outer loop decides what each pass starts from.
+    a state at rest. Only _of sets it: train_inner hands back its own and
+    continues from the one it is given, and the estimator's outer loop
+    decides what each pass starts from. The order-control stages build the
+    states they change at rest and hand on the ones they leave alone as
+    they came.
     ``_fit`` is (the bytes of y, A, y - A alpha) for samples y, which a merge
     that fuses nothing hands to the prune statistics; they read it only for
-    samples of the same bytes. No constructor or replace carries it, and a
-    state that has one has read-only arrays.
+    samples of the same bytes. A state that has one has read-only arrays.
+    No constructor or replace carries either field.
     """
 
     omegas: np.ndarray
     alphas: np.ndarray
-    velocity: np.ndarray | None = field(default=None, compare=False, repr=False)
+    velocity: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
     _fit: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -99,11 +100,6 @@ class NetworkState:
             raise NumericalDivergence("state contains non-finite amplitudes")
         object.__setattr__(self, "omegas", w)
         object.__setattr__(self, "alphas", a)
-        if self.velocity is not None:
-            v = np.asarray(self.velocity, dtype=float)
-            if v.shape != (4 * w.size,):
-                raise InvalidDimension("velocity must hold 4 floats per node")
-            object.__setattr__(self, "velocity", v)
 
     @classmethod
     def _of(cls, omegas, alphas, velocity=None, fit=None) -> "NetworkState":

@@ -388,15 +388,17 @@ def prune_statistics(state: NetworkState, observed) -> np.ndarray:
     """
     y = as_samples(observed)
     if state._fit is not None and state._fit[0] == y.tobytes():
-        return _prune_statistics(y, *state._fit[1:], state.alphas)
-    A = atom_table(state.omegas, y.size)
-    return _prune_statistics(y, A, y - A @ state.alphas, state.alphas)
+        A, residual = state._fit[1:]
+    else:
+        A = atom_table(state.omegas, y.size)
+        residual = y - A @ state.alphas
+    return _prune_statistics(A.conj().T @ residual, residual, state.alphas)
 
 
-def _prune_statistics(y: np.ndarray, A: np.ndarray, residual: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """prune_statistics for a design matrix and residual the caller has already built."""
+def _prune_statistics(projected: np.ndarray, residual: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """prune_statistics from the projections a_i^H r and the residual r the caller has already built."""
     den = float(np.vdot(residual, residual).real)
-    power = np.abs(A.conj().T @ residual + y.size * alphas) ** 2
+    power = np.abs(projected + residual.size * alphas) ** 2
     return power / den if den != 0.0 else np.where(power > 0.0, math.inf, 0.0)
 
 
@@ -426,7 +428,8 @@ def prune_threshold(n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:
 
 
 def _keep_threshold(n_samples: int, m_nodes: int, cfg: OrderConfig) -> float:
-    """prune_threshold's value, for order_changes, which must not call it."""
+    """prune_threshold's value for decision_margins, which runs within a pass (in train_inner and the
+    look-ahead), where a prune_threshold call would break perfbench/spans.py's count of one per pass."""
     q, _ = _f2_upper_quantile(n_samples, m_nodes, cfg)
     return n_samples / (n_samples - m_nodes) * q
 
@@ -454,23 +457,6 @@ def apply_prunes(state: NetworkState, observed, cfg: OrderConfig):
     return kept, PruneReport(xi, float(threshold), keep)
 
 
-def order_changes(state: NetworkState, observed, cfg: OrderConfig) -> bool:
-    """Whether apply_merges, then apply_prunes on its result, would remove a node.
-
-    The pipeline's look-ahead asks this of a polished copy of its state,
-    which it drops when the answer is no. So the question is answered
-    without calling apply_prunes or prune_threshold: a run calls each of
-    those once per pass, and perfbench/spans.py counts them so.
-    """
-    merged, events = apply_merges(state, observed, cfg)
-    if events:
-        return True
-    if merged.m_nodes == 0:
-        return False
-    threshold = _keep_threshold(as_samples(observed).size, merged.m_nodes, cfg)
-    return bool(np.any(prune_statistics(merged, observed) < threshold))
-
-
 def decision_margins(observed, cfg: OrderConfig, omegas, alphas) -> tuple[float, float]:
     """How far the merge and prune tests are from removing one of the nodes.
 
@@ -478,17 +464,23 @@ def decision_margins(observed, cfg: OrderConfig, omegas, alphas) -> tuple[float,
     inf for one node; the smallest xi over the keep threshold), at the
     nodes as given, with the residual noise estimate: each ratio falls
     below 1 where apply_merges would fuse that pair or apply_prunes would
-    remove that node. train_inner's drift guard reads them. Like
-    order_changes, it does not call prune_threshold.
+    remove that node. So the smaller is below 1 exactly when apply_merges,
+    then apply_prunes on its result, would remove a node (a merge stage
+    that fuses nothing hands the prune stage this same table and
+    residual). No node gives (inf, inf). train_inner's drift guard and the
+    pipeline's look-ahead ask it within a pass, so it does not call
+    prune_threshold (see _keep_threshold).
     """
     y = as_samples(observed)
+    if np.size(omegas) == 0:
+        return math.inf, math.inf
     w, a, A, residual, _, w_next, delta = _adjacent_pairs(y, omegas, alphas)
     gap = math.inf
     if w.size > 1:
         bound = _merge_bound(delta, cfg)
         ratio = np.divide(w_next - w, bound, out=np.full(w.size, math.inf), where=bound > 0.0)
         gap = float(ratio.min())
-    xi = _prune_statistics(y, A, residual, a)
+    xi = _prune_statistics(A.conj().T @ residual, residual, a)
     return gap, float(xi.min()) / _keep_threshold(y.size, w.size, cfg)
 
 

@@ -15,11 +15,13 @@ left.
 A pass's training also ends at optimizer.train_inner's crawl test, once
 its total cost fell by less than 0.005 sigma2_hat over the last 197
 iterations, and such a pass counts as converged ("crawl"); only a pass
-that reaches max_iter does not. The loop hands train_inner
-order_control.decision_margins, on its signal and order config, as the
-drift guard: a pass goes on past the crawl test while a node is drifting
-toward a merge or prune decision that the pass's remaining budget would
-reach.
+that reaches max_iter does not. One object answers the run's order
+question: order_control.decision_margins on its signal and order config,
+which falls below 1 where one merge and prune pass would remove a node.
+The loop hands it to train_inner as the drift guard, so a pass goes on
+past the crawl test while a node is drifting toward a merge or prune
+decision that the pass's remaining budget would reach, and the
+look-ahead below asks it too.
 
 One rule, at the end of a pass that merged and pruned nothing, sets what
 the next pass starts from. If the pass halved no rate, returned its last
@@ -33,11 +35,12 @@ a drifting node runs long enough there to trigger the look-ahead.
 Before a pass whose tolerance is within a decade of the floor, if the pass
 before it ran past its first chance to stop (min_iter + _CONSEC_HITS
 iterations), the loop looks ahead: it polishes a copy of the state with
-optimizer.polish_frequencies and asks whether one merge and prune pass on
-that copy would change the order. Only then does the pass train from the
-polished copy; otherwise the copy is dropped and the pass trains as if the
-look-ahead had not run. A node that gradient descent would drag toward its
-fate over thousands of iterations reaches it in one polish.
+optimizer.polish_frequencies and asks decision_margins whether one merge
+and prune pass on that copy would remove a node. Only then does the pass
+train from the polished copy; otherwise the copy is dropped and the pass
+trains as if the look-ahead had not run. A node that gradient descent
+would drag toward its fate over thousands of iterations reaches it in one
+polish.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ from .order_control import (
     apply_prunes,
     decision_margins,
     estimate_noise_var,
-    order_changes,
 )
 from .signal_model import Signal, Sinusoid, ls_amplitudes, wrap_angle
 
@@ -151,7 +153,7 @@ def _run_outer(signal: Signal, state: NetworkState, cfg: EstimatorConfig) -> Run
         try:
             if ran_on and eps <= zone:
                 polished, polish_trace = polish_frequencies(signal, state)
-                if order_changes(polished, signal, cfg.order):
+                if min(margins(polished.omegas, polished.alphas)) < 1.0:
                     state = polished
                     polish_events.append((outer, polish_trace))
             trained, trace = train_inner(signal, state, _pass_config(cfg.train, eps_tol=eps), margins)

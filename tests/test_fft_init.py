@@ -276,7 +276,8 @@ def _table_kept_peaks(y, order):
     bins = np.sort(bins[np.argsort(-mag[bins], kind="stable")[: (n - 1) // 2]])
     A = atom_table(TWO_PI * bins / mag.size, n)
     alphas = np.linalg.lstsq(A, y, rcond=1e-12)[0]
-    xi = order_control._prune_statistics(y, A, y - A @ alphas, alphas)
+    r = y - A @ alphas
+    xi = order_control._prune_statistics(A.conj().T @ r, r, alphas)
     keep = xi >= fft_init.prune_threshold(n, bins.size, order)
     return bins[keep], np.linalg.lstsq(A[:, keep], y, rcond=1e-12)[0]
 

@@ -262,8 +262,11 @@ def test_network_state_validation():
         NetworkState([1.0], [complex("inf")])
     with pytest.raises(NumericalDivergence):
         NetworkState([1.0, 2.0], np.array([1.0, 2.0, complex(3.0, np.nan), 4.0])[::2])
-    with pytest.raises(InvalidDimension, match="velocity"):
-        NetworkState([1.0, 2.0], [1.0, 2.0], np.zeros(4))
+    # velocity is set only by training (NetworkState._of), never by a caller.
+    with pytest.raises(TypeError, match="velocity"):
+        NetworkState([1.0, 2.0], [1.0, 2.0], velocity=np.zeros(8))
+    with pytest.raises(TypeError):
+        NetworkState([1.0, 2.0], [1.0, 2.0], np.zeros(8))
 
 
 def test_network_state_accepts_strided_amplitudes():

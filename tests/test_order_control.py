@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from linespec import order_control
 from linespec.errors import (
+    DegenerateInput,
     DegenerateResidual,
     InvalidDimension,
     SingularInformation,
@@ -849,12 +850,21 @@ def test_apply_prunes_empty_state():
 # detection probability
 
 
+def _one_pass_removes_a_node(state, y):
+    """Whether apply_merges, then apply_prunes on its result, removes a node."""
+    merged, _ = apply_merges(state, y, OrderConfig())
+    kept, _ = apply_prunes(merged, y, OrderConfig())
+    return kept.m_nodes < state.m_nodes
+
+
 @pytest.mark.parametrize("gap_bins", [0.05, 0.2])
 @pytest.mark.parametrize("weak", [0.1, 0.3])
 def test_decision_margins_fall_below_one_where_a_node_goes(gap_bins, weak):
     # A pair gap_bins of a bin apart and a third node of amplitude weak: the
     # gap margin is below 1 where apply_merges fuses the pair, and the prune
-    # margin where apply_prunes removes a node of the state as given.
+    # margin where apply_prunes removes a node of the state as given. The
+    # smaller margin is below 1 exactly when one merge and prune pass
+    # removes a node, for three nodes, one and none.
     n = 32
     w = TWO_PI * np.array([0.2, 0.2 + gap_bins / n, 0.6])
     st0 = NetworkState(w, [1.0, 0.8j, weak])
@@ -866,6 +876,18 @@ def test_decision_margins_fall_below_one_where_a_node_goes(gap_bins, weak):
     assert (prune < 1.0) == (kept.m_nodes < 3) == (weak == 0.1)
     one = decision_margins(y, OrderConfig(), w[:1], np.array([1.0 + 0j]))
     assert one[0] == math.inf and one[1] > 1.0
+    for state in (st0, NetworkState(w[:1], [1.0]), NetworkState.empty()):
+        margins = decision_margins(y, OrderConfig(), state.omegas, state.alphas)
+        assert (min(margins) < 1.0) == _one_pass_removes_a_node(state, y)
+
+
+def test_decision_margins_of_no_node_find_none_to_remove():
+    # No node gives (inf, inf); the samples are still checked.
+    y = _unit_noise(16, 3)
+    assert decision_margins(y, OrderConfig(), np.zeros(0), np.zeros(0, dtype=complex)) == (math.inf, math.inf)
+    y[2] = np.nan
+    with pytest.raises(DegenerateInput):
+        decision_margins(y, OrderConfig(), np.zeros(0), np.zeros(0, dtype=complex))
 
 
 def test_detection_prob_matches_scipy_noncentral_f():

@@ -7,7 +7,9 @@ frequency accuracy rather than the reported count. Counting is asserted at
 moderate SNR where the thresholds are calibrated to operate.
 """
 
+import math
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from linespec.order_control import (
     OrderConfig,
     apply_merges,
     apply_prunes,
-    order_changes,
+    decision_margins,
     prune_statistics,
 )
 from linespec.pipeline import (
@@ -161,12 +163,12 @@ def test_non_finite_sample_is_rejected(run, bad):
     [
         lambda y, s: apply_merges(s, y, OrderConfig()),
         lambda y, s: apply_prunes(s, y, OrderConfig()),
-        lambda y, s: order_changes(s, y, OrderConfig()),
+        lambda y, s: decision_margins(y, OrderConfig(), s.omegas, s.alphas),
         lambda y, s: prune_statistics(s, y),
         lambda y, s: train_inner(y, s, TrainConfig()),
         lambda y, s: polish_frequencies(y, s),
     ],
-    ids=["apply_merges", "apply_prunes", "order_changes", "prune_statistics", "train_inner", "polish_frequencies"],
+    ids=["apply_merges", "apply_prunes", "decision_margins", "prune_statistics", "train_inner", "polish_frequencies"],
 )
 def test_each_stage_rejects_a_non_finite_sample(stage, bad):
     # A run checks its samples once; each stage called on its own checks
@@ -467,12 +469,27 @@ def test_a_drifting_spare_node_is_settled_by_the_look_ahead():
 def test_a_look_ahead_that_keeps_the_order_leaves_the_run_as_it_was(monkeypatch):
     # The look-ahead runs on seed 7003 but is told the order stays: the
     # polished copy is dropped, and the run keeps the bits of a run with no
-    # look-ahead at all (a trigger no pass can meet).
+    # look-ahead at all (a trigger no pass can meet). Only the polished
+    # copies are answered so: the drift guard asks the same
+    # decision_margins and must see what it sees in the plain run.
     y = _sep3(7003)
-    polished = []
-    monkeypatch.setattr(pipeline, "order_changes", lambda state, *args: polished.append(state) or False)
+    polished, answered = [], []
+
+    def polish(*args):
+        state, trace = polish_frequencies(*args)
+        polished.append(state.omegas)
+        return state, trace
+
+    def margins(observed, cfg, omegas, alphas):
+        if any(omegas is w for w in polished):
+            answered.append(omegas)
+            return math.inf, math.inf
+        return decision_margins(observed, cfg, omegas, alphas)
+
+    monkeypatch.setattr(pipeline, "polish_frequencies", polish)
+    monkeypatch.setattr(pipeline, "decision_margins", margins)
     kept = estimate_spectrum(y)
-    assert polished
+    assert polished and len(answered) == len(polished)
     monkeypatch.setattr(pipeline, "_CONSEC_HITS", 10**9)
     plain = estimate_spectrum(y)
     assert kept.polish_events == []
@@ -480,6 +497,23 @@ def test_a_look_ahead_that_keeps_the_order_leaves_the_run_as_it_was(monkeypatch)
     assert [s.amplitude for s in kept.estimates] == [s.amplitude for s in plain.estimates]
     assert np.array_equal(kept.cost_trace, plain.cost_trace)
     assert _inner_iterations(plain) == 15997
+
+
+def test_runs_that_adopt_a_polish_keep_the_tracers_call_pattern(monkeypatch):
+    # perfbench/spans.py counts one merge, prune and threshold call per
+    # training call. The look-ahead asks its question inside a pass, and an
+    # adopted polish still trains, so seeds 7003 and 7004, which adopt one
+    # polish each, keep that count.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    for seed in (7003, 7004):
+        with tracer, tracer.span("pipeline", seed):
+            report = estimate_spectrum(_sep3(seed))
+        assert len(report.polish_events) == 1
+        (summary,) = [s for s in spans.summarize(tracer) if s.estimate == seed]
+        assert summary.layer_calls["order_control.threshold"] == summary.passes == report.outer_iterations
 
 
 def test_a_pass_that_merges_nothing_builds_one_atom_table(monkeypatch):
