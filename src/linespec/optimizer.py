@@ -76,8 +76,8 @@ class NetworkState:
     decides what each pass starts from. The order-control stages build the
     states they change at rest and hand on the ones they leave alone as
     they came.
-    ``_fit`` is (the bytes of y, A, y - A alpha) for samples y, which a merge
-    that fuses nothing hands to the prune statistics; they read it only for
+    ``_fit`` is (the bytes of y, A, y - A alpha) for samples y, which the
+    merge stage hands to the prune statistics; they read it only for
     samples of the same bytes. A state that has one has read-only arrays.
     No constructor or replace carries either field.
     """
@@ -220,6 +220,8 @@ class _Kernel:
     multiples q*B) and node, B + ceil(N/B) of them instead of N, and one
     complex multiply per entry of A. These are signal_model.atom_table's
     operations into fixed buffers, so A has its bits.
+    ``block`` is 8M zeroed floats: the sums s as (re, im) pairs, then 4M
+    floats train_inner keeps its momentum in, so one multiply scales both.
     """
 
     def __init__(self, y: np.ndarray, m_nodes: int):
@@ -238,7 +240,7 @@ class _Kernel:
         self.r = np.empty(n_samples, dtype=np.complex128)
         self._rc = np.empty(n_samples, dtype=np.complex128)
         self._n = np.arange(n_samples, dtype=np.complex128)
-        self.s = np.empty((2, m_nodes), dtype=np.complex128)
+        self.s, self.block = _sums_block(m_nodes)
         self._s0, self._s1 = self.s
 
     def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -250,17 +252,28 @@ class _Kernel:
         np.subtract(self.r, self._y, self.r)
         return self.r
 
-    def gradient_sums(self) -> np.ndarray:
-        """s = [A^T conj(r); A^T (n * conj(r))] at the last residual, as a 2 x M array.
+    def gradient_sums(self, alphas: np.ndarray) -> np.ndarray:
+        """s = [A^T conj(r); alpha * A^T (n * conj(r))] at the last residual, as a 2 x M array.
 
-        The gradients are A^H r = conj(s[0]) and -2 Im{alpha * s[1]}, since
-        2 Im{alpha * A^T (n * conj(-r))} = -2 Im{alpha * s[1]}.
+        ``alphas`` are the amplitudes of that residual. The gradients are
+        A^H r = conj(s[0]) and -2 Im{s[1]}, since
+        2 Im{alpha * A^T (n * conj(-r))} = -2 Im{alpha * A^T (n * conj(r))}.
+        The amplitudes multiply the second sum in place, which keeps the
+        trajectories' bits: at M = 1 numpy rounds an in-place complex
+        product differently from one into a new array.
         """
         rc = np.conjugate(self.r, self._rc)
         np.matmul(self._At, rc, self._s0)
         np.multiply(self._n, rc, rc)
         np.matmul(self._At, rc, self._s1)
+        np.multiply(alphas, self._s1, self._s1)
         return self.s
+
+
+def _sums_block(m_nodes: int):
+    """(s, block): the 2 x M complex gradient sums as the first half of 8M zeroed floats."""
+    halves = np.zeros((2, 2, m_nodes), dtype=np.complex128)
+    return halves[0], halves.reshape(4 * m_nodes).view(float)
 
 
 class _FactoredKernel:
@@ -276,13 +289,14 @@ class _FactoredKernel:
     complex multiply, and H also q times the rounding of B*w, the size of
     the direct exp's own phase rounding at n = q*B. The model on the
     zero-padded Q x B grid is then one product, (H * alpha) @ L^T, whose
-    first N entries minus y are r. Both gradient sums come from one product
-    of the stacked 2Q x B array [conj(r); n * conj(r)] with L, times H and
-    summed over q: A^T conj(r) and A^T (n * conj(r)). Only the first N
-    entries of each half are ever written, so the padded tail stays zero.
-    This skips the N x M table and its complex multiply; the factors and
-    the sums are rounded differently, so the results differ from _Kernel's
-    in the last bits.
+    first N entries minus y are r; H * alpha stays in a third plane of the
+    powers buffer, beside H. Both gradient sums come from one product of
+    the stacked 2Q x B array [conj(r); n * conj(r)] with L, times the
+    stacked view [H; H * alpha] and summed over q: A^T conj(r) and
+    alpha * A^T (n * conj(r)). Only the first N entries of each half are
+    ever written, so the padded tail stays zero. This skips the N x M
+    table and its complex multiply; the factors and the sums are rounded
+    differently, so the results differ from _Kernel's in the last bits.
     """
 
     def __init__(self, y: np.ndarray, m_nodes: int):
@@ -295,13 +309,15 @@ class _FactoredKernel:
         self._phase_im = self._phase.imag[:, 0]
         self._z = np.empty((2, 1, m_nodes), dtype=np.complex128)
         self._bases = np.broadcast_to(self._z, (2, b - 1, m_nodes))
-        # Row 0 of each plane stays one; accumulate writes the powers below it.
-        self._powers = np.ones((2, b, m_nodes), dtype=np.complex128)
-        self._rows = self._powers[:, 1:]
+        # Planes L, H and H * alpha. Row 0 of L and H stays one; accumulate
+        # writes the powers below it.
+        self._powers = np.ones((3, b, m_nodes), dtype=np.complex128)
+        self._rows = self._powers[:2, 1:]
         self._l = self._powers[0]
         self._lt = self._l.T
         self._h = self._powers[1, :q]
-        self._ha = np.empty((q, m_nodes), dtype=np.complex128)
+        self._ha = self._powers[2, :q]
+        self._h_ha = self._powers[1:, :q]
         self._x = np.empty((q, b), dtype=np.complex128)
         self.r = self._x.reshape(q * b)[:n_samples]
         self._stack = np.zeros((2 * q, b), dtype=np.complex128)
@@ -311,7 +327,7 @@ class _FactoredKernel:
         self._p = np.empty((2 * q, m_nodes), dtype=np.complex128)
         self._p3 = self._p.reshape(2, q, m_nodes)
         self._n = np.arange(n_samples, dtype=np.complex128)
-        self.s = np.empty((2, m_nodes), dtype=np.complex128)
+        self.s, self.block = _sums_block(m_nodes)
 
     def residual(self, omegas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
         """Evaluate the factors at the frequencies omegas and return r = A alpha - y."""
@@ -323,12 +339,16 @@ class _FactoredKernel:
         np.subtract(self.r, self._y, self.r)
         return self.r
 
-    def gradient_sums(self) -> np.ndarray:
-        """_Kernel.gradient_sums at the last residual, through the factors."""
+    def gradient_sums(self, alphas: np.ndarray) -> np.ndarray:
+        """_Kernel.gradient_sums at the last residual, through the factors.
+
+        The amplitudes enter through the residual's H * alpha, so ``alphas``
+        must be those of the last residual, as in _Kernel.
+        """
         np.conjugate(self.r, self._rc)
         np.multiply(self._n, self._rc, self._nrc)
         np.matmul(self._stack, self._l, self._p)
-        np.multiply(self._p3, self._h, self._p3)
+        np.multiply(self._p3, self._h_ha, self._p3)
         return np.add.reduce(self._p3, 1, None, self.s)
 
 
@@ -355,10 +375,7 @@ def _gradients(state: NetworkState, observed) -> tuple[np.ndarray, np.ndarray]:
     """(A^H r, -2 Im{alpha * A^T (n * conj(r))}) at r = A alpha - y."""
     kernel = _Kernel(as_samples(observed), state.m_nodes)
     kernel.residual(state.omegas, state.alphas)
-    s = kernel.gradient_sums()
-    # In place, as train_inner multiplies: at M = 1 numpy rounds an in-place
-    # complex product differently from one into a new array.
-    np.multiply(state.alphas, s[1], s[1])
+    s = kernel.gradient_sums(state.alphas)
     return np.conjugate(s[0]), -2.0 * s[1].imag
 
 
@@ -380,6 +397,33 @@ def _drifting(start, now, t: int, remaining: int) -> bool:
     iterations, moving on at its mean rate over the t iterations since
     ``start``."""
     return any(m > 1.0 and m + (m - m0) / t * remaining < 1.0 for m0, m in zip(start, now))
+
+
+@lru_cache(maxsize=64)
+def _step_vectors(cfg: TrainConfig, m_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rates, factors) of train_inner's layout for M nodes and a resolved config, read-only.
+
+    ``rates`` is 4M floats: gamma_alpha on the amplitude block, gamma_omega
+    on the frequency slots. ``factors`` is 8M floats, the scale of the sums
+    then the momentum lambda. The scale turns the sums
+    s = [A^T conj(r); alpha * A^T (n * conj(r))], as (re, im) pairs, into
+    the gradient times mix = 1 - lambda: conj(s[0]) * mix is
+    (re, im) * [mix, -mix], and -2 Im{s[1]} * mix is Im{s[1]} * (-2 mix).
+    The real slots of the frequency block get rate 0 and scale 0: their
+    momentum and parameters stay 0.
+    """
+    m = m_nodes
+    rates = np.zeros(4 * m)
+    rates[: 2 * m] = cfg.gamma_alpha
+    rates[2 * m + 1 :: 2] = cfg.gamma_omega
+    mix = 1.0 - cfg.momentum
+    factors = np.zeros(8 * m)
+    factors[: 2 * m : 2] = mix
+    factors[1 : 2 * m : 2] = -mix
+    factors[2 * m + 1 : 4 * m : 2] = -2.0 * mix
+    factors[4 * m :] = cfg.momentum
+    rates.flags.writeable = factors.flags.writeable = False
+    return rates, factors
 
 
 def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None, margins=None):
@@ -411,7 +455,10 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None, m
     rest (an oscillation that never rises 20 times in a row can end
     there). From N = _FACTORED_MIN_N = 128
     samples the model and gradient sums go through _FactoredKernel, below
-    it through _Kernel.
+    it through _Kernel. The kernel's gradient sums already carry the
+    amplitudes, and they sit beside the momentum in the kernel's block, so
+    one multiply scales the sums and decays the momentum; the returned
+    ``velocity`` is a copy of that momentum.
     """
     y = as_samples(observed)
     n_samples = y.size
@@ -427,35 +474,25 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None, m
     # in the imaginary part of its slot, the view the kernel reads. Three
     # parameter buffers rotate: the current one, the best one (often the
     # same) and a free one that takes the next iterate, so keeping the best
-    # state copies nothing.
+    # state copies nothing. The step is the fourth row of their block.
+    slots = np.zeros((4, 4 * m))
     bufs = []
-    for _ in range(3):
-        p = np.zeros(4 * m)
+    for p in slots[:3]:
         c_slots = p.view(np.complex128)
         bufs.append((p, c_slots[:m], c_slots[m:].imag))
+    step = slots[3]
     p, a, w = bufs[0]
     a[:] = state.alphas
     w[:] = state.omegas
-    # The real slots of the frequency block get rate 0 and scale 0: their
-    # momentum and parameters stay 0.
-    rates = np.zeros(4 * m)
-    rates[: 2 * m] = cfg.gamma_alpha
-    rates[2 * m + 1 :: 2] = cfg.gamma_omega
-    d = np.zeros(4 * m) if state.velocity is None else state.velocity.copy()
-    step = np.empty(4 * m)
-    lam = np.full(4 * m, cfg.momentum)
-    # The gradient scaled by mix = 1 - lambda in one multiply of the sums
-    # s = [A^T conj(r); alpha * A^T (n * conj(r))] as (re, im) pairs:
-    # conj(s[0]) * mix is (re, im) * [mix, -mix], and -2 Im{s[1]} * mix is
-    # Im{s[1]} * (-2 mix).
-    mix = 1.0 - cfg.momentum
-    scale = np.zeros(4 * m)
-    scale[: 2 * m : 2] = mix
-    scale[1 : 2 * m : 2] = -mix
-    scale[2 * m + 1 :: 2] = -2.0 * mix
-    s = kernel.s
-    s_pairs = s.reshape(2 * m).view(float)
-    s_w = s[1]
+    base_rates, factors = _step_vectors(cfg, m)
+    rates = base_rates.copy()  # a halving scales them
+    # The kernel's block holds the sums s as (re, im) pairs, then the
+    # momentum d: one multiply by factors = [scale | lambda] scales the
+    # sums and decays the momentum.
+    block = kernel.block
+    s_pairs, d = block[: 4 * m], block[4 * m :]
+    if state.velocity is not None:
+        d[:] = state.velocity
 
     r = kernel.residual(w, a)
     cbar = float(np.vdot(r, r).real) / n_samples
@@ -485,11 +522,9 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None, m
     start_margins = None
 
     for t in range(1, cfg.max_iter + 1):
-        gradient_sums()
-        multiply(a, s_w, s_w)
-        multiply(s_pairs, scale, step)
-        multiply(d, lam, d)
-        add(d, step, d)
+        gradient_sums(a)
+        multiply(block, factors, block)
+        add(d, s_pairs, d)
         multiply(rates, d, step)
         # The next buffer after cur that does not hold the best state.
         nxt = (cur + 1) % 3
@@ -538,10 +573,11 @@ def train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None, m
             next_crawl = t + window
         cbar = c
 
-    velocity = d
     if c > trace[0]:
         _, a, w = bufs[best]
         velocity = None
+    else:
+        velocity = d.copy()  # not a view of the kernel's block
     # Every iterate's cost was checked finite, and so are its parameters.
     out = NetworkState._of(w.copy(), a.copy(), velocity)
     return out, CostTrace(np.asarray(trace), t, halvings, exit_reason)

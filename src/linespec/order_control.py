@@ -305,12 +305,18 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
     All M adjacent pairs, the wrap-around one included, are tested at once.
     A fused pair becomes one node at the midpoint with the summed
     amplitude, which is tested again against its next neighbor; the
-    wrap-around pair ends the walk. Every fused node then gets
-    least-squares amplitudes (refit_amplitudes), so the result is a fitted
-    model, wrapped and sorted; a state of fewer than two nodes is returned
-    as it is. Returns (new state, list of MergeEvent). A walk that fuses
-    nothing hands the table and residual of its noise estimate, on the new
-    state, to apply_prunes.
+    wrap-around pair ends the walk. The retests the adjacent decisions
+    predict (each first fuse against the node after it) are made before
+    the walk in one call, with the bits of one call each (rho sums each
+    pair on its own); a retest after a chain of fuses is made alone. Every
+    fused node then gets least-squares amplitudes, the other nodes held
+    fixed (refit_amplitudes), so the result is a fitted model, wrapped and
+    sorted; a state of fewer than two nodes is returned as it is. Returns
+    (new state, list of MergeEvent). The stage hands the atom table and
+    residual of its result to apply_prunes on the new state: the table of
+    its noise estimate when it fuses nothing, else that table's columns
+    of the nodes it kept, new columns for the fused ones, and the refit
+    residual.
     """
     y = as_samples(observed)
     n_samples = y.size
@@ -324,6 +330,45 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
         # apply_prunes reads its statistics off this table and residual.
         return NetworkState._of(w, a, fit=(y.tobytes(), A, residual)), []
 
+    # A walk whose retests all keep their pair makes the retests the
+    # adjacent decisions predict; the real walk looks each one up.
+    predicted: list[tuple] = []
+    _merge_walk(w, a, adjacent, lambda pair: predicted.append(pair))
+    known = {}
+    if predicted:
+        wi, ai, wj, aj = (np.array(c) for c in zip(*predicted))
+        known = dict(zip(predicted, merge_test(wi, wj, _pair_bound(ai, aj, wi, wj, sigma2, n_samples)[0], cfg)))
+
+    def retest(pair):
+        if pair in known:
+            return known[pair]
+        wi, ai, wj, aj = pair
+        return merge_test(wi, wj, _pair_bound(ai, aj, wi, wj, sigma2, n_samples)[0][0], cfg)
+
+    ws, am, fused, origin, events = _merge_walk(w, a, adjacent, retest)
+    w = np.array(ws)
+    order = np.argsort(w, kind="stable")
+    w, fused = w[order], np.array(fused)[order]
+    # A column's bits do not depend on the other columns: the kept nodes'
+    # are the walk's, and only the fused nodes get new ones.
+    table = np.empty((n_samples, w.size), dtype=np.complex128)
+    table[:, ~fused] = A[:, np.array(origin)[order][~fused]]
+    table[:, fused] = atom_table(w[fused], n_samples)
+    merged = NetworkState(w, _refit(table, y, np.array(am, dtype=np.complex128)[order], fused))
+    # apply_prunes reads its statistics off this table and residual.
+    fit = (y.tobytes(), table, y - table @ merged.alphas)
+    return NetworkState._of(merged.omegas, merged.alphas, fit=fit), events
+
+
+def _merge_walk(w: np.ndarray, a: np.ndarray, adjacent: np.ndarray, retest):
+    """apply_merges' circular walk over the sorted nodes (w, a).
+
+    ``adjacent[k]`` decides the pair (k, k + 1 mod M) of the nodes as given,
+    and ``retest((w_i, a_i, w_j, a_j))`` a pair that holds a fused node,
+    w_j shifted by 2*pi across the wrap. Returns (frequencies, amplitudes,
+    fused flags, the index in w of each node's first node, MergeEvents),
+    the nodes in walk order.
+    """
     ws, am, fused, origin = list(w), list(a), [False] * w.size, list(range(w.size))
     events: list[MergeEvent] = []
     i = 0
@@ -331,8 +376,7 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
         j = (i + 1) % len(ws)
         shift = TWO_PI if j == 0 else 0.0
         if fused[i] or fused[j]:
-            delta, _, _ = _pair_bound(am[i], am[j], ws[i], ws[j] + shift, sigma2, n_samples)
-            fuses = merge_test(ws[i], ws[j] + shift, delta[0], cfg)
+            fuses = retest((ws[i], am[i], ws[j] + shift, am[j]))
         else:
             fuses = adjacent[origin[i]]
         if not fuses:
@@ -344,10 +388,7 @@ def apply_merges(state: NetworkState, observed, cfg: OrderConfig):
         del ws[j], am[j], fused[j], origin[j]
         if j == 0:
             break
-    w = np.array(ws)
-    order = np.argsort(w, kind="stable")
-    merged_state = NetworkState(w[order], np.array(am, dtype=np.complex128)[order])
-    return refit_amplitudes(merged_state, observed, np.array(fused)[order]), events
+    return ws, am, fused, origin, events
 
 
 def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
@@ -355,7 +396,7 @@ def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
 
     ``nodes`` is a boolean mask. The selected amplitudes are fitted jointly
     to the data minus the unselected nodes' contribution; frequencies are
-    unchanged. apply_merges calls it on the nodes it fused: a merged node
+    unchanged. apply_merges fits the nodes it fused this way: a merged node
     sits at the midpoint with the summed amplitudes, which no fit produced,
     and refitting it before apply_prunes keeps the residual, and so every
     node's statistic, that of a fitted model.
@@ -366,11 +407,14 @@ def refit_amplitudes(state: NetworkState, observed, nodes) -> NetworkState:
         raise InvalidDimension("node mask must have one entry per node")
     if not sel.any():
         return state
-    A = atom_table(state.omegas, y.size)
-    target = y - A[:, ~sel] @ state.alphas[~sel]
-    alphas = state.alphas.copy()
-    alphas[sel] = _ls_solve(A[:, sel], target)
-    return NetworkState(state.omegas, alphas)
+    return NetworkState(state.omegas, _refit(atom_table(state.omegas, y.size), y, state.alphas, sel))
+
+
+def _refit(A: np.ndarray, y: np.ndarray, alphas: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """refit_amplitudes' amplitudes on the atom table A the caller has already built."""
+    alphas = alphas.copy()
+    alphas[sel] = _ls_solve(A[:, sel], y - A[:, ~sel] @ alphas[~sel])
+    return alphas
 
 
 def prune_statistics(state: NetworkState, observed) -> np.ndarray:

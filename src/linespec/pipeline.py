@@ -21,7 +21,9 @@ which falls below 1 where one merge and prune pass would remove a node.
 The loop hands it to train_inner as the drift guard, so a pass goes on
 past the crawl test while a node is drifting toward a merge or prune
 decision that the pass's remaining budget would reach, and the
-look-ahead below asks it too.
+look-ahead below asks it too. It remembers its last answer, so the
+guard's first question in a pass that trains from an adopted polish,
+about the copy the look-ahead has just asked about, is not asked again.
 
 One rule, at the end of a pass that merged and pruned nothing, sets what
 the next pass starts from. If the pass halved no rate, returned its last
@@ -136,6 +138,23 @@ def _build_report(signal, state, outer, traces, merge_events, prune_events, poli
 _pass_config = lru_cache(maxsize=64)(replace)  # one TrainConfig per (train, eps)
 
 
+def _last_answer(margins):
+    """margins with a one-entry memo keyed by the bytes of the arrays it was last asked about.
+
+    After an adopted look-ahead polish, train_inner's drift guard asks
+    about the copy the look-ahead has just asked about; it gets that answer.
+    """
+    last = [None, None]
+
+    def ask(omegas, alphas):
+        key = (omegas.tobytes(), alphas.tobytes())
+        if key != last[0]:
+            last[:] = key, margins(omegas, alphas)
+        return last[1]
+
+    return ask
+
+
 def _run_outer(signal: Signal, state: NetworkState, cfg: EstimatorConfig) -> RunReport:
     # Every stage takes the Signal, so the samples are checked once a run.
     outer = 0
@@ -145,7 +164,7 @@ def _run_outer(signal: Signal, state: NetworkState, cfg: EstimatorConfig) -> Run
     polish_events: list[tuple[int, CostTrace]] = []
     first_stop = cfg.train.min_iter + _CONSEC_HITS
     zone = 10.0 * cfg.train.eps_tol
-    margins = partial(decision_margins, signal, cfg.order)
+    margins = _last_answer(partial(decision_margins, signal, cfg.order))
     ran_on = False
     while outer < MAX_PASSES and state.m_nodes > 0:
         eps = max(10.0 ** -(EPS_START_DECADE + outer), cfg.train.eps_tol)

@@ -143,8 +143,8 @@ def test_factored_kernel_agrees_with_the_table_kernel_and_the_direct_exp(n, m):
     for cls in (_FactoredKernel, _Kernel):
         kernel = cls(y, m)
         r = kernel.residual(omegas, alphas).copy()
-        s = kernel.gradient_sums()
-        results.append((r, np.conj(s[0]), -2.0 * np.imag(alphas * s[1])))
+        s = kernel.gradient_sums(alphas)
+        results.append((r, np.conj(s[0]), -2.0 * np.imag(s[1])))
     results.append(_direct_gradients(omegas, alphas, y))
     # Each sum is bounded by the sum of its terms' moduli: ||r||_1 for the
     # amplitude gradient, 2 |alpha| sum n |r_n| for the frequency gradient.
@@ -368,7 +368,8 @@ def _ref_gradients(A: np.ndarray, r: np.ndarray, alphas: np.ndarray, n: np.ndarr
 # L = exp(j*s*w) (B x M), built as running powers of the two exponentials
 # exp(j*w) and exp(j*fl(B*w)): the model is (H * alpha) @ L^T on the
 # zero-padded Q x B grid, and both gradient sums are one product of the
-# stacked [conj(r); n * conj(r)] with L, times H and summed over q.
+# stacked [conj(r); n * conj(r)] with L, times the stacked [H; H * alpha]
+# and summed over q, so the amplitudes enter the frequency sum per q.
 def _ref_factored_residual(omegas: np.ndarray, alphas: np.ndarray, y: np.ndarray, steps):
     k, b = steps
     z = np.exp(np.outer([1.0, b], 1j * omegas))
@@ -385,8 +386,8 @@ def _ref_factored_gradients(HL, r: np.ndarray, alphas: np.ndarray, n: np.ndarray
     R = np.zeros((2, q * b), dtype=np.complex128)
     R[0, : r.size] = np.conj(r)
     R[1, : r.size] = n * np.conj(r)
-    s = ((R.reshape(2 * q, b) @ L).reshape(2, q, -1) * H).sum(axis=1)
-    return np.conj(s[0]), -2.0 * np.imag(alphas * s[1])
+    s = ((R.reshape(2 * q, b) @ L).reshape(2, q, -1) * np.stack((H, H * alphas))).sum(axis=1)
+    return np.conj(s[0]), -2.0 * np.imag(s[1])
 
 
 def _ref_train_inner(observed, state: NetworkState, cfg: TrainConfig | None = None):
@@ -743,12 +744,12 @@ def test_a_pass_stops_at_the_first_three_consecutive_hits():
     assert sum(hit[: first_run - 2]) >= 3
 
 
-@pytest.mark.parametrize("n", [32, 256])
+@pytest.mark.parametrize("n", [32, 128, 256])
 def test_a_call_continued_from_its_velocity_equals_one_longer_call(n):
     # 40 iterations (past min_iter), then 25 more from the returned state
     # and its velocity, against one call of 65: a tolerance no iteration
     # meets, no halving, and a falling cost, so both parts return their
-    # last iterate. Both kernels (N = 32 and 256).
+    # last iterate. Both kernels (N = 32, and 128 and 256).
     y = _noisy_tones(n, [1.0, 2.2], 3)
     start = NetworkState([1.0 + 3.0 / n, 2.2 - 2.0 / n], [0.6 + 0.2j, -0.3 + 0.7j])
     cfg = TrainConfig(eps_tol=1e-300)
@@ -761,6 +762,23 @@ def test_a_call_continued_from_its_velocity_equals_one_longer_call(n):
     np.testing.assert_array_equal(second.alphas, whole.alphas)
     np.testing.assert_array_equal(second.velocity, whole.velocity)
     np.testing.assert_array_equal(np.concatenate((trace1.mean_costs, trace2.mean_costs[1:])), trace.mean_costs)
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_a_returned_velocity_owns_its_memory(n):
+    # The momentum lives in the kernel's block, beside the gradient sums;
+    # the state gets a copy, 4 floats per node, which a continued call
+    # reads and leaves as it was. Both kernels (N = 32 and 128).
+    y = _noisy_tones(n, [1.0, 2.2], 3)
+    start = NetworkState([1.0 + 3.0 / n, 2.2 - 2.0 / n], [0.6 + 0.2j, -0.3 + 0.7j])
+    cfg = TrainConfig(eps_tol=1e-300, max_iter=40)
+    first, _ = train_inner(y, start, cfg)
+    velocity = first.velocity
+    assert velocity.base is None and velocity.flags.owndata and velocity.shape == (8,)
+    kept = velocity.copy()
+    second, _ = train_inner(y, first, cfg)
+    assert second.velocity.base is None and second.velocity is not velocity
+    assert velocity.tobytes() == kept.tobytes()
 
 
 def test_only_a_descent_from_rest_waits_for_min_iter():

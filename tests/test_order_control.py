@@ -7,7 +7,8 @@ scipy.stats, which is used only as an oracle here.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from linespec.errors import (
     InvalidDimension,
     SingularInformation,
 )
+from linespec.experiments import _draw_signal, sample_well_separated
 from linespec.fft_init import initialize
-from linespec.optimizer import NetworkState, forward
+from linespec.optimizer import NetworkState, forward, train_inner
+from linespec.pipeline import EstimatorConfig
 from linespec.order_control import (
     CrbPair,
     MergeEvent,
@@ -44,7 +47,7 @@ from linespec.order_control import (
     refit_amplitudes,
     rho,
 )
-from linespec.signal_model import TWO_PI, atom, design_matrix, wrap_angle
+from linespec.signal_model import TWO_PI, Signal, atom, design_matrix, wrap_angle
 
 
 def _unit_noise(n, seed):
@@ -616,6 +619,116 @@ def test_apply_merges_is_the_scalar_walk_bit_for_bit():
         chains += any(a.omega_merged == b.omega_low for a, b in zip(want_events, want_events[1:]))
         wraps += any(e.omega_low > e.omega_high for e in want_events)
     assert chains >= 5 and wraps >= 3
+
+
+def _per_pair_walk(state, y, cfg):
+    """Reference: apply_merges with one _pair_bound call per retest, without the table hand-off."""
+    n_samples = y.size
+    if state.m_nodes <= 1:
+        return state, []
+    w, a, A, residual, sigma2, w_next, delta = order_control._adjacent_pairs(y, state.omegas, state.alphas)
+    adjacent = merge_test(w, w_next, delta, cfg)
+    if not adjacent.any():
+        return NetworkState(w, a), []
+    ws, am, fused, origin = list(w), list(a), [False] * w.size, list(range(w.size))
+    events = []
+    i = 0
+    while len(ws) > 1 and i < len(ws):
+        j = (i + 1) % len(ws)
+        shift = TWO_PI if j == 0 else 0.0
+        if fused[i] or fused[j]:
+            delta, _, _ = _pair_bound(am[i], am[j], ws[i], ws[j] + shift, sigma2, n_samples)
+            fuses = merge_test(ws[i], ws[j] + shift, delta[0], cfg)
+        else:
+            fuses = adjacent[origin[i]]
+        if not fuses:
+            i += 1
+            continue
+        merged = wrap_angle(0.5 * (ws[i] + ws[j] + shift))
+        events.append(MergeEvent(ws[i], ws[j], merged))
+        ws[i], am[i], fused[i] = merged, am[i] + am[j], True
+        del ws[j], am[j], fused[j], origin[j]
+        if j == 0:
+            break
+    w = np.array(ws)
+    order = np.argsort(w, kind="stable")
+    merged_state = NetworkState(w[order], np.array(am, dtype=np.complex128)[order])
+    return refit_amplitudes(merged_state, y, np.array(fused)[order]), events
+
+
+def _tones8_first_merge():
+    """The state tones8_n512 seed 8000 brings to its first merge stage, and its samples."""
+    rng = np.random.default_rng(8000)
+    freqs = np.sort(sample_well_separated(rng, 8, 8 * TWO_PI / 512))
+    y, _, _ = _draw_signal(freqs, np.ones(8), 512, 20.0, rng)
+    signal = Signal(y)
+    cfg = EstimatorConfig()
+    margins = partial(decision_margins, signal, cfg.order)
+    state, _ = train_inner(signal, initialize(signal, cfg.order), replace(cfg.train, eps_tol=1e-2), margins)
+    return state, y
+
+
+def _merge_case(case):
+    """(state, samples) of one walk shape; the noise sets sigma2 and so the fuse distance."""
+    n = 32
+    w0 = TWO_PI * 0.3
+    shapes = {
+        "no_fuse": ([0.5, 2.0, 4.0], [1.0, 1.0j, -1.0], 0.1),
+        # three nodes inside the fuse distance: the retest of the first
+        # fuse fuses again
+        "chain": ([w0, w0 + 5e-5, w0 + 1e-4, 4.0], [1.0, 1.0, 1.0, 1.0j], 0.1),
+        # the last node fuses with the first across 2*pi, after the first
+        # fused with its neighbor: the wrap pair holds two fused nodes
+        "wrap": ([1e-4, 2e-4, 3.0, TWO_PI - 1e-4, TWO_PI - 5e-5], [1.0, 1.0, 1.0j, 1.0, 1.0], 1.0),
+        "m2": ([w0, w0 + 1e-4], [1.0, 1.0], 0.1),
+    }
+    if case == "tones8_8000":
+        return _tones8_first_merge()
+    omegas, alphas, noise = shapes[case]
+    st0 = NetworkState(omegas, alphas)
+    return st0, design_matrix(st0.omegas, n) @ st0.alphas + noise * _unit_noise(n, 31)
+
+
+@pytest.mark.parametrize("case", ["no_fuse", "tones8_8000", "chain", "wrap", "m2"])
+def test_apply_merges_batches_the_predicted_retests_with_the_per_pair_bits(case, monkeypatch):
+    # Before the walk one _pair_bound call makes every retest the adjacent
+    # decisions predict (each first fuse against the node after it); rho
+    # sums each pair on its own, so the states and events are the per-pair
+    # walk's bit for bit. Only a chain's retest is still made alone.
+    state, y = _merge_case(case)
+    cfg = OrderConfig()
+    want, want_events = _per_pair_walk(state, y, cfg)
+    calls = []
+
+    def counting(*args):
+        calls.append(np.size(args[0]))
+        return _pair_bound(*args)
+
+    monkeypatch.setattr(order_control, "_pair_bound", counting)
+    got, events = apply_merges(state, y, cfg)
+    assert got.omegas.tobytes() == want.omegas.tobytes()
+    assert got.alphas.tobytes() == want.alphas.tobytes()
+    assert np.array([astuple(e) for e in events]).tobytes() == np.array([astuple(e) for e in want_events]).tobytes()
+    # The state carries the table and residual apply_prunes would build.
+    _, table, residual = got._fit
+    assert table.tobytes() == order_control.atom_table(got.omegas, y.size).tobytes()
+    assert residual.tobytes() == (y - order_control.atom_table(got.omegas, y.size) @ got.alphas).tobytes()
+    chained = [e for e, f in zip(events, events[1:]) if e.omega_merged in (f.omega_low, f.omega_high)]
+    expected = {
+        # the adjacent pairs only
+        "no_fuse": ([3], 0, 0),
+        # seven first fuses, seven retests in one call
+        "tones8_8000": ([16, 7], 7, 0),
+        # predicted: the first fuse's retest and the wrap pair against the
+        # fused first node. The first fuses, and the chain's two retests
+        # (against the fourth node, then the wrap pair) are made alone.
+        "chain": ([4, 2, 1, 1], 2, 1),
+        # two first fuses; the second's retest is the wrap pair
+        "wrap": ([5, 2], 3, 1),
+        # one fuse leaves one node: nothing to retest
+        "m2": ([2], 1, 0),
+    }[case]
+    assert (calls, len(events), len(chained)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from linespec.pipeline import (
     estimate_spectrum,
     estimate_with_fixed_order,
 )
-from linespec.experiments import _draw_signal
+from linespec.experiments import _cluster_draw, _cluster_init, _draw_signal, sample_well_separated
 from linespec.signal_model import TWO_PI, Sinusoid, atom_table, design_matrix
 
 N = 32
@@ -499,6 +499,47 @@ def test_a_look_ahead_that_keeps_the_order_leaves_the_run_as_it_was(monkeypatch)
     assert _inner_iterations(plain) == 15997
 
 
+@pytest.mark.parametrize("seed", [9011, 9013])
+def test_an_adopted_polish_is_asked_about_once(seed, monkeypatch):
+    # Acceptance 08's scenes 9011 and 9013 adopt a polish whose pass reaches
+    # the crawl test, where the drift guard asks decision_margins about the
+    # pass's start: the copy the look-ahead has just asked about. The run's
+    # margins remember their last answer, so that copy is asked about once.
+    asked, polished, starts, guarded = {}, [], [], []
+
+    def key(omegas, alphas):
+        return omegas.tobytes(), alphas.tobytes()
+
+    def margins(observed, cfg, omegas, alphas):
+        k = key(omegas, alphas)
+        asked[k] = asked.get(k, 0) + 1
+        return decision_margins(observed, cfg, omegas, alphas)
+
+    def polish(*args):
+        state, trace = polish_frequencies(*args)
+        polished.append(key(state.omegas, state.alphas))
+        return state, trace
+
+    def train(observed, state, cfg, guard):
+        starts.append(key(state.omegas, state.alphas))
+
+        def recorded(omegas, alphas):
+            guarded.append(key(omegas, alphas))
+            return guard(omegas, alphas)
+
+        return train_inner(observed, state, cfg, recorded)
+
+    monkeypatch.setattr(pipeline, "decision_margins", margins)
+    monkeypatch.setattr(pipeline, "polish_frequencies", polish)
+    monkeypatch.setattr(pipeline, "train_inner", train)
+    y, _, _ = _cluster_draw(seed)
+    report = estimate_with_fixed_order(y, _cluster_init(y))
+    adopted = [k for k in polished if k in starts]
+    assert len(adopted) == len(report.polish_events) == 1
+    assert adopted[0] in guarded
+    assert asked[adopted[0]] == 1
+
+
 def test_runs_that_adopt_a_polish_keep_the_tracers_call_pattern(monkeypatch):
     # perfbench/spans.py counts one merge, prune and threshold call per
     # training call. The look-ahead asks its question inside a pass, and an
@@ -516,13 +557,13 @@ def test_runs_that_adopt_a_polish_keep_the_tracers_call_pattern(monkeypatch):
         assert summary.layer_calls["order_control.threshold"] == summary.passes == report.outer_iterations
 
 
-def test_a_pass_that_merges_nothing_builds_one_atom_table(monkeypatch):
-    # apply_merges builds the N x M atom table of the trained nodes for its
-    # noise estimate. When it fuses nothing, apply_prunes reads its
-    # statistics off that table and residual instead of building both
-    # again. rho's table of the pair gaps is not counted.
-    passes: list[tuple[int, list]] = []
-    inside = {"stage": False, "rho": False}
+def _stage_tables(monkeypatch, y):
+    """Run y; per pass (M in, tables apply_merges built, tables apply_prunes built) as (N, columns).
+
+    rho's table of the pair gaps is not counted.
+    """
+    passes: list[tuple[int, list, list]] = []
+    inside = {"merge": False, "prune": False, "rho": False}
 
     def flagged(fn, key):
         def call(*args):
@@ -535,20 +576,63 @@ def test_a_pass_that_merges_nothing_builds_one_atom_table(monkeypatch):
         return call
 
     def merges(state, y, cfg):
-        passes.append((state.m_nodes, []))
-        return flagged(apply_merges, "stage")(state, y, cfg)
+        passes.append((state.m_nodes, [], []))
+        return flagged(apply_merges, "merge")(state, y, cfg)
 
     def table(omegas, n_samples):
-        if inside["stage"] and not inside["rho"]:
-            passes[-1][1].append((n_samples, np.size(omegas)))
+        if not inside["rho"]:
+            for slot, key in ((1, "merge"), (2, "prune")):
+                if inside[key]:
+                    passes[-1][slot].append((n_samples, np.size(omegas)))
         return atom_table(omegas, n_samples)
 
     monkeypatch.setattr(pipeline, "apply_merges", merges)
-    monkeypatch.setattr(pipeline, "apply_prunes", flagged(apply_prunes, "stage"))
+    monkeypatch.setattr(pipeline, "apply_prunes", flagged(apply_prunes, "prune"))
     monkeypatch.setattr(order_control, "rho", flagged(order_control.rho, "rho"))
     monkeypatch.setattr(order_control, "atom_table", table)
-    report = estimate_spectrum(_sep3(7005))
+    report = estimate_spectrum(y)
+    assert len(passes) == report.outer_iterations
+    return report, passes
+
+
+def test_a_pass_that_merges_nothing_builds_one_atom_table(monkeypatch):
+    # apply_merges builds the N x M atom table of the trained nodes for its
+    # noise estimate. When it fuses nothing, apply_prunes reads its
+    # statistics off that table and residual instead of building both
+    # again.
+    report, passes = _stage_tables(monkeypatch, _sep3(7005))
     merged = {p for p, _ in report.merge_events}
-    quiet = [(m, tables) for k, (m, tables) in enumerate(passes, start=1) if k not in merged]
-    assert len(passes) == report.outer_iterations and quiet
+    quiet = [(m, merge + prune) for k, (m, merge, prune) in enumerate(passes, start=1) if k not in merged]
+    assert quiet
     assert all(tables == [(N, m)] for m, tables in quiet)
+
+
+def _tones8(seed):
+    """The tones8_n512 benchmark scene of this seed (perfbench/scenes.py draws it so)."""
+    rng = np.random.default_rng(seed)
+    freqs = np.sort(sample_well_separated(rng, 8, 8 * TWO_PI / 512))
+    y, _, _ = _draw_signal(freqs, np.ones(8), 512, 20.0, rng)
+    return y
+
+
+@pytest.mark.parametrize("scene", ["sep3_7005", "tones8_8000"])
+def test_a_pass_that_merges_builds_its_table_once(scene, monkeypatch):
+    # A pass that fuses builds the N x M table of the trained nodes, then
+    # only the fused nodes' columns: the kept nodes keep theirs, and the
+    # refit amplitudes' table and residual go on to apply_prunes, which
+    # builds none.
+    y = _sep3(7005) if scene == "sep3_7005" else _tones8(8000)
+    report, passes = _stage_tables(monkeypatch, y)
+    fusing = {}
+    for k, event in report.merge_events:
+        fusing.setdefault(k, []).append(event)
+    assert fusing
+    for k, events in fusing.items():
+        m, merge, prune = passes[k - 1]
+        # Each fuse makes one fused node of its two ends, fused or not.
+        merged = set()
+        fused_nodes = 0
+        for e in events:
+            fused_nodes += 1 - (e.omega_low in merged) - (e.omega_high in merged)
+            merged.add(e.omega_merged)
+        assert merge == [(y.size, m), (y.size, fused_nodes)] and prune == []

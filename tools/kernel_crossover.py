@@ -5,8 +5,8 @@ Usage, from the root of a checkout::
     python3 tools/kernel_crossover.py
     python3 tools/kernel_crossover.py --n 128 256 512 --m 8 16 --repeats 21
 
-Times one ``residual`` + ``gradient_sums`` call, the kernel's share of a
-training iteration, of ``optimizer._FactoredKernel`` and of
+Times one ``residual`` + ``gradient_sums(alphas)`` call, the kernel's share
+of a training iteration, of ``optimizer._FactoredKernel`` and of
 ``optimizer._Kernel`` on the same seeded signal, nodes and amplitudes,
 in-process, with one OpenBLAS thread as the benchmark runs it. Each repeat
 times ``--calls`` consecutive calls of each kernel, the two kernels in
@@ -55,7 +55,7 @@ def batch_times(optimizer, n: int, m: int, repeats: int, calls: int) -> dict:
             start = perf_counter()
             for _ in range(calls):
                 kernel.residual(omegas, alphas)
-                kernel.gradient_sums()
+                kernel.gradient_sums(alphas)
             times[name][repeat] = (perf_counter() - start) / calls
     return times
 
